@@ -36,6 +36,7 @@ from .ot import (
     COSINE,
     SQEUCLIDEAN,
     CostMatrix,
+    ScanResult,
     SinkhornConfig,
     SinkhornOverflowError,
     TransportPlan,
@@ -44,6 +45,7 @@ from .ot import (
     ot_distance,
     ot_plan,
     sinkhorn,
+    sinkhorn_scan,
     swav_code_plan,
     swav_codes,
 )

@@ -192,11 +192,12 @@ class SnippetDatabase:
         )
         if self.provenance is not None:
             object.__setattr__(self, "provenance", dict(self.provenance))
-        seen: set[str] = set()
+        by_id: dict[str, LabeledSequence] = {}
         for s in snippets:
-            if s.seq_id in seen:
+            if s.seq_id in by_id:
                 raise ValueError(f"duplicate sequence id '{s.seq_id}'")
-            seen.add(s.seq_id)
+            by_id[s.seq_id] = s
+        object.__setattr__(self, "_by_id", by_id)
         dims = {s.dim for s in snippets}
         if len(dims) > 1:
             raise ValueError(f"mixed embedding dimensions in database: {sorted(dims)}")
@@ -217,10 +218,7 @@ class SnippetDatabase:
         return tuple(s.seq_id for s in self.snippets)
 
     def get(self, seq_id: str) -> LabeledSequence:
-        for s in self.snippets:
-            if s.seq_id == seq_id:
-                return s
-        raise KeyError(seq_id)
+        return self._by_id[seq_id]
 
     def __len__(self) -> int:
         return len(self.snippets)

@@ -1,8 +1,11 @@
 """Segment a robot sequence, retrieve the closest play snippet per segment,
 and compose the retrieved snippets into an imagined demonstration.
 
-Retrieval is label-free and uses a brute-force linear scan over the
-snippet bank (exactness matters more than speed at desk scale). Ties on
+Retrieval is label-free and exact: every segment is compared with every
+snippet of the bank. A distance that offers a ``scan`` method ranks the
+whole bank in one call (the transport distance solves it as batched
+Sinkhorn, ``seqmatch.ot.sinkhorn_scan``); any other distance is called
+once per (segment, snippet) pair. Both give the same distances. Ties on
 distance go to the lexicographically smallest snippet id. Evaluation
 metrics are computed at retrieval level: they ask whether the imagined
 demo names the right tasks, not whether a downstream policy would have
@@ -23,7 +26,7 @@ from .data import (
     SnippetDatabase,
     dataset_content_hash,
 )
-from .ot import COSINE, SinkhornConfig, cost_matrix, sinkhorn
+from .ot import COSINE, SinkhornConfig, cost_matrix, sinkhorn, sinkhorn_scan
 from .tcc import TccConfig, tcc_distance, tcc_distance_symmetric
 
 METRICS_NOTE = (
@@ -60,6 +63,18 @@ class OtSequenceDistance:
         plan = sinkhorn(cost_matrix(a, b, self.metric), self.cfg)
         return DistanceResult(plan.cost, plan.converged)
 
+    def scan(
+        self, a: EmbeddingSequence, bank: Sequence[EmbeddingSequence]
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Distances and converged flags of ``a`` against every sequence of ``bank``.
+
+        Equal, entry for entry, to calling the distance once per pair.
+        """
+        if not self.cfg.log_domain:
+            return _scan_pairwise(self, a, bank)
+        result = sinkhorn_scan(a, bank, self.cfg, self.metric)
+        return result.costs, result.converged
+
     def describe(self) -> dict:
         return {
             "name": self.name,
@@ -94,6 +109,18 @@ class TccSequenceDistance:
 
 
 SequenceDistance = Callable[[EmbeddingSequence, EmbeddingSequence], DistanceResult]
+
+
+def _scan_pairwise(
+    distance: SequenceDistance, a: EmbeddingSequence, bank: Sequence[EmbeddingSequence]
+) -> tuple[np.ndarray, np.ndarray]:
+    values = np.empty(len(bank))
+    converged = np.empty(len(bank), dtype=bool)
+    for j, b in enumerate(bank):
+        result = distance(a, b)
+        values[j] = result.value
+        converged[j] = result.converged
+    return values, converged
 
 
 @dataclass(frozen=True)
@@ -247,12 +274,12 @@ def _evaluate_segment(
 ) -> SegmentRecord:
     start, end = bounds
     sub = EmbeddingSequence(z.frames[start:end])
-    values = np.empty(len(db))
-    converged = np.empty(len(db), dtype=bool)
-    for j, snippet in enumerate(db.snippets):
-        result = distance(sub, snippet.sequence)
-        values[j] = result.value
-        converged[j] = result.converged
+    bank = [s.sequence for s in db.snippets]
+    scan = getattr(distance, "scan", None)
+    if scan is not None:
+        values, converged = scan(sub, bank)
+    else:
+        values, converged = _scan_pairwise(distance, sub, bank)
     finite = np.isfinite(values)
     if not finite.any():
         raise RetrievalError("all snippet distances are NaN", segment_index=seg_index)
@@ -277,32 +304,16 @@ def imagine_demo(
     z: EmbeddingSequence,
     db: SnippetDatabase,
     cfg: RetrievalConfig,
-    threads: int = 1,
     source_id: str | None = None,
 ) -> ImaginedDemo:
-    """Retrieve the closest snippet per segment and concatenate the results.
-
-    Per-segment retrievals are independent; ``threads`` caps the worker
-    pool and never changes the result (segments are reassembled in
-    order).
-    """
+    """Retrieve the closest snippet per segment and concatenate the results."""
     if len(db) == 0:
         raise RetrievalError("snippet database is empty")
     if db.dim != z.dim:
         raise ValueError(f"dimension mismatch: sequence d={z.dim}, database d={db.dim}")
-    bounds = segment(z, cfg)
-    if threads > 1 and len(bounds) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            records = list(
-                pool.map(
-                    lambda ib: _evaluate_segment(z, ib[1], ib[0], db, cfg.distance),
-                    enumerate(bounds),
-                )
-            )
-    else:
-        records = [
-            _evaluate_segment(z, b, i, db, cfg.distance) for i, b in enumerate(bounds)
-        ]
+    records = [
+        _evaluate_segment(z, b, i, db, cfg.distance) for i, b in enumerate(segment(z, cfg))
+    ]
     composed = EmbeddingSequence(
         np.vstack([db.snippets[r.snippet_index].sequence.frames for r in records])
     )
@@ -326,7 +337,7 @@ def build_paired_dataset(
         raise RetrievalError("robot set is empty")
 
     def build_one(ls: LabeledSequence) -> PairedEntry:
-        demo = imagine_demo(ls.sequence, db, cfg, threads=1, source_id=ls.seq_id)
+        demo = imagine_demo(ls.sequence, db, cfg, source_id=ls.seq_id)
         return PairedEntry(robot=ls, demo=demo)
 
     if threads > 1 and len(robot_set) > 1:

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import EmbeddingSequence
-from .ot import pairwise_sq_dists
+from .ot import frame_matrix, pairwise_sq_dists
 
 
 @dataclass(frozen=True)
@@ -44,15 +44,6 @@ class CycleTrace:
     loss: float
 
 
-def _frames(x: EmbeddingSequence | np.ndarray) -> np.ndarray:
-    if isinstance(x, EmbeddingSequence):
-        return x.frames
-    arr = np.asarray(x, dtype=np.float64)
-    if arr.ndim != 2:
-        raise ValueError(f"expected a T x d matrix, got shape {arr.shape}")
-    return arr
-
-
 def _softmax_rows(logits: np.ndarray) -> np.ndarray:
     shifted = logits - logits.max(axis=-1, keepdims=True)
     e = np.exp(shifted)
@@ -71,7 +62,7 @@ def soft_nearest_neighbor(
     """
     cfg = cfg or TccConfig()
     q = np.asarray(query, dtype=np.float64)
-    K = _frames(keys)
+    K = frame_matrix(keys)
     if q.ndim != 1 or q.shape[0] != K.shape[1]:
         raise ValueError(f"dimension mismatch: query {q.shape} vs keys {K.shape}")
     sq = pairwise_sq_dists(q[None, :], K)[0]
@@ -87,7 +78,7 @@ def tcc_frame_loss(
 ) -> tuple[float, CycleTrace]:
     """Cycle loss for frame ``t`` of ``a`` through ``b`` and back."""
     cfg = cfg or TccConfig()
-    A, B = _frames(a), _frames(b)
+    A, B = frame_matrix(a), frame_matrix(b)
     if A.shape[1] != B.shape[1]:
         raise ValueError(f"dimension mismatch: {A.shape[1]} vs {B.shape[1]}")
     if not 0 <= t < A.shape[0]:
@@ -114,7 +105,7 @@ def tcc_distance(
 ) -> float:
     """Sum of cycle losses over all frames of ``a`` (asymmetric in a, b)."""
     cfg = cfg or TccConfig()
-    A, B = _frames(a), _frames(b)
+    A, B = frame_matrix(a), frame_matrix(b)
     if A.shape[1] != B.shape[1]:
         raise ValueError(f"dimension mismatch: {A.shape[1]} vs {B.shape[1]}")
     alpha = _softmax_rows(-pairwise_sq_dists(A, B) / cfg.temperature)

@@ -131,6 +131,17 @@ class TestDatabaseInvariants:
         with pytest.raises(ValueError, match="duplicate"):
             SnippetDatabase((a, a), task_names={0: "t"})
 
+    def test_get_by_id(self):
+        a = make_sequence("a", np.zeros((1, 2)))
+        b = make_sequence("b", np.ones((2, 2)))
+        db = SnippetDatabase((a, b), task_names={0: "t"})
+        assert db.get("b") is db.snippets[1]
+        assert db.get("a") is db.snippets[0]
+        with pytest.raises(KeyError):
+            db.get("c")
+        with pytest.raises(ValueError, match="duplicate"):
+            SnippetDatabase((a, b, make_sequence("a", np.ones((3, 2)))), task_names={0: "t"})
+
     def test_undeclared_task_rejected(self):
         a = make_sequence("a", np.zeros((1, 2)), tasks=[7])
         with pytest.raises(ValueError, match="undeclared"):

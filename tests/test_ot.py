@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from seqmatch.data import EmbeddingSequence
 from seqmatch.ot import (
+    _SCAN_BATCH_CELLS,
     COSINE,
     SQEUCLIDEAN,
     CostMatrix,
@@ -16,6 +17,7 @@ from seqmatch.ot import (
     exact_ot_small,
     ot_distance,
     sinkhorn,
+    sinkhorn_scan,
     swav_code_plan,
     swav_codes,
 )
@@ -157,6 +159,75 @@ class TestSinkhorn:
         plan = sinkhorn(C, SinkhornConfig(max_iters=5000))
         assert plan.converged
         assert plan.marginal_error() <= 1e-6
+
+
+def assert_scan_matches_per_pair(query, bank, cfg=None, metric=COSINE):
+    """The bank scan must equal per-pair sinkhorn(cost_matrix(...)) exactly."""
+    got = sinkhorn_scan(query, bank, cfg, metric)
+    plans = [sinkhorn(cost_matrix(query, b, metric), cfg) for b in bank]
+    assert got.costs.tolist() == [p.cost for p in plans]
+    assert got.iterations.tolist() == [p.iterations_used for p in plans]
+    assert got.converged.tolist() == [p.converged for p in plans]
+    return got
+
+
+class TestSinkhornScan:
+    @pytest.mark.parametrize("metric", [COSINE, SQEUCLIDEAN])
+    def test_ragged_bank(self, rng, metric):
+        bank = [rng.normal(size=(n, 6)) for n in (4, 10, 16, 4, 7, 16, 10, 4)]
+        assert_scan_matches_per_pair(rng.normal(size=(12, 6)), bank, metric=metric)
+
+    def test_bucket_larger_than_one_batch(self, rng):
+        m, n = 16, 16
+        per_batch = _SCAN_BATCH_CELLS // (m * n)
+        bank = [rng.normal(size=(n, 5)) for _ in range(2 * per_batch + 3)]
+        assert_scan_matches_per_pair(rng.normal(size=(m, 5)), bank)
+
+    def test_pair_larger_than_batch_cap(self, rng):
+        m = _SCAN_BATCH_CELLS // 32 + 1
+        bank = [rng.normal(size=(32, 3)) for _ in range(3)] + [rng.normal(size=(2, 3))]
+        assert_scan_matches_per_pair(rng.normal(size=(m, 3)), bank)
+
+    @pytest.mark.parametrize("metric", [COSINE, SQEUCLIDEAN])
+    def test_length_one_segments_and_snippets(self, rng, metric):
+        bank = [rng.normal(size=(n, 4)) for n in (1, 1, 3, 1, 8)]
+        got = assert_scan_matches_per_pair(rng.normal(size=(1, 4)), bank, metric=metric)
+        assert got.iterations.tolist() == [1] * len(bank)  # one row: forced plan
+        assert_scan_matches_per_pair(rng.normal(size=(6, 4)), bank, metric=metric)
+
+    @pytest.mark.parametrize("epsilon", [0.05, 1e-4])
+    def test_identical_and_antipodal_frames(self, rng, epsilon):
+        x = rng.normal(size=8)
+        x /= np.linalg.norm(x)
+        query = np.tile(x, (5, 1))
+        bank = [np.tile(x, (3, 1)), np.tile(-x, (4, 1)), np.vstack([x, -x]), np.tile(-x, (5, 1))]
+        got = assert_scan_matches_per_pair(query, bank, SinkhornConfig(epsilon=epsilon))
+        assert got.costs[0] == pytest.approx(0.0, abs=1e-12)
+        assert got.costs[1] == pytest.approx(2.0, abs=1e-6)
+        assert got.costs[2] == pytest.approx(1.0, abs=1e-6)
+
+    def test_nonconverged_pairs_stop_at_max_iters(self, rng):
+        cfg = SinkhornConfig(epsilon=0.01, max_iters=3)
+        bank = [rng.normal(size=(n, 6)) for n in (1, 9, 9, 1, 12, 9)]
+        got = assert_scan_matches_per_pair(rng.normal(size=(10, 6)), bank, cfg)
+        assert 0 < int((~got.converged).sum()) < len(bank)
+        assert got.iterations[~got.converged].tolist() == [3] * int((~got.converged).sum())
+
+    def test_empty_bank(self, rng):
+        got = sinkhorn_scan(rng.normal(size=(3, 2)), [])
+        assert got.costs.shape == got.iterations.shape == got.converged.shape == (0,)
+
+    def test_zero_norm_frame_rejected(self):
+        with pytest.raises(ValueError, match="zero-norm"):
+            sinkhorn_scan([[1.0, 0.0]], [np.array([[1.0, 1.0]]), np.array([[0.0, 0.0]])])
+
+    def test_dimension_mismatch_rejected(self):
+        with pytest.raises(ValueError, match="dimension"):
+            sinkhorn_scan([[1.0, 0.0]], [np.array([[1.0, 0.0, 0.0]])])
+
+    def test_plain_domain_rejected(self):
+        with pytest.raises(ValueError, match="log-domain"):
+            sinkhorn_scan([[1.0, 0.0]], [np.array([[1.0, 0.0]])], SinkhornConfig(log_domain=False))
 
 
 class TestOtDistance:
