@@ -38,7 +38,6 @@ from .ot import (
     CostMatrix,
     ScanResult,
     SinkhornConfig,
-    SinkhornOverflowError,
     TransportPlan,
     cost_matrix,
     exact_ot_small,

@@ -6,7 +6,8 @@ snippet distance grid as CSV), ``imagine`` (paired dataset + report),
 sweep). Every command drops a ``run_manifest.json`` beside its outputs
 with the full config, input hashes, tool version, wall clock and seed;
 that file is the only non-deterministic output, everything else is
-byte-stable for fixed flags and inputs (and independent of --threads).
+byte-stable for fixed flags and inputs. Every command runs in one
+thread: ``--threads`` is still accepted but has no effect.
 
 Exit codes: 0 success, 2 usage/config error, 3 data error, 4 numerical
 failure (OT non-convergence under --strict). Set SEQMATCH_LOG=debug for
@@ -43,6 +44,7 @@ from .retrieval import (
     evaluate,
     paired_from_json_dict,
     paired_to_json_dict,
+    scan_bank,
 )
 from .synthgen import GenConfig, gen_benchmark
 from .tcc import TccConfig
@@ -93,7 +95,6 @@ def _sinkhorn_config(args) -> SinkhornConfig:
             epsilon=args.epsilon,
             max_iters=args.max_iters,
             tol_marginal=args.tol,
-            log_domain=not args.no_log_domain,
         )
     except ValueError as exc:
         raise ConfigError(str(exc))
@@ -110,8 +111,6 @@ def _distance_from_args(args):
 
 
 def _retrieval_config(args) -> RetrievalConfig:
-    if args.segment_k is not None and args.segment_kprime is not None:
-        raise ConfigError("set only one of --segment-k / --segment-kprime")
     try:
         return RetrievalConfig(
             distance=_distance_from_args(args),
@@ -125,12 +124,7 @@ def _retrieval_config(args) -> RetrievalConfig:
 def _method_config_doc(args) -> dict:
     doc = {"method": args.method}
     if args.method == "ot":
-        doc.update(
-            epsilon=args.epsilon,
-            max_iters=args.max_iters,
-            tol=args.tol,
-            log_domain=not args.no_log_domain,
-        )
+        doc.update(epsilon=args.epsilon, max_iters=args.max_iters, tol=args.tol)
     else:
         doc.update(temperature=args.temperature, tcc_symmetric=args.tcc_symmetric)
     return doc
@@ -193,21 +187,16 @@ def _cmd_dist(args) -> int:
     distance = _distance_from_args(args)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-
-    def one_row(clip: LabeledSequence):
-        results = [distance(clip.sequence, s.sequence) for s in play_db.snippets]
-        return results
-
-    rows = _parallel_map(one_row, robot_db.snippets, args.threads)
-
+    bank = [s.sequence for s in play_db.snippets]
     nonconverged = []
     with (out / "distances.csv").open("w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(["robot_id", *play_db.ids])
-        for clip, results in zip(robot_db.snippets, rows):
-            writer.writerow([clip.seq_id, *[_fmt(r.value) for r in results]])
-            for snippet, r in zip(play_db.snippets, results):
-                if not r.converged:
+        for clip in robot_db.snippets:
+            values, converged = scan_bank(distance, clip.sequence, bank)
+            writer.writerow([clip.seq_id, *[_fmt(v) for v in values]])
+            for snippet, ok in zip(play_db.snippets, converged):
+                if not ok:
                     nonconverged.append([clip.seq_id, snippet.seq_id])
     (out / "dist_manifest.json").write_text(
         canonical_json(
@@ -231,15 +220,6 @@ def _cmd_dist(args) -> int:
     if nonconverged and args.strict:
         raise StrictNonConvergence(f"{len(nonconverged)} cells did not converge")
     return 0
-
-
-def _parallel_map(fn, items, threads: int):
-    if threads > 1 and len(items) > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(fn, items))
-    return [fn(item) for item in items]
 
 
 def _write_report(out: Path, report) -> None:
@@ -273,7 +253,6 @@ def _cmd_imagine(args) -> int:
         list(robot_db.snippets),
         play_db,
         cfg,
-        threads=args.threads,
         extra_provenance={
             "robot_dataset": str(args.robot),
             "play_dataset": str(args.play),
@@ -312,8 +291,8 @@ def _cmd_imagine(args) -> int:
     _write_run_manifest(
         out,
         "imagine",
-        {**_method_config_doc(args), "segment_k": args.segment_k, "segment_kprime": args.segment_kprime},
-        {"robot": dataset_content_hash(robot_db), "play": dataset_content_hash(play_db)},
+        {**_method_config_doc(args), "segment_k": cfg.segment_len, "segment_kprime": cfg.segment_count},
+        {"robot": paired.provenance["robot_hash"], "play": paired.provenance["play_hash"]},
         None,
         t0,
     )
@@ -335,7 +314,10 @@ def _cmd_eval(args) -> int:
     paired_path = run_dir / "paired.json"
     if not paired_path.is_file():
         raise DatasetError(f"no paired.json under {run_dir}")
-    doc = json.loads(paired_path.read_text(encoding="utf-8"))
+    try:
+        doc = json.loads(paired_path.read_text(encoding="utf-8"))
+    except json.JSONDecodeError as exc:
+        raise DatasetError(f"{paired_path} is not valid JSON: {exc}")
     provenance = doc.get("provenance", {})
     robot_path = args.robot or provenance.get("robot_dataset")
     play_path = args.play or provenance.get("play_dataset")
@@ -377,7 +359,7 @@ def _cmd_ablate(args) -> int:
             cfg = RetrievalConfig(distance=_distance_from_args(args), segment_count=kprime)
         except ValueError as exc:
             raise ConfigError(str(exc))
-        paired = build_paired_dataset(list(robot_db.snippets), play_db, cfg, threads=args.threads)
+        paired = build_paired_dataset(list(robot_db.snippets), play_db, cfg)
         report = evaluate(paired, play_db)
         rows.append(
             {
@@ -420,10 +402,9 @@ def _add_method_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--epsilon", type=float, default=0.05, help="entropic regularization")
     p.add_argument("--max-iters", type=int, default=1000)
     p.add_argument("--tol", type=float, default=1e-6, help="marginal tolerance")
-    p.add_argument("--no-log-domain", action="store_true")
     p.add_argument("--temperature", type=float, default=0.1, help="tcc softmax temperature")
     p.add_argument("--tcc-symmetric", action="store_true", help="average both tcc directions")
-    p.add_argument("--threads", type=int, default=1)
+    p.add_argument("--threads", type=int, default=1, help="accepted for compatibility; no effect")
     p.add_argument("--strict", action="store_true", help="fail on OT non-convergence")
 
 
@@ -458,10 +439,11 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--robot", required=True)
     p.add_argument("--play", required=True)
     _add_method_flags(p)
-    p.add_argument("--segment-k", type=int, default=None, help="segment length in frames")
-    p.add_argument(
-        "--segment-kprime", type=int, default=None, help="segment count (K = T // K')"
-    )
+    seg = p.add_mutually_exclusive_group()
+    # A string default is converted by ``type``, so an explicit "--segment-k 8"
+    # is not mistaken for the default and still conflicts with --segment-kprime.
+    seg.add_argument("--segment-k", type=int, default="8", help="segment length in frames")
+    seg.add_argument("--segment-kprime", type=int, default=None, help="segment count (K = T // K')")
     p.add_argument("--out", required=True)
     p.set_defaults(run=_cmd_imagine)
 
@@ -489,10 +471,6 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
-    # imagine defaults to task-scale segments when nothing is specified
-    if getattr(args, "segment_k", None) is None and getattr(args, "segment_kprime", None) is None:
-        if args.command == "imagine":
-            args.segment_k = 8
     try:
         return args.run(args)
     except ConfigError as exc:

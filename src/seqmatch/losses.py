@@ -15,7 +15,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .data import EmbeddingSequence
-from .ot import COSINE, SinkhornConfig, ot_distance
+from .ot import COSINE, SinkhornConfig, sinkhorn_scan
 
 
 @dataclass(frozen=True)
@@ -158,10 +158,7 @@ def task_alignment_loss(
     n = len(robot_clips)
     if n < 2:
         raise ValueError("need at least 2 clip pairs")
-    D = np.empty((n, n))
-    for i, r in enumerate(robot_clips):
-        for j, h in enumerate(demo_clips):
-            D[i, j] = ot_distance(r, h, ot_cfg, metric)
+    D = np.array([sinkhorn_scan(r, demo_clips, ot_cfg, metric).costs for r in robot_clips])
     return task_alignment_loss_from_distances(D, log_form=log_form)
 
 

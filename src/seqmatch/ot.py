@@ -1,19 +1,18 @@
 """Entropic optimal-transport distances between embedding sequences.
 
 Frames of the two sequences carry uniform mass (1/T and 1/T'); the frame
-cost is cosine distance by default. The Sinkhorn solver runs in the log
-domain by default, is fully deterministic, and reports non-convergence
-through a flag on the returned plan instead of raising: retrieval can
-still rank with a near-feasible plan, and callers that need hard
-guarantees check the flag.
+cost is cosine distance by default. The Sinkhorn solver is fully
+deterministic and reports non-convergence through a flag on the returned
+plan instead of raising: retrieval can still rank with a near-feasible
+plan, and callers that need hard guarantees check the flag.
 
-There is one log-domain solver, and it works on a stack of equal-shape
+There is one solver, the stabilised log-domain scaling of Schmitzer
+(SIAM J. Sci. Comput. 2019), and it works on a stack of equal-shape
 cost matrices (batched as in Feydy et al., AISTATS 2019). ``sinkhorn``
 and ``swav_code_plan`` run it on a stack of one; ``sinkhorn_scan``
 runs it over a whole snippet bank, grouped by snippet length, and gives
 every pair exactly the cost, iteration count and convergence flag that
-``sinkhorn(cost_matrix(...))`` gives it alone. A plain-domain solver
-remains behind ``SinkhornConfig(log_domain=False)``.
+``sinkhorn(cost_matrix(...))`` gives it alone.
 
 The reported sequence distance is the raw plan cost ``sum(C * M)``; the
 plan moves unit total mass by construction, so no extra length
@@ -48,10 +47,6 @@ _EXACT_MAX_CELLS = 16
 _SCAN_BATCH_CELLS = 4096
 
 
-class SinkhornOverflowError(FloatingPointError):
-    """Plain-domain scaling over/underflowed; rerun with ``log_domain=True``."""
-
-
 @dataclass(frozen=True)
 class SinkhornConfig:
     """Solver knobs. ``epsilon`` is the entropic regularization strength."""
@@ -59,7 +54,6 @@ class SinkhornConfig:
     epsilon: float = 0.05
     max_iters: int = 1000
     tol_marginal: float = 1e-6
-    log_domain: bool = True
 
     def __post_init__(self):
         if not self.epsilon > 0:
@@ -99,15 +93,15 @@ class CostMatrix:
 class TransportPlan:
     """A coupling with uniform marginals, its cost, and convergence info.
 
-    ``potentials`` holds the log-domain dual variables (f, g) when the
-    solver ran in the log domain; they can warm-start another solve.
+    ``potentials`` holds the log-domain dual variables (f, g) the plan
+    was built from; they can warm-start another solve.
     """
 
     coupling: np.ndarray
     cost: float
     iterations_used: int
     converged: bool
-    potentials: tuple[np.ndarray, np.ndarray] | None = None
+    potentials: tuple[np.ndarray, np.ndarray]
 
     def __post_init__(self):
         arr = np.array(self.coupling, dtype=np.float64, order="C", copy=True)
@@ -236,49 +230,16 @@ def _log_sinkhorn(
     return P_out, f_out, g_out, iters, converged
 
 
-def _sinkhorn_core(
+def _solve_one(
     C: np.ndarray,
-    a: np.ndarray,
-    b: np.ndarray,
     cfg: SinkhornConfig,
     init: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> TransportPlan:
-    if cfg.log_domain:
-        if init is not None:
-            init = (np.asarray(init[0])[None], np.asarray(init[1])[None])
-        P, f, g, iters, converged = _log_sinkhorn(C[None], cfg, init)
-        return TransportPlan(
-            P[0], float(np.sum(C * P[0])), int(iters[0]), bool(converged[0]), potentials=(f[0], g[0])
-        )
-    eps = cfg.epsilon
-    K = np.exp(-C / eps)
-    if not np.isfinite(K).all() or (K.sum(axis=1) == 0.0).any() or (K.sum(axis=0) == 0.0).any():
-        raise SinkhornOverflowError(
-            "kernel exp(-C/eps) under/overflowed; use log_domain=True"
-        )
-    u = np.ones_like(a)
-    v = np.ones_like(b)
-    it = 0
-    err = np.inf
-    for it in range(1, cfg.max_iters + 1):
-        Kv = K @ v
-        if (Kv == 0.0).any():
-            raise SinkhornOverflowError("scaling underflow; use log_domain=True")
-        u = a / Kv
-        Ktu = K.T @ u
-        if (Ktu == 0.0).any():
-            raise SinkhornOverflowError("scaling underflow; use log_domain=True")
-        v = b / Ktu
-        if not (np.isfinite(u).all() and np.isfinite(v).all()):
-            raise SinkhornOverflowError("scaling overflow; use log_domain=True")
-        P = u[:, None] * K * v[None, :]
-        err = max(
-            np.abs(P.sum(axis=1) - a).max(), np.abs(P.sum(axis=0) - b).max()
-        )
-        if err <= cfg.tol_marginal:
-            break
-    cost = float(np.sum(C * P))
-    return TransportPlan(P, cost, it, bool(err <= cfg.tol_marginal))
+    """The plan of one m x n cost matrix: ``_log_sinkhorn`` on a stack of one."""
+    if init is not None:
+        init = (np.asarray(init[0])[None], np.asarray(init[1])[None])
+    P, f, g, iters, converged = _log_sinkhorn(C[None], cfg, init)
+    return TransportPlan(P[0], float(np.sum(C * P[0])), int(iters[0]), bool(converged[0]), (f[0], g[0]))
 
 
 def sinkhorn(
@@ -297,10 +258,7 @@ def sinkhorn(
     C = cost.entries if isinstance(cost, CostMatrix) else np.asarray(cost, dtype=np.float64)
     if C.ndim != 2 or not np.isfinite(C).all():
         raise ValueError("cost must be a finite 2-D matrix")
-    m, n = C.shape
-    a = np.full(m, 1.0 / m)
-    b = np.full(n, 1.0 / n)
-    return _sinkhorn_core(C, a, b, cfg, init=init)
+    return _solve_one(C, cfg, init)
 
 
 class ScanResult(NamedTuple):
@@ -324,11 +282,9 @@ def sinkhorn_scan(
     are grouped by length, so each batch is an unpadded stack of equal
     shape cost matrices, and a batch holds at most ``_SCAN_BATCH_CELLS``
     cost cells (one pair at least), which bounds its memory whatever the
-    bank size. Runs the log-domain solver only.
+    bank size.
     """
     cfg = cfg or SinkhornConfig()
-    if not cfg.log_domain:
-        raise ValueError("sinkhorn_scan runs the log-domain solver only")
     A = frame_matrix(query)
     frames = [frame_matrix(s) for s in bank]
     by_len: dict[int, list[int]] = {}
@@ -425,7 +381,4 @@ def swav_code_plan(scores: np.ndarray, cfg: SinkhornConfig | None = None) -> Tra
         raise ValueError(f"scores must be a non-empty B x K matrix, got {S.shape}")
     if not np.isfinite(S).all():
         raise ValueError("scores contain NaN or Inf")
-    B, K = S.shape
-    a = np.full(B, 1.0 / B)
-    b = np.full(K, 1.0 / K)
-    return _sinkhorn_core(-S, a, b, cfg)
+    return _solve_one(-S, cfg)

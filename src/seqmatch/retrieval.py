@@ -2,10 +2,11 @@
 and compose the retrieved snippets into an imagined demonstration.
 
 Retrieval is label-free and exact: every segment is compared with every
-snippet of the bank. A distance that offers a ``scan`` method ranks the
-whole bank in one call (the transport distance solves it as batched
-Sinkhorn, ``seqmatch.ot.sinkhorn_scan``); any other distance is called
-once per (segment, snippet) pair. Both give the same distances. Ties on
+snippet of the bank, in one thread. ``scan_bank`` ranks a bank: a
+distance that offers a ``scan`` method ranks it in one call (the
+transport distance solves it as batched Sinkhorn,
+``seqmatch.ot.sinkhorn_scan``); any other distance is called once per
+(segment, snippet) pair. Both give the same distances. Ties on
 distance go to the lexicographically smallest snippet id. Evaluation
 metrics are computed at retrieval level: they ask whether the imagined
 demo names the right tasks, not whether a downstream policy would have
@@ -14,7 +15,6 @@ completed them, and every report carries a note saying so.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, NamedTuple, Sequence
 
@@ -70,8 +70,6 @@ class OtSequenceDistance:
 
         Equal, entry for entry, to calling the distance once per pair.
         """
-        if not self.cfg.log_domain:
-            return _scan_pairwise(self, a, bank)
         result = sinkhorn_scan(a, bank, self.cfg, self.metric)
         return result.costs, result.converged
 
@@ -82,7 +80,6 @@ class OtSequenceDistance:
             "epsilon": self.cfg.epsilon,
             "max_iters": self.cfg.max_iters,
             "tol_marginal": self.cfg.tol_marginal,
-            "log_domain": self.cfg.log_domain,
         }
 
 
@@ -111,9 +108,17 @@ class TccSequenceDistance:
 SequenceDistance = Callable[[EmbeddingSequence, EmbeddingSequence], DistanceResult]
 
 
-def _scan_pairwise(
+def scan_bank(
     distance: SequenceDistance, a: EmbeddingSequence, bank: Sequence[EmbeddingSequence]
 ) -> tuple[np.ndarray, np.ndarray]:
+    """Distances and converged flags of ``a`` against every sequence of ``bank``.
+
+    Uses ``distance.scan`` when the distance has one, else calls the
+    distance once per pair.
+    """
+    scan = getattr(distance, "scan", None)
+    if scan is not None:
+        return scan(a, bank)
     values = np.empty(len(bank))
     converged = np.empty(len(bank), dtype=bool)
     for j, b in enumerate(bank):
@@ -274,12 +279,7 @@ def _evaluate_segment(
 ) -> SegmentRecord:
     start, end = bounds
     sub = EmbeddingSequence(z.frames[start:end])
-    bank = [s.sequence for s in db.snippets]
-    scan = getattr(distance, "scan", None)
-    if scan is not None:
-        values, converged = scan(sub, bank)
-    else:
-        values, converged = _scan_pairwise(distance, sub, bank)
+    values, converged = scan_bank(distance, sub, [s.sequence for s in db.snippets])
     finite = np.isfinite(values)
     if not finite.any():
         raise RetrievalError("all snippet distances are NaN", segment_index=seg_index)
@@ -324,7 +324,6 @@ def build_paired_dataset(
     robot_set: Sequence[LabeledSequence],
     db: SnippetDatabase,
     cfg: RetrievalConfig,
-    threads: int = 1,
     extra_provenance: dict | None = None,
 ) -> PairedDataset:
     """One imagined demo per robot trajectory.
@@ -335,16 +334,10 @@ def build_paired_dataset(
     robot_set = list(robot_set)
     if not robot_set:
         raise RetrievalError("robot set is empty")
-
-    def build_one(ls: LabeledSequence) -> PairedEntry:
-        demo = imagine_demo(ls.sequence, db, cfg, source_id=ls.seq_id)
-        return PairedEntry(robot=ls, demo=demo)
-
-    if threads > 1 and len(robot_set) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            entries = list(pool.map(build_one, robot_set))
-    else:
-        entries = [build_one(ls) for ls in robot_set]
+    entries = [
+        PairedEntry(robot=ls, demo=imagine_demo(ls.sequence, db, cfg, source_id=ls.seq_id))
+        for ls in robot_set
+    ]
     provenance = {
         "retrieval": cfg.describe(),
         "robot_hash": dataset_content_hash(robot_set),
@@ -420,7 +413,7 @@ def evaluate(paired: PairedDataset, db: SnippetDatabase) -> EvalReport:
         retrieved: set[int] = set()
         hits = 0
         for rec in entry.demo.segments:
-            if rec.snippet_index >= len(db):
+            if not 0 <= rec.snippet_index < len(db):
                 raise RetrievalError(
                     f"snippet index {rec.snippet_index} outside database of {len(db)}"
                 )
@@ -475,16 +468,26 @@ def paired_from_json_dict(
     doc: dict, robot_db: SnippetDatabase, play_db: SnippetDatabase
 ) -> PairedDataset:
     """Rehydrate a paired dataset from its report plus the two source datasets."""
+    try:
+        records = [
+            (rec["robot_id"], tuple(SegmentRecord.from_json_dict(s) for s in rec["segments"]))
+            for rec in doc["entries"]
+        ]
+    except (KeyError, TypeError, ValueError) as exc:
+        raise RetrievalError(f"malformed paired record: {exc!r}")
     entries = []
-    for rec in doc["entries"]:
-        robot_id = rec["robot_id"]
+    for robot_id, segments in records:
         try:
             robot = robot_db.get(robot_id)
         except KeyError:
             raise RetrievalError(f"robot sequence '{robot_id}' missing from robot dataset")
-        segments = tuple(SegmentRecord.from_json_dict(s) for s in rec["segments"])
         for s in segments:
-            if s.snippet_index >= len(play_db) or play_db.snippets[s.snippet_index].seq_id != s.snippet_id:
+            if not 0 <= s.start < s.end <= robot.n_frames:
+                raise RetrievalError(
+                    f"segment [{s.start}, {s.end}) outside robot sequence '{robot_id}'"
+                    f" of {robot.n_frames} frames"
+                )
+            if not 0 <= s.snippet_index < len(play_db) or play_db.snippets[s.snippet_index].seq_id != s.snippet_id:
                 raise RetrievalError(
                     f"snippet '{s.snippet_id}' not at index {s.snippet_index} in play dataset"
                 )

@@ -13,8 +13,11 @@ from seqmatch.data import (
     FrameLabel,
     LabeledSequence,
     quantize_frames_f32,
+    read_dataset,
     write_dataset,
 )
+from seqmatch.ot import SinkhornConfig
+from seqmatch.retrieval import OtSequenceDistance
 from seqmatch.synthgen import GenConfig, gen_anchors
 
 VOLATILE = ("run_manifest.json",)
@@ -153,6 +156,27 @@ class TestDist:
              "--tol", "1e-12", "--out", str(tmp_path / "d2")]
         ) == 0
 
+    @pytest.mark.parametrize("max_iters", [1000, 3])
+    def test_grid_matches_per_pair_distance(self, tmp_path, max_iters):
+        bench = tmp_path / "b"
+        main(["gen", "--level", "hard", "--seed", "3", "--trajectories", "3",
+              "--snippets-per-task", "2", "--out", str(bench)])
+        out = tmp_path / "d"
+        assert main(["dist", str(bench), "--max-iters", str(max_iters), "--out", str(out)]) == 0
+        robot_db, play_db = read_dataset(bench / "robot"), read_dataset(bench / "play")
+        distance = OtSequenceDistance(SinkhornConfig(max_iters=max_iters))
+        want_rows, want_flags = [], []
+        for clip in robot_db.snippets:
+            results = [distance(clip.sequence, s.sequence) for s in play_db.snippets]
+            want_rows.append([clip.seq_id, *[repr(r.value) for r in results]])
+            want_flags += [
+                [clip.seq_id, s.seq_id] for s, r in zip(play_db.snippets, results) if not r.converged
+            ]
+        assert read_csv(out / "distances.csv")[1:] == want_rows
+        manifest = json.loads((out / "dist_manifest.json").read_text())
+        assert manifest["nonconverged"] == want_flags
+        assert bool(want_flags) == (max_iters == 3)
+
 
 class TestImagine:
     @pytest.fixture
@@ -205,6 +229,24 @@ class TestImagine:
         )
         assert code == 2
 
+    @pytest.mark.parametrize(
+        "flags, effective",
+        [([], {"segment_k": 8, "segment_kprime": None}),
+         (["--segment-kprime", "2"], {"segment_k": None, "segment_kprime": 2})],
+    )
+    def test_run_manifest_records_effective_config(self, easy_bench, tmp_path, flags, effective):
+        out = tmp_path / "run"
+        assert main(
+            ["imagine", "--robot", str(easy_bench / "robot"), "--play",
+             str(easy_bench / "play"), *flags, "--out", str(out)]
+        ) == 0
+        manifest = json.loads((out / "run_manifest.json").read_text())
+        assert {k: manifest["config"][k] for k in effective} == effective
+        provenance = json.loads((out / "paired.json").read_text())["provenance"]
+        assert manifest["input_hashes"] == {
+            "robot": provenance["robot_hash"], "play": provenance["play_hash"]
+        }
+
 
 class TestEval:
     def test_recomputes_same_metrics(self, tmp_path):
@@ -220,6 +262,26 @@ class TestEval:
         recomputed = json.loads((evaldir / "report.json").read_text())
         assert recomputed == original
         assert (evaldir / "report.csv").is_file()
+
+    def test_negative_snippet_index_is_data_error(self, tmp_path):
+        bench = tmp_path / "b"
+        main(["gen", "--level", "hard", "--seed", "0", "--trajectories", "2",
+              "--snippets-per-task", "2", "--out", str(bench)])
+        run = tmp_path / "run"
+        main(["imagine", "--robot", str(bench / "robot"), "--play", str(bench / "play"),
+              "--segment-kprime", "2", "--out", str(run)])
+        doc = json.loads((run / "paired.json").read_text())
+        seg = doc["entries"][0]["segments"][0]
+        # index -1 would wrap around to the last snippet, whose id this is
+        seg["snippet_index"], seg["snippet_id"] = -1, read_dataset(bench / "play").ids[-1]
+        (run / "paired.json").write_text(json.dumps(doc))
+        assert main(["eval", "--paired", str(run), "--out", str(tmp_path / "e")]) == 3
+
+    def test_invalid_paired_json_is_data_error(self, tmp_path):
+        run = tmp_path / "run"
+        run.mkdir()
+        (run / "paired.json").write_text("{not json")
+        assert main(["eval", "--paired", str(run), "--out", str(tmp_path / "e")]) == 3
 
     def test_missing_paired_run(self, tmp_path):
         assert main(["eval", "--paired", str(tmp_path / "void"), "--out", str(tmp_path / "e")]) == 3

@@ -12,7 +12,6 @@ from seqmatch.ot import (
     SQEUCLIDEAN,
     CostMatrix,
     SinkhornConfig,
-    SinkhornOverflowError,
     cost_matrix,
     exact_ot_small,
     ot_distance,
@@ -134,21 +133,6 @@ class TestSinkhorn:
         with pytest.raises(ValueError, match="finite"):
             sinkhorn(np.array([[np.nan, 1.0], [1.0, 0.0]]))
 
-    def test_plain_domain_matches_log_domain(self, rng):
-        C = rng.uniform(size=(4, 5))
-        cfg_log = SinkhornConfig(epsilon=0.1, max_iters=5000)
-        cfg_lin = SinkhornConfig(epsilon=0.1, max_iters=5000, log_domain=False)
-        np.testing.assert_allclose(
-            sinkhorn(C, cfg_lin).coupling, sinkhorn(C, cfg_log).coupling, atol=1e-10
-        )
-
-    def test_plain_domain_overflow_signals_log_switch(self):
-        C = np.array([[4000.0, 4000.0], [0.0, 0.0]])  # kernel row underflows to zero
-        with pytest.raises(SinkhornOverflowError, match="log_domain"):
-            sinkhorn(C, SinkhornConfig(epsilon=0.001, log_domain=False))
-        plan = sinkhorn(C, SinkhornConfig(epsilon=0.001, max_iters=5000))
-        assert plan.converged  # log domain handles the same instance
-
     @given(
         st.integers(min_value=1, max_value=10),
         st.integers(min_value=1, max_value=10),
@@ -224,10 +208,6 @@ class TestSinkhornScan:
     def test_dimension_mismatch_rejected(self):
         with pytest.raises(ValueError, match="dimension"):
             sinkhorn_scan([[1.0, 0.0]], [np.array([[1.0, 0.0, 0.0]])])
-
-    def test_plain_domain_rejected(self):
-        with pytest.raises(ValueError, match="log-domain"):
-            sinkhorn_scan([[1.0, 0.0]], [np.array([[1.0, 0.0]])], SinkhornConfig(log_domain=False))
 
 
 class TestOtDistance:

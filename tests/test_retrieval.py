@@ -223,10 +223,7 @@ class TestImagineDemo:
         assert math.isfinite(demo.segments[0].distance)
         assert demo.segments[0].snippet_id != "demo-t01"  # its distance went NaN
 
-    @pytest.mark.parametrize(
-        "solver",
-        [SinkhornConfig(), SinkhornConfig(epsilon=0.01, max_iters=4), SinkhornConfig(log_domain=False)],
-    )
+    @pytest.mark.parametrize("solver", [SinkhornConfig(), SinkhornConfig(epsilon=0.01, max_iters=4)])
     def test_bank_scan_matches_per_pair_loop(self, solver):
         robot_set, db = gen_benchmark("hard", GenConfig(n_trajectories=3, seed=4))
         distance = OtSequenceDistance(solver)
@@ -282,16 +279,6 @@ class TestBuildPairedDataset:
         with pytest.raises(ValueError, match="duplicate|twice"):
             build_paired_dataset([robot, robot], db, ot_config(segment_len=4))
 
-    def test_threads_do_not_change_pairing(self):
-        robot_set, db = gen_benchmark("easy", GenConfig(n_trajectories=5, seed=3))
-        cfg = ot_config(segment_len=8)
-        p1 = build_paired_dataset(robot_set, db, cfg, threads=1)
-        p4 = build_paired_dataset(robot_set, db, cfg, threads=4)
-        for e1, e4 in zip(p1.entries, p4.entries):
-            assert [r.snippet_id for r in e1.demo.segments] == [
-                r.snippet_id for r in e4.demo.segments
-            ]
-
 
 def crafted_paired(robot, records):
     demo = ImaginedDemo(source_id=robot.seq_id, segments=tuple(records), composed=None)
@@ -345,6 +332,14 @@ class TestEvaluate:
         assert report.top1_accuracy == 0.0
         assert report.task_recall == 0.5
 
+    @pytest.mark.parametrize("idx", [-1, 4])
+    def test_snippet_index_outside_database_rejected(self, idx):
+        anchors, db = anchor_db()
+        robot = anchor_robot(anchors, [0])
+        paired = crafted_paired(robot, [seg(idx, db.snippets[-1].seq_id, 0, 4)])
+        with pytest.raises(RetrievalError, match="outside database"):
+            evaluate(paired, db)
+
     def test_ot_beats_tcc_on_hard_benchmark(self):
         robot_set, db = gen_benchmark("hard", GenConfig(n_trajectories=5, seed=0))
         ot_rep = evaluate(
@@ -368,6 +363,13 @@ class TestEvaluate:
         assert 0.0 <= report.task_recall <= 1.0
         assert 0.0 <= report.task_imprecision <= 1.0
         assert 0.0 <= report.top1_accuracy <= 1.0
+
+
+def paired_doc():
+    """A one-trajectory paired document, its robot dataset and its play dataset."""
+    robot_set, db = gen_benchmark("easy", GenConfig(n_trajectories=1, seed=4))
+    doc = paired_to_json_dict(build_paired_dataset(robot_set, db, ot_config(segment_len=8)))
+    return doc, SnippetDatabase(tuple(robot_set), task_names=db.task_names), db
 
 
 class TestPairedJson:
@@ -396,4 +398,34 @@ class TestPairedJson:
         doc["entries"][0]["segments"][0]["snippet_id"] = "bogus"
         robot_db = SnippetDatabase(tuple(robot_set), task_names=db.task_names)
         with pytest.raises(RetrievalError, match="bogus"):
+            paired_from_json_dict(doc, robot_db, db)
+
+    @pytest.mark.parametrize("drop", ["distance", "segments", "robot_id", "entries"])
+    def test_missing_field_rejected(self, drop):
+        doc, robot_db, db = paired_doc()
+        entry = doc["entries"][0]
+        owner = {"entries": doc, "robot_id": entry, "segments": entry}.get(drop, entry["segments"][0])
+        del owner[drop]
+        with pytest.raises(RetrievalError, match=f"malformed paired record: KeyError\\('{drop}'\\)"):
+            paired_from_json_dict(doc, robot_db, db)
+
+    @pytest.mark.parametrize("index", [-1, 35])
+    def test_snippet_index_outside_play_dataset_rejected(self, index):
+        doc, robot_db, db = paired_doc()
+        assert len(db) == 35
+        seg = doc["entries"][0]["segments"][0]
+        # the id of the snippet that index -1 would wrap around to
+        seg["snippet_index"], seg["snippet_id"] = index, db.snippets[-1].seq_id
+        with pytest.raises(RetrievalError, match=f"not at index {index}"):
+            paired_from_json_dict(doc, robot_db, db)
+
+    @pytest.mark.parametrize(
+        "start, end", [(-1, 4), (5, 5), (6, 2), (0, 33)], ids=["negative", "empty", "reversed", "past_end"]
+    )
+    def test_segment_range_outside_robot_sequence_rejected(self, start, end):
+        doc, robot_db, db = paired_doc()
+        assert robot_db.snippets[0].n_frames == 32
+        seg = doc["entries"][0]["segments"][0]
+        seg["start"], seg["end"] = start, end
+        with pytest.raises(RetrievalError, match="outside robot sequence"):
             paired_from_json_dict(doc, robot_db, db)
