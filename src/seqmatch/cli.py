@@ -150,31 +150,26 @@ def _cmd_gen(args) -> int:
             noise_sigma=args.noise_sigma,
             seed=args.seed,
         )
-        robot_set, db = gen_benchmark(args.level, cfg)
+        robot_db, play_db = gen_benchmark(args.level, cfg)
     except ValueError as exc:
         raise ConfigError(str(exc))
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    write_dataset(
-        robot_set,
-        out / "robot",
-        task_names=db.task_names,
-        provenance=db.provenance,
-    )
-    write_dataset(db, out / "play")
+    write_dataset(robot_db, out / "robot")
+    write_dataset(play_db, out / "play")
     _write_run_manifest(
         out,
         "gen",
         {"level": args.level, **cfg.__dict__},
         {
-            "robot": dataset_content_hash(robot_set),
-            "play": dataset_content_hash(db),
+            "robot": dataset_content_hash(robot_db),
+            "play": dataset_content_hash(play_db),
         },
         args.seed,
         t0,
     )
     print(
-        f"wrote {len(robot_set)} robot trajectories and {len(db)} snippets under {out}"
+        f"wrote {len(robot_db)} robot trajectories and {len(play_db)} snippets under {out}"
     )
     return 0
 
@@ -250,7 +245,7 @@ def _cmd_imagine(args) -> int:
     play_db = _read_required(args.play, "play")
     cfg = _retrieval_config(args)
     paired = build_paired_dataset(
-        list(robot_db.snippets),
+        robot_db,
         play_db,
         cfg,
         extra_provenance={
@@ -278,10 +273,8 @@ def _cmd_imagine(args) -> int:
         for e in paired.entries
     ]
     write_dataset(
-        imagined,
+        SnippetDatabase(imagined, play_db.task_names, {"kind": "imagined", "retrieval": cfg.describe()}),
         out / "imagined",
-        task_names=play_db.task_names,
-        provenance={"kind": "imagined", "retrieval": cfg.describe()},
     )
     (out / "paired.json").write_text(
         canonical_json(paired_to_json_dict(paired)), encoding="utf-8"
@@ -318,7 +311,11 @@ def _cmd_eval(args) -> int:
         doc = json.loads(paired_path.read_text(encoding="utf-8"))
     except json.JSONDecodeError as exc:
         raise DatasetError(f"{paired_path} is not valid JSON: {exc}")
+    if not isinstance(doc, dict):
+        raise DatasetError(f"{paired_path} does not hold a JSON object")
     provenance = doc.get("provenance", {})
+    if not isinstance(provenance, dict):
+        raise DatasetError(f"{paired_path}: provenance is not a JSON object")
     robot_path = args.robot or provenance.get("robot_dataset")
     play_path = args.play or provenance.get("play_dataset")
     if not robot_path or not play_path:
@@ -359,7 +356,7 @@ def _cmd_ablate(args) -> int:
             cfg = RetrievalConfig(distance=_distance_from_args(args), segment_count=kprime)
         except ValueError as exc:
             raise ConfigError(str(exc))
-        paired = build_paired_dataset(list(robot_db.snippets), play_db, cfg)
+        paired = build_paired_dataset(robot_db, play_db, cfg)
         report = evaluate(paired, play_db)
         rows.append(
             {

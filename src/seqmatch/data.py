@@ -7,6 +7,12 @@ in memory and float32 on disk; writers require frames to sit exactly on
 the float32 grid (generators quantize on output) so a write/read round
 trip is bit-exact.
 
+``SnippetDatabase`` is the one in-memory dataset type: robot sets, play
+banks and imagined demos alike. It carries its own declared task table
+and provenance, which is exactly what ``write_dataset`` records and
+``read_dataset`` returns, so ``dataset_content_hash`` gives a database
+and its on-disk copy the same hash.
+
 All types are immutable after construction and safe to share across
 threads. Writing is single-writer per directory.
 """
@@ -19,7 +25,7 @@ import re
 from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping
 
 import numpy as np
 
@@ -236,43 +242,17 @@ class SnippetDatabase:
         )
 
 
-def _as_database(
-    db: SnippetDatabase | Sequence[LabeledSequence],
-    task_names: Mapping[int, str] | None,
-    provenance: Mapping | None,
-) -> SnippetDatabase:
-    if isinstance(db, SnippetDatabase):
-        if task_names is None and provenance is None:
-            return db
-        return SnippetDatabase(
-            db.snippets,
-            task_names if task_names is not None else db.task_names,
-            provenance if provenance is not None else db.provenance,
-        )
-    snippets = tuple(db)
-    if task_names is None:
-        task_names = {t: f"task-{t}" for s in snippets for t in sorted(s.task_set)}
-    return SnippetDatabase(snippets, task_names, provenance)
-
-
 def canonical_json(doc) -> str:
     """Deterministic JSON rendering used for manifests and reports."""
     return json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
 
-def write_dataset(
-    db: SnippetDatabase | Sequence[LabeledSequence],
-    path: str | Path,
-    *,
-    task_names: Mapping[int, str] | None = None,
-    provenance: Mapping | None = None,
-) -> None:
+def write_dataset(database: SnippetDatabase, path: str | Path) -> None:
     """Write a dataset directory (manifest + one .f32 blob per sequence).
 
-    All validation (mixed dimensions, float32 representability, bad ids)
-    happens before the first byte is written.
+    The manifest records the database's own task table and provenance.
+    All validation happens before the first byte is written.
     """
-    database = _as_database(db, task_names, provenance)
     if not database.snippets:
         raise DatasetError("refusing to write an empty dataset")
     blobs: list[tuple[str, bytes]] = []
@@ -365,6 +345,14 @@ def read_dataset(path: str | Path) -> SnippetDatabase:
         if not isinstance(rec, dict) or "id" not in rec:
             raise ManifestError(f"bad sequence record {rec!r}")
         seq_id = str(rec["id"])
+        if not _ID_RE.match(seq_id):
+            raise DatasetError("invalid sequence id", sequence_id=seq_id)
+        seed_record = rec.get("seed_record")
+        if seed_record is not None and not isinstance(seed_record, dict):
+            raise DatasetError(
+                f"seed_record must be an object or null, got {seed_record!r}",
+                sequence_id=seq_id,
+            )
         try:
             embodiment = Embodiment(rec.get("embodiment"))
         except ValueError:
@@ -409,7 +397,7 @@ def read_dataset(path: str | Path) -> SnippetDatabase:
                 sequence=EmbeddingSequence(frames),
                 labels=labels,
                 embodiment=embodiment,
-                seed_record=rec.get("seed_record"),
+                seed_record=seed_record,
             )
         )
     try:
@@ -418,13 +406,12 @@ def read_dataset(path: str | Path) -> SnippetDatabase:
         raise DatasetError(str(exc))
 
 
-def dataset_content_hash(db: SnippetDatabase | Sequence[LabeledSequence]) -> str:
-    """SHA-256 over the dataset's logical content (ids, labels, float32 frames).
+def dataset_content_hash(database: SnippetDatabase) -> str:
+    """SHA-256 over the dataset's logical content (task table, ids, labels, float32 frames).
 
     Provenance is excluded so regenerated datasets with identical content
     hash identically.
     """
-    database = _as_database(db, None, None)
     h = hashlib.sha256()
     h.update(
         json.dumps(

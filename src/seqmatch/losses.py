@@ -37,7 +37,6 @@ class LossWeights:
 class TimeContrastiveConfig:
     window: int = 1
     temperature: float = 0.1
-    similarity: str = "cosine"
     log_form: bool = False
 
     def __post_init__(self):
@@ -45,8 +44,6 @@ class TimeContrastiveConfig:
             raise ValueError(f"window must be >= 1, got {self.window}")
         if not self.temperature > 0:
             raise ValueError(f"temperature must be > 0, got {self.temperature}")
-        if self.similarity != "cosine":
-            raise ValueError(f"unsupported similarity {self.similarity!r}")
 
 
 def _softplus(x: float) -> float:

@@ -11,6 +11,9 @@ distance go to the lexicographically smallest snippet id. Evaluation
 metrics are computed at retrieval level: they ask whether the imagined
 demo names the right tasks, not whether a downstream policy would have
 completed them, and every report carries a note saying so.
+
+The robot set and the play bank are both ``SnippetDatabase``s; a paired
+dataset's provenance records each one's ``dataset_content_hash``.
 """
 
 from __future__ import annotations
@@ -321,7 +324,7 @@ def imagine_demo(
 
 
 def build_paired_dataset(
-    robot_set: Sequence[LabeledSequence],
+    robot_db: SnippetDatabase,
     db: SnippetDatabase,
     cfg: RetrievalConfig,
     extra_provenance: dict | None = None,
@@ -330,17 +333,18 @@ def build_paired_dataset(
 
     Each entry keeps both the robot embeddings and the imagined demo so
     downstream consumers can condition on either side of the pairing.
+    Provenance hashes both databases as given, so the robot hash is the
+    one ``gen`` and ``eval`` record for the same dataset.
     """
-    robot_set = list(robot_set)
-    if not robot_set:
+    if not robot_db.snippets:
         raise RetrievalError("robot set is empty")
     entries = [
         PairedEntry(robot=ls, demo=imagine_demo(ls.sequence, db, cfg, source_id=ls.seq_id))
-        for ls in robot_set
+        for ls in robot_db.snippets
     ]
     provenance = {
         "retrieval": cfg.describe(),
-        "robot_hash": dataset_content_hash(robot_set),
+        "robot_hash": dataset_content_hash(robot_db),
         "play_hash": dataset_content_hash(db),
     }
     if extra_provenance:

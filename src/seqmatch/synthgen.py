@@ -16,6 +16,8 @@ and merged two-task clips:
 
 Every frame is unit-normalized and float32-quantized, so datasets write
 losslessly and all generation is a pure function of (config, seed).
+``gen_benchmark`` returns both sides as ``SnippetDatabase``s that declare
+the same task table, the one ``gen`` writes to disk.
 """
 
 from __future__ import annotations
@@ -322,12 +324,14 @@ def _sample_task_sequence(
 
 def gen_benchmark(
     level: MismatchLevel | str, cfg: GenConfig | None = None
-) -> tuple[list[LabeledSequence], SnippetDatabase]:
-    """Full seeded benchmark: robot trajectories plus the demonstrator bank.
+) -> tuple[SnippetDatabase, SnippetDatabase]:
+    """Full seeded benchmark: ``(robot_db, play_db)``.
 
-    Reproducible from (level, cfg.seed) alone; the robot and demonstrator
-    sides draw from independent derived streams so either can be
-    regenerated on its own.
+    Both databases declare every task and carry the bank's provenance,
+    whether or not the robot trajectories visit every task. Reproducible
+    from (level, cfg.seed) alone; the robot and demonstrator sides draw
+    from independent derived streams so either can be regenerated on its
+    own.
     """
     cfg = cfg or GenConfig()
     level = MismatchLevel(level)
@@ -347,5 +351,5 @@ def gen_benchmark(
         robot_set.append(
             gen_robot_trajectory(task_seq, anchors, cfg, robot_rng, seq_id=f"robot-{i:03d}")
         )
-    db = gen_demo_snippets(anchors, spec, cfg)
-    return robot_set, db
+    play_db = gen_demo_snippets(anchors, spec, cfg)
+    return SnippetDatabase(tuple(robot_set), play_db.task_names, play_db.provenance), play_db

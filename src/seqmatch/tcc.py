@@ -70,6 +70,18 @@ def soft_nearest_neighbor(
     return weights, weights @ K
 
 
+def _cycle(A: np.ndarray, B: np.ndarray, cfg: TccConfig):
+    """Both hops for every frame of ``A``: alpha, neighbors, beta, cycled, frame losses."""
+    if A.shape[1] != B.shape[1]:
+        raise ValueError(f"dimension mismatch: {A.shape[1]} vs {B.shape[1]}")
+    alpha = _softmax_rows(-pairwise_sq_dists(A, B) / cfg.temperature)
+    neighbors = alpha @ B
+    beta = _softmax_rows(-pairwise_sq_dists(neighbors, A) / cfg.temperature)
+    cycled = beta @ A
+    sq = ((A - cycled) ** 2).sum(axis=1)
+    return alpha, neighbors, beta, cycled, sq if cfg.squared else np.sqrt(sq)
+
+
 def tcc_frame_loss(
     t: int,
     a: EmbeddingSequence | np.ndarray,
@@ -77,25 +89,12 @@ def tcc_frame_loss(
     cfg: TccConfig | None = None,
 ) -> tuple[float, CycleTrace]:
     """Cycle loss for frame ``t`` of ``a`` through ``b`` and back."""
-    cfg = cfg or TccConfig()
-    A, B = frame_matrix(a), frame_matrix(b)
-    if A.shape[1] != B.shape[1]:
-        raise ValueError(f"dimension mismatch: {A.shape[1]} vs {B.shape[1]}")
+    A = frame_matrix(a)
+    alpha, neighbors, beta, cycled, losses = _cycle(A, frame_matrix(b), cfg or TccConfig())
     if not 0 <= t < A.shape[0]:
         raise IndexError(f"frame index {t} out of range for T={A.shape[0]}")
-    alpha, neighbor = soft_nearest_neighbor(A[t], B, cfg)
-    beta, cycled = soft_nearest_neighbor(neighbor, A, cfg)
-    diff = A[t] - cycled
-    sq = float(diff @ diff)
-    loss = sq if cfg.squared else float(np.sqrt(sq))
-    return loss, CycleTrace(
-        frame_index=t,
-        alpha=alpha,
-        soft_neighbor=neighbor,
-        beta=beta,
-        cycled_back=cycled,
-        loss=loss,
-    )
+    loss = float(losses[t])
+    return loss, CycleTrace(t, alpha[t], neighbors[t], beta[t], cycled[t], loss)
 
 
 def tcc_distance(
@@ -104,17 +103,7 @@ def tcc_distance(
     cfg: TccConfig | None = None,
 ) -> float:
     """Sum of cycle losses over all frames of ``a`` (asymmetric in a, b)."""
-    cfg = cfg or TccConfig()
-    A, B = frame_matrix(a), frame_matrix(b)
-    if A.shape[1] != B.shape[1]:
-        raise ValueError(f"dimension mismatch: {A.shape[1]} vs {B.shape[1]}")
-    alpha = _softmax_rows(-pairwise_sq_dists(A, B) / cfg.temperature)
-    neighbors = alpha @ B
-    beta = _softmax_rows(-pairwise_sq_dists(neighbors, A) / cfg.temperature)
-    cycled = beta @ A
-    sq = ((A - cycled) ** 2).sum(axis=1)
-    per_frame = sq if cfg.squared else np.sqrt(sq)
-    return float(per_frame.sum())
+    return float(_cycle(frame_matrix(a), frame_matrix(b), cfg or TccConfig())[4].sum())
 
 
 def tcc_distance_symmetric(

@@ -490,7 +490,7 @@ def test_a10_format_round_trip_and_structured_errors(tmp_path):
     ]
     target = tmp_path / "mixed"
     with pytest.raises(ValueError, match="mixed"):
-        write_dataset(mixed, target)
+        write_dataset(SnippetDatabase(tuple(mixed), {0: "task-0"}), target)
     assert not target.exists()
     report("A10", True, "100 round trips bit-exact; 7 malformed cases raise structured errors")
 

@@ -12,6 +12,7 @@ from seqmatch.data import (
     EmbeddingSequence,
     FrameLabel,
     LabeledSequence,
+    SnippetDatabase,
     quantize_frames_f32,
     read_dataset,
     write_dataset,
@@ -60,8 +61,9 @@ def mirror_bench(tmp_path):
     robot.append(labeled("clip-3a", mixed, 0, Embodiment.ROBOT))
     robot.append(labeled("clip-3b", mixed[::-1], 0, Embodiment.ROBOT))
     bench = tmp_path / "bench"
-    write_dataset(robot, bench / "robot")
-    write_dataset(play, bench / "play")
+    tasks = {t: f"task-{t}" for t in range(3)}
+    write_dataset(SnippetDatabase(robot, tasks), bench / "robot")
+    write_dataset(SnippetDatabase(play, tasks), bench / "play")
     return bench
 
 
@@ -119,14 +121,11 @@ class TestDist:
     def test_tcc_single_frame_zero_diagonal(self, tmp_path):
         anchors = gen_anchors(GenConfig(n_tasks=3, dim=8, tasks_per_trajectory=1, seed=0))
         bench = tmp_path / "bench"
-        write_dataset(
-            [labeled(f"clip-{t}", anchors.vectors[t], t, Embodiment.ROBOT) for t in range(3)],
-            bench / "robot",
-        )
-        write_dataset(
-            [labeled(f"snip-{t}", anchors.vectors[t], t, Embodiment.DEMONSTRATOR) for t in range(3)],
-            bench / "play",
-        )
+        tasks = {t: f"task-{t}" for t in range(3)}
+        robot = [labeled(f"clip-{t}", anchors.vectors[t], t, Embodiment.ROBOT) for t in range(3)]
+        play = [labeled(f"snip-{t}", anchors.vectors[t], t, Embodiment.DEMONSTRATOR) for t in range(3)]
+        write_dataset(SnippetDatabase(robot, tasks), bench / "robot")
+        write_dataset(SnippetDatabase(play, tasks), bench / "play")
         out = tmp_path / "d"
         assert main(["dist", str(bench), "--method", "tcc", "--out", str(out)]) == 0
         body = read_csv(out / "distances.csv")[1:]
@@ -282,6 +281,39 @@ class TestEval:
         run.mkdir()
         (run / "paired.json").write_text("{not json")
         assert main(["eval", "--paired", str(run), "--out", str(tmp_path / "e")]) == 3
+
+    def test_non_object_paired_json_is_data_error(self, tmp_path, capsys):
+        run = tmp_path / "run"
+        run.mkdir()
+        (run / "paired.json").write_text("[]")
+        assert main(["eval", "--paired", str(run), "--out", str(tmp_path / "e")]) == 3
+        assert "JSON object" in capsys.readouterr().err
+
+    def test_non_object_provenance_is_data_error(self, tmp_path, capsys):
+        run = tmp_path / "run"
+        run.mkdir()
+        (run / "paired.json").write_text(json.dumps({"provenance": [], "entries": []}))
+        assert main(["eval", "--paired", str(run), "--out", str(tmp_path / "e")]) == 3
+        assert "provenance" in capsys.readouterr().err
+
+    def test_robot_hash_agrees_across_commands(self, tmp_path):
+        # two trajectories visit 4 of the 7 declared tasks: every command must
+        # still hash the robot set with the task table the dataset declares
+        bench, run = tmp_path / "b", tmp_path / "run"
+        assert main(["gen", "--level", "hard", "--snippets-per-task", "50", "--trajectories", "2",
+                     "--seed", "0", "--out", str(bench)]) == 0
+        robot_db = read_dataset(bench / "robot")
+        assert set().union(*(s.task_set for s in robot_db)) == {1, 3, 4, 6}
+        assert len(robot_db.task_names) == 7
+        assert main(["imagine", "--robot", str(bench / "robot"), "--play", str(bench / "play"),
+                     "--segment-kprime", "2", "--out", str(run)]) == 0
+        assert main(["eval", "--paired", str(run), "--out", str(tmp_path / "e")]) == 0
+        hashes = {
+            json.loads((d / "run_manifest.json").read_text())["input_hashes"]["robot"]
+            for d in (bench, run, tmp_path / "e")
+        }
+        hashes.add(json.loads((run / "paired.json").read_text())["provenance"]["robot_hash"])
+        assert len(hashes) == 1
 
     def test_missing_paired_run(self, tmp_path):
         assert main(["eval", "--paired", str(tmp_path / "void"), "--out", str(tmp_path / "e")]) == 3

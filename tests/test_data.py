@@ -186,7 +186,7 @@ class TestRoundTrip:
         ]
         target = tmp_path / "ds"
         with pytest.raises(ValueError, match="mixed"):
-            write_dataset(seqs, target)
+            write_dataset(SnippetDatabase(tuple(seqs), {0: "t"}), target)
         assert not target.exists()
 
     def test_unrepresentable_floats_rejected_before_any_write(self, tmp_path):
@@ -198,7 +198,7 @@ class TestRoundTrip:
         )
         target = tmp_path / "ds"
         with pytest.raises(BlobError, match="float32"):
-            write_dataset([seq], target)
+            write_dataset(SnippetDatabase((seq,), {0: "t"}), target)
         assert not target.exists()
 
     @given(
@@ -297,6 +297,22 @@ class TestMalformedInputs:
         (ds / "manifest.json").write_text(json.dumps(doc))
         with pytest.raises(DatasetError, match="embodiment"):
             read_dataset(ds)
+
+    def test_invalid_sequence_id(self, ds):
+        doc = json.loads((ds / "manifest.json").read_text())
+        doc["sequences"][0]["id"] = "bad id"
+        (ds / "manifest.json").write_text(json.dumps(doc))
+        with pytest.raises(DatasetError, match="invalid sequence id") as exc:
+            read_dataset(ds)
+        assert exc.value.sequence_id == "bad id"
+
+    def test_seed_record_not_an_object(self, ds):
+        doc = json.loads((ds / "manifest.json").read_text())
+        doc["sequences"][0]["seed_record"] = [1, 2]
+        (ds / "manifest.json").write_text(json.dumps(doc))
+        with pytest.raises(DatasetError, match="seed_record") as exc:
+            read_dataset(ds)
+        assert exc.value.sequence_id == doc["sequences"][0]["id"]
 
 
 class TestContentHash:

@@ -251,7 +251,7 @@ class TestBuildPairedDataset:
     def test_single_pair(self):
         anchors, db = anchor_db()
         robot = anchor_robot(anchors, [1])
-        paired = build_paired_dataset([robot], db, ot_config(segment_len=4))
+        paired = build_paired_dataset(SnippetDatabase((robot,), db.task_names), db, ot_config(segment_len=4))
         assert len(paired) == 1
         assert paired.entries[0].demo.segments[0].snippet_id == "demo-t01"
 
@@ -266,7 +266,7 @@ class TestBuildPairedDataset:
     def test_empty_robot_set_rejected(self):
         _, db = anchor_db()
         with pytest.raises(RetrievalError, match="robot set"):
-            build_paired_dataset([], db, ot_config(segment_len=4))
+            build_paired_dataset(SnippetDatabase((), db.task_names), db, ot_config(segment_len=4))
 
     def test_provenance_hashes_inputs(self):
         robot_set, db = gen_benchmark("easy", GenConfig(n_trajectories=2, seed=2))
@@ -277,7 +277,7 @@ class TestBuildPairedDataset:
         anchors, db = anchor_db()
         robot = anchor_robot(anchors, [0])
         with pytest.raises(ValueError, match="duplicate|twice"):
-            build_paired_dataset([robot, robot], db, ot_config(segment_len=4))
+            build_paired_dataset(SnippetDatabase((robot, robot), db.task_names), db, ot_config(segment_len=4))
 
 
 def crafted_paired(robot, records):
@@ -296,7 +296,7 @@ class TestEvaluate:
     def test_exact_retrievals_score_perfectly(self):
         anchors, db = anchor_db()
         robot = anchor_robot(anchors, [0, 1, 2, 3])
-        paired = build_paired_dataset([robot], db, ot_config(segment_len=4))
+        paired = build_paired_dataset(SnippetDatabase((robot,), db.task_names), db, ot_config(segment_len=4))
         report = evaluate(paired, db)
         assert report.task_recall == 1.0
         assert report.task_imprecision == 0.0
@@ -387,7 +387,7 @@ class TestPairedJson:
         robot_set, db = gen_benchmark("easy", GenConfig(n_trajectories=2, seed=4))
         paired = build_paired_dataset(robot_set, db, ot_config(segment_len=8))
         doc = paired_to_json_dict(paired)
-        robot_db = SnippetDatabase((robot_set[0],), task_names=db.task_names)
+        robot_db = SnippetDatabase((robot_set.snippets[0],), task_names=db.task_names)
         with pytest.raises(RetrievalError, match="missing from robot dataset"):
             paired_from_json_dict(doc, robot_db, db)
 
