@@ -49,7 +49,6 @@ from .ot import (
     swav_codes,
 )
 from .retrieval import (
-    DistanceResult,
     EvalReport,
     ImaginedDemo,
     OtSequenceDistance,
@@ -84,6 +83,7 @@ from .tcc import (
     tcc_distance,
     tcc_distance_symmetric,
     tcc_frame_loss,
+    tcc_scan,
 )
 
 __version__ = "0.1.0"

@@ -24,6 +24,8 @@ import sys
 import time
 from pathlib import Path
 
+import numpy as np
+
 from . import __version__
 from .data import (
     DatasetError,
@@ -44,7 +46,6 @@ from .retrieval import (
     evaluate,
     paired_from_json_dict,
     paired_to_json_dict,
-    scan_bank,
 )
 from .synthgen import GenConfig, gen_benchmark
 from .tcc import TccConfig
@@ -188,11 +189,9 @@ def _cmd_dist(args) -> int:
         writer = csv.writer(fh)
         writer.writerow(["robot_id", *play_db.ids])
         for clip in robot_db.snippets:
-            values, converged = scan_bank(distance, clip.sequence, bank)
+            values, converged = distance.scan(clip.sequence, bank)
             writer.writerow([clip.seq_id, *[_fmt(v) for v in values]])
-            for snippet, ok in zip(play_db.snippets, converged):
-                if not ok:
-                    nonconverged.append([clip.seq_id, snippet.seq_id])
+            nonconverged += [[clip.seq_id, play_db.ids[j]] for j in np.flatnonzero(~converged)]
     (out / "dist_manifest.json").write_text(
         canonical_json(
             {
@@ -309,8 +308,8 @@ def _cmd_eval(args) -> int:
         raise DatasetError(f"no paired.json under {run_dir}")
     try:
         doc = json.loads(paired_path.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise DatasetError(f"{paired_path} is not valid JSON: {exc}")
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+        raise DatasetError(f"{paired_path} is not valid UTF-8 JSON: {exc}")
     if not isinstance(doc, dict):
         raise DatasetError(f"{paired_path} does not hold a JSON object")
     provenance = doc.get("provenance", {})

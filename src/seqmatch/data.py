@@ -304,8 +304,8 @@ def _parse_labels(raw, n_frames: int, seq_id: str) -> tuple[FrameLabel, ...]:
         if not isinstance(entry, list) or not entry:
             raise DatasetError(f"bad label entry {entry!r}", sequence_id=seq_id)
         try:
-            labels.append(FrameLabel(tuple(int(t) for t in entry)))
-        except (TypeError, ValueError) as exc:
+            labels.append(FrameLabel(tuple(entry)))
+        except ValueError as exc:
             raise DatasetError(f"bad label entry {entry!r}: {exc}", sequence_id=seq_id)
     return tuple(labels)
 
@@ -327,7 +327,7 @@ def read_dataset(path: str | Path) -> SnippetDatabase:
             f"unsupported schema_version {doc.get('schema_version')!r}"
         )
     dim = doc.get("d")
-    if not isinstance(dim, int) or dim < 1:
+    if type(dim) is not int or dim < 1:
         raise ManifestError(f"bad embedding dimension {dim!r}")
     tasks_raw = doc.get("tasks")
     if not isinstance(tasks_raw, dict):
@@ -360,7 +360,7 @@ def read_dataset(path: str | Path) -> SnippetDatabase:
                 f"unknown embodiment {rec.get('embodiment')!r}", sequence_id=seq_id
             )
         n_frames = rec.get("T")
-        if not isinstance(n_frames, int) or n_frames < 1:
+        if type(n_frames) is not int or n_frames < 1:
             raise DatasetError(f"bad frame count {n_frames!r}", sequence_id=seq_id)
         blob_name = rec.get("blob")
         if not isinstance(blob_name, str) or Path(blob_name).name != blob_name:

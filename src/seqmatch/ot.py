@@ -10,9 +10,9 @@ There is one solver, the stabilised log-domain scaling of Schmitzer
 (SIAM J. Sci. Comput. 2019), and it works on a stack of equal-shape
 cost matrices (batched as in Feydy et al., AISTATS 2019). ``sinkhorn``
 and ``swav_code_plan`` run it on a stack of one; ``sinkhorn_scan``
-runs it over a whole snippet bank, grouped by snippet length, and gives
-every pair exactly the cost, iteration count and convergence flag that
-``sinkhorn(cost_matrix(...))`` gives it alone.
+runs it over a whole snippet bank, in the length buckets of ``bank_batches``,
+and gives every pair exactly the cost, iteration count and convergence
+flag that ``sinkhorn(cost_matrix(...))`` gives it alone.
 
 The reported sequence distance is the raw plan cost ``sum(C * M)``; the
 plan moves unit total mass by construction, so no extra length
@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import NamedTuple, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -133,11 +133,11 @@ def frame_matrix(x: EmbeddingSequence | np.ndarray) -> np.ndarray:
 def pairwise_sq_dists(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Squared euclidean distances between the rows of ``a`` and of ``b``.
 
-    ``b`` is one n x d matrix or a stack k x n x d; a stack gives one
-    m x n block per matrix, each computed exactly as for that matrix alone.
+    Either side is one matrix or a stack (k x m x d, k x n x d); a stack gives
+    one m x n block per matrix, each computed exactly as for that matrix alone.
     """
     sq = (
-        (a * a).sum(axis=1)[:, None]
+        (a * a).sum(axis=-1)[..., :, None]
         + (b * b).sum(axis=-1)[..., None, :]
         - 2.0 * (a @ b.swapaxes(-1, -2))
     )
@@ -269,6 +269,28 @@ class ScanResult(NamedTuple):
     converged: np.ndarray
 
 
+def bank_batches(
+    A: np.ndarray, bank: Sequence[EmbeddingSequence | np.ndarray]
+) -> Iterator[tuple[list[int], np.ndarray]]:
+    """(bank indices, k x n x d stack) batches of equal-length snippets for query ``A``.
+
+    A batch spans at most ``_SCAN_BATCH_CELLS`` query x snippet cells (one
+    pair at least), which bounds a scan's memory whatever the bank size.
+    """
+    frames = [frame_matrix(s) for s in bank]
+    by_len: dict[int, list[int]] = {}
+    for j, B in enumerate(frames):
+        if B.shape[1] != A.shape[1]:
+            raise ValueError(f"dimension mismatch: {A.shape[1]} vs {B.shape[1]}")
+        by_len.setdefault(B.shape[0], []).append(j)
+    m = A.shape[0]
+    for n, members in by_len.items():
+        per_batch = max(1, _SCAN_BATCH_CELLS // (m * n))
+        for lo in range(0, len(members), per_batch):
+            idx = members[lo : lo + per_batch]
+            yield idx, np.stack([frames[j] for j in idx])
+
+
 def sinkhorn_scan(
     query: EmbeddingSequence | np.ndarray,
     bank: Sequence[EmbeddingSequence | np.ndarray],
@@ -278,35 +300,22 @@ def sinkhorn_scan(
     """Transport cost of one sequence against every sequence of a bank.
 
     Entry j equals ``sinkhorn(cost_matrix(query, bank[j], metric), cfg)``
-    bit for bit in cost, ``iterations_used`` and ``converged``. Snippets
-    are grouped by length, so each batch is an unpadded stack of equal
-    shape cost matrices, and a batch holds at most ``_SCAN_BATCH_CELLS``
-    cost cells (one pair at least), which bounds its memory whatever the
-    bank size.
+    bit for bit in cost, ``iterations_used`` and ``converged``; each batch
+    of ``bank_batches`` is solved as one stack of cost matrices.
     """
     cfg = cfg or SinkhornConfig()
     A = frame_matrix(query)
-    frames = [frame_matrix(s) for s in bank]
-    by_len: dict[int, list[int]] = {}
-    for j, B in enumerate(frames):
-        if B.shape[1] != A.shape[1]:
-            raise ValueError(f"dimension mismatch: {A.shape[1]} vs {B.shape[1]}")
-        by_len.setdefault(B.shape[0], []).append(j)
     out = ScanResult(
-        np.empty(len(frames)), np.empty(len(frames), dtype=np.int64), np.empty(len(frames), dtype=bool)
+        np.empty(len(bank)), np.empty(len(bank), dtype=np.int64), np.empty(len(bank), dtype=bool)
     )
-    m = A.shape[0]
-    for n, members in by_len.items():
-        per_batch = max(1, _SCAN_BATCH_CELLS // (m * n))
-        for lo in range(0, len(members), per_batch):
-            idx = members[lo : lo + per_batch]
-            C = _costs(A, np.stack([frames[j] for j in idx]), metric)
-            if not np.isfinite(C).all():
-                raise ValueError("cost matrix contains NaN or Inf")
-            P, _, _, iters, converged = _log_sinkhorn(C, cfg)
-            out.costs[idx] = (C * P).reshape(len(idx), -1).sum(axis=1)
-            out.iterations[idx] = iters
-            out.converged[idx] = converged
+    for idx, stack in bank_batches(A, bank):
+        C = _costs(A, stack, metric)
+        if not np.isfinite(C).all():
+            raise ValueError("cost matrix contains NaN or Inf")
+        P, _, _, iters, converged = _log_sinkhorn(C, cfg)
+        out.costs[idx] = (C * P).reshape(len(idx), -1).sum(axis=1)
+        out.iterations[idx] = iters
+        out.converged[idx] = converged
     return out
 
 

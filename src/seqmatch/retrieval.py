@@ -2,15 +2,15 @@
 and compose the retrieved snippets into an imagined demonstration.
 
 Retrieval is label-free and exact: every segment is compared with every
-snippet of the bank, in one thread. ``scan_bank`` ranks a bank: a
-distance that offers a ``scan`` method ranks it in one call (the
-transport distance solves it as batched Sinkhorn,
-``seqmatch.ot.sinkhorn_scan``); any other distance is called once per
-(segment, snippet) pair. Both give the same distances. Ties on
-distance go to the lexicographically smallest snippet id. Evaluation
-metrics are computed at retrieval level: they ask whether the imagined
-demo names the right tasks, not whether a downstream policy would have
-completed them, and every report carries a note saying so.
+snippet of the bank, in one thread. A distance ranks a bank with one
+``scan`` call: the transport distance solves it as batched Sinkhorn
+(``seqmatch.ot.sinkhorn_scan``), the cycle distance as batched cycles
+(``seqmatch.tcc.tcc_scan``), each on the same length-bucketed stacks
+and with exactly the per-pair values. Ties on distance go to the
+lexicographically smallest snippet id. Evaluation metrics are computed
+at retrieval level: they ask whether the imagined demo names the right
+tasks, not whether a downstream policy would have completed them, and
+every report carries a note saying so.
 
 The robot set and the play bank are both ``SnippetDatabase``s; a paired
 dataset's provenance records each one's ``dataset_content_hash``.
@@ -19,7 +19,7 @@ dataset's provenance records each one's ``dataset_content_hash``.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, NamedTuple, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -29,8 +29,9 @@ from .data import (
     SnippetDatabase,
     dataset_content_hash,
 )
-from .ot import COSINE, SinkhornConfig, cost_matrix, sinkhorn, sinkhorn_scan
-from .tcc import TccConfig, tcc_distance, tcc_distance_symmetric
+# cost_matrix, sinkhorn and tcc_distance go unused: perfbench/tracing.py wraps them here.
+from .ot import COSINE, SinkhornConfig, cost_matrix, sinkhorn, sinkhorn_scan  # noqa: F401
+from .tcc import TccConfig, tcc_distance, tcc_scan  # noqa: F401
 
 METRICS_NOTE = (
     "Metrics are retrieval-level: task recall/imprecision compare the labels of "
@@ -48,11 +49,6 @@ class RetrievalError(Exception):
         self.segment_index = segment_index
 
 
-class DistanceResult(NamedTuple):
-    value: float
-    converged: bool
-
-
 class OtSequenceDistance:
     """Entropic transport cost as a sequence distance (permutation-invariant)."""
 
@@ -62,17 +58,10 @@ class OtSequenceDistance:
         self.cfg = cfg or SinkhornConfig()
         self.metric = metric
 
-    def __call__(self, a: EmbeddingSequence, b: EmbeddingSequence) -> DistanceResult:
-        plan = sinkhorn(cost_matrix(a, b, self.metric), self.cfg)
-        return DistanceResult(plan.cost, plan.converged)
-
     def scan(
         self, a: EmbeddingSequence, bank: Sequence[EmbeddingSequence]
     ) -> tuple[np.ndarray, np.ndarray]:
-        """Distances and converged flags of ``a`` against every sequence of ``bank``.
-
-        Equal, entry for entry, to calling the distance once per pair.
-        """
+        """Entry j: ``sinkhorn(cost_matrix(a, bank[j], metric), cfg)``'s cost and converged flag."""
         result = sinkhorn_scan(a, bank, self.cfg, self.metric)
         return result.costs, result.converged
 
@@ -95,9 +84,11 @@ class TccSequenceDistance:
         self.cfg = cfg or TccConfig()
         self.symmetric = symmetric
 
-    def __call__(self, a: EmbeddingSequence, b: EmbeddingSequence) -> DistanceResult:
-        fn = tcc_distance_symmetric if self.symmetric else tcc_distance
-        return DistanceResult(fn(a, b, self.cfg), True)
+    def scan(
+        self, a: EmbeddingSequence, bank: Sequence[EmbeddingSequence]
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Entry j: ``tcc_distance(a, bank[j], cfg)`` (or symmetric) and True."""
+        return tcc_scan(a, bank, self.cfg, self.symmetric), np.ones(len(bank), dtype=bool)
 
     def describe(self) -> dict:
         return {
@@ -108,32 +99,12 @@ class TccSequenceDistance:
         }
 
 
-SequenceDistance = Callable[[EmbeddingSequence, EmbeddingSequence], DistanceResult]
-
-
-def scan_bank(
-    distance: SequenceDistance, a: EmbeddingSequence, bank: Sequence[EmbeddingSequence]
-) -> tuple[np.ndarray, np.ndarray]:
-    """Distances and converged flags of ``a`` against every sequence of ``bank``.
-
-    Uses ``distance.scan`` when the distance has one, else calls the
-    distance once per pair.
-    """
-    scan = getattr(distance, "scan", None)
-    if scan is not None:
-        return scan(a, bank)
-    values = np.empty(len(bank))
-    converged = np.empty(len(bank), dtype=bool)
-    for j, b in enumerate(bank):
-        result = distance(a, b)
-        values[j] = result.value
-        converged[j] = result.converged
-    return values, converged
+SequenceDistance = OtSequenceDistance | TccSequenceDistance
 
 
 @dataclass(frozen=True)
 class RetrievalConfig:
-    """Segmentation plus a pluggable sequence distance.
+    """Segmentation plus a sequence distance (None for segmentation only).
 
     Exactly one of ``segment_len`` (K frames per segment) or
     ``segment_count`` (K', giving K = max(1, floor(T / K')) per sequence)
@@ -142,7 +113,7 @@ class RetrievalConfig:
     back so it ends flush at T (overlapping its predecessor).
     """
 
-    distance: SequenceDistance
+    distance: SequenceDistance | None
     segment_len: int | None = None
     segment_count: int | None = None
     overlap_final: bool = False
@@ -156,14 +127,12 @@ class RetrievalConfig:
                 raise ValueError(f"{name} must be >= 1, got {value}")
 
     def describe(self) -> dict:
-        doc: dict = {
+        return {
             "segment_len": self.segment_len,
             "segment_count": self.segment_count,
             "overlap_final": self.overlap_final,
+            "distance": self.distance.describe(),
         }
-        describe = getattr(self.distance, "describe", None)
-        doc["distance"] = describe() if callable(describe) else repr(self.distance)
-        return doc
 
 
 def segment(z: EmbeddingSequence | int, cfg: RetrievalConfig) -> list[tuple[int, int]]:
@@ -215,16 +184,20 @@ class SegmentRecord:
 
     @classmethod
     def from_json_dict(cls, doc: dict) -> "SegmentRecord":
-        return cls(
-            start=int(doc["start"]),
-            end=int(doc["end"]),
-            snippet_index=int(doc["snippet_index"]),
-            snippet_id=str(doc["snippet_id"]),
-            distance=float(doc["distance"]),
-            margin=None if doc.get("margin") is None else float(doc["margin"]),
-            converged=bool(doc["converged"]),
-            n_nonconverged=int(doc.get("n_nonconverged", 0)),
-        )
+        """Parse a record of ``to_json_dict``; a field not of its ``_JSON_FIELD_TYPES``
+        (bool is no number here) raises ``TypeError`` instead of being coerced."""
+        required = ("start", "end", "snippet_index", "snippet_id", "distance", "converged")
+        fields = {name: doc[name] for name in required}
+        fields.update(margin=doc.get("margin"), n_nonconverged=doc.get("n_nonconverged", 0))
+        for name, value in fields.items():
+            if type(value) not in _JSON_FIELD_TYPES[name]:
+                raise TypeError(f"segment field {name!r} has type {type(value).__name__}")
+        return cls(**fields)
+
+
+_JSON_FIELD_TYPES = dict.fromkeys(("start", "end", "snippet_index", "n_nonconverged"), (int,)) | {
+    "snippet_id": (str,), "distance": (int, float), "margin": (int, float, type(None)), "converged": (bool,)
+}
 
 
 @dataclass(frozen=True, eq=False)
@@ -242,10 +215,6 @@ class ImaginedDemo:
     @property
     def n_segments(self) -> int:
         return len(self.segments)
-
-    @property
-    def snippet_indices(self) -> tuple[int, ...]:
-        return tuple(r.snippet_index for r in self.segments)
 
 
 @dataclass(frozen=True, eq=False)
@@ -282,7 +251,7 @@ def _evaluate_segment(
 ) -> SegmentRecord:
     start, end = bounds
     sub = EmbeddingSequence(z.frames[start:end])
-    values, converged = scan_bank(distance, sub, [s.sequence for s in db.snippets])
+    values, converged = distance.scan(sub, [s.sequence for s in db.snippets])
     finite = np.isfinite(values)
     if not finite.any():
         raise RetrievalError("all snippet distances are NaN", segment_index=seg_index)
@@ -481,6 +450,8 @@ def paired_from_json_dict(
         raise RetrievalError(f"malformed paired record: {exc!r}")
     entries = []
     for robot_id, segments in records:
+        if type(robot_id) is not str:
+            raise RetrievalError(f"malformed paired record: robot_id has type {type(robot_id).__name__}")
         try:
             robot = robot_db.get(robot_id)
         except KeyError:

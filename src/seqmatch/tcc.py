@@ -9,17 +9,18 @@ dimension; an unsquared variant is selectable via ``squared=False``).
 
 The sequence distance sums frame losses over the first argument's frames
 and is therefore asymmetric; ``tcc_distance_symmetric`` averages both
-directions.
+directions. ``tcc_scan`` gives either one, exactly, against a whole bank.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
 from .data import EmbeddingSequence
-from .ot import frame_matrix, pairwise_sq_dists
+from .ot import bank_batches, frame_matrix, pairwise_sq_dists
 
 
 @dataclass(frozen=True)
@@ -71,14 +72,15 @@ def soft_nearest_neighbor(
 
 
 def _cycle(A: np.ndarray, B: np.ndarray, cfg: TccConfig):
-    """Both hops for every frame of ``A``: alpha, neighbors, beta, cycled, frame losses."""
-    if A.shape[1] != B.shape[1]:
-        raise ValueError(f"dimension mismatch: {A.shape[1]} vs {B.shape[1]}")
+    """Both hops for every frame of ``A``: alpha, neighbors, beta, cycled, frame losses.
+    Either side may be a stack (k x T x d); each pair gets exactly its values alone."""
+    if A.shape[-1] != B.shape[-1]:
+        raise ValueError(f"dimension mismatch: {A.shape[-1]} vs {B.shape[-1]}")
     alpha = _softmax_rows(-pairwise_sq_dists(A, B) / cfg.temperature)
     neighbors = alpha @ B
     beta = _softmax_rows(-pairwise_sq_dists(neighbors, A) / cfg.temperature)
     cycled = beta @ A
-    sq = ((A - cycled) ** 2).sum(axis=1)
+    sq = ((A - cycled) ** 2).sum(axis=-1)
     return alpha, neighbors, beta, cycled, sq if cfg.squared else np.sqrt(sq)
 
 
@@ -113,3 +115,22 @@ def tcc_distance_symmetric(
 ) -> float:
     """Average of both directed distances; an extension beyond the base method."""
     return 0.5 * (tcc_distance(a, b, cfg) + tcc_distance(b, a, cfg))
+
+
+def tcc_scan(
+    query: EmbeddingSequence | np.ndarray,
+    bank: Sequence[EmbeddingSequence | np.ndarray],
+    cfg: TccConfig | None = None,
+    symmetric: bool = False,
+) -> np.ndarray:
+    """Entry j is ``tcc_distance(query, bank[j], cfg)`` bit for bit, or
+    ``tcc_distance_symmetric`` when ``symmetric``."""
+    cfg = cfg or TccConfig()
+    A = frame_matrix(query)
+    out = np.empty(len(bank))
+    for idx, stack in bank_batches(A, bank):
+        d = _cycle(A, stack, cfg)[4].sum(axis=-1)
+        if symmetric:
+            d = 0.5 * (d + _cycle(stack, A, cfg)[4].sum(axis=-1))
+        out[idx] = d
+    return out

@@ -1,5 +1,7 @@
 import csv
 import hashlib
+import importlib
+import importlib.util
 import json
 from pathlib import Path
 
@@ -17,9 +19,9 @@ from seqmatch.data import (
     read_dataset,
     write_dataset,
 )
-from seqmatch.ot import SinkhornConfig
-from seqmatch.retrieval import OtSequenceDistance
+from seqmatch.ot import SinkhornConfig, cost_matrix, sinkhorn
 from seqmatch.synthgen import GenConfig, gen_anchors
+from seqmatch.tcc import TccConfig, tcc_distance, tcc_distance_symmetric
 
 VOLATILE = ("run_manifest.json",)
 
@@ -163,18 +165,37 @@ class TestDist:
         out = tmp_path / "d"
         assert main(["dist", str(bench), "--max-iters", str(max_iters), "--out", str(out)]) == 0
         robot_db, play_db = read_dataset(bench / "robot"), read_dataset(bench / "play")
-        distance = OtSequenceDistance(SinkhornConfig(max_iters=max_iters))
+        solver = SinkhornConfig(max_iters=max_iters)
         want_rows, want_flags = [], []
         for clip in robot_db.snippets:
-            results = [distance(clip.sequence, s.sequence) for s in play_db.snippets]
-            want_rows.append([clip.seq_id, *[repr(r.value) for r in results]])
+            plans = [sinkhorn(cost_matrix(clip.sequence, s.sequence), solver) for s in play_db.snippets]
+            want_rows.append([clip.seq_id, *[repr(p.cost) for p in plans]])
             want_flags += [
-                [clip.seq_id, s.seq_id] for s, r in zip(play_db.snippets, results) if not r.converged
+                [clip.seq_id, s.seq_id] for s, p in zip(play_db.snippets, plans) if not p.converged
             ]
         assert read_csv(out / "distances.csv")[1:] == want_rows
         manifest = json.loads((out / "dist_manifest.json").read_text())
         assert manifest["nonconverged"] == want_flags
         assert bool(want_flags) == (max_iters == 3)
+
+    @pytest.mark.parametrize("symmetric", [False, True])
+    def test_tcc_grid_matches_per_pair_distance(self, tmp_path, symmetric):
+        bench = tmp_path / "b"
+        main(["gen", "--level", "hard", "--seed", "3", "--trajectories", "3",
+              "--snippets-per-task", "2", "--out", str(bench)])
+        out = tmp_path / "d"
+        flags = ["--tcc-symmetric"] if symmetric else []
+        assert main(["dist", str(bench), "--method", "tcc", "--temperature", "0.5", *flags,
+                     "--out", str(out)]) == 0
+        robot_db, play_db = read_dataset(bench / "robot"), read_dataset(bench / "play")
+        fn = tcc_distance_symmetric if symmetric else tcc_distance
+        cfg = TccConfig(temperature=0.5)
+        want_rows = [
+            [clip.seq_id, *[repr(fn(clip.sequence, s.sequence, cfg)) for s in play_db.snippets]]
+            for clip in robot_db.snippets
+        ]
+        assert read_csv(out / "distances.csv")[1:] == want_rows
+        assert json.loads((out / "dist_manifest.json").read_text())["nonconverged"] == []
 
 
 class TestImagine:
@@ -282,6 +303,43 @@ class TestEval:
         (run / "paired.json").write_text("{not json")
         assert main(["eval", "--paired", str(run), "--out", str(tmp_path / "e")]) == 3
 
+    def test_non_utf8_paired_json_is_data_error(self, tmp_path, capsys):
+        run = tmp_path / "run"
+        run.mkdir()
+        (run / "paired.json").write_bytes(b"\xff\xfe{}")
+        assert main(["eval", "--paired", str(run), "--out", str(tmp_path / "e")]) == 3
+        assert "UTF-8" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("start", 0.0),
+            ("end", "16"),
+            ("snippet_index", True),
+            ("n_nonconverged", 0.0),
+            ("distance", "0.5"),
+            ("distance", False),
+            ("margin", True),
+            ("converged", 1),
+            ("snippet_id", 3),
+            ("robot_id", ["robot-000"]),
+        ],
+    )
+    def test_mistyped_segment_field_is_data_error(self, tmp_path, capsys, field, value):
+        bench = tmp_path / "b"
+        main(["gen", "--level", "easy", "--seed", "0", "--trajectories", "2",
+              "--snippets-per-task", "2", "--out", str(bench)])
+        run = tmp_path / "run"
+        main(["imagine", "--robot", str(bench / "robot"), "--play", str(bench / "play"),
+              "--out", str(run)])
+        doc = json.loads((run / "paired.json").read_text())
+        owner = doc["entries"][0] if field == "robot_id" else doc["entries"][0]["segments"][0]
+        assert type(owner[field]) is not type(value)
+        owner[field] = value
+        (run / "paired.json").write_text(json.dumps(doc))
+        assert main(["eval", "--paired", str(run), "--out", str(tmp_path / "e")]) == 3
+        assert field in capsys.readouterr().err
+
     def test_non_object_paired_json_is_data_error(self, tmp_path, capsys):
         run = tmp_path / "run"
         run.mkdir()
@@ -366,3 +424,15 @@ class TestPipelineReproducibility:
             main(["eval", "--paired", "run", "--out", "eval"])
             digests.append(tree_digest(root))
         assert digests[0] == digests[1]
+
+
+def test_benchmark_trace_layers_resolve():
+    """The traced benchmark run wraps each (module, name) of its ``LAYERS``
+    at the name the caller looks up; every one must exist."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    assert tracing.LAYERS
+    for _, module, attr, _ in tracing.LAYERS:
+        assert callable(getattr(importlib.import_module(module), attr, None)), f"{module}.{attr}"

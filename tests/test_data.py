@@ -314,6 +314,30 @@ class TestMalformedInputs:
             read_dataset(ds)
         assert exc.value.sequence_id == doc["sequences"][0]["id"]
 
+    @pytest.mark.parametrize("entry", [[0.7], [1.0], ["1"], [True], [0, True]])
+    def test_label_task_ids_must_be_ints(self, ds, entry):
+        doc = json.loads((ds / "manifest.json").read_text())
+        doc["sequences"][0]["labels"][0] = entry
+        (ds / "manifest.json").write_text(json.dumps(doc))
+        with pytest.raises(DatasetError, match="bad label entry") as exc:
+            read_dataset(ds)
+        assert exc.value.sequence_id == doc["sequences"][0]["id"]
+
+    def test_bool_frame_count_rejected(self, ds):
+        doc = json.loads((ds / "manifest.json").read_text())
+        doc["sequences"][0]["T"] = True
+        (ds / "manifest.json").write_text(json.dumps(doc))
+        with pytest.raises(DatasetError, match="frame count") as exc:
+            read_dataset(ds)
+        assert exc.value.sequence_id == doc["sequences"][0]["id"]
+
+    def test_bool_dimension_rejected(self, ds):
+        doc = json.loads((ds / "manifest.json").read_text())
+        doc["d"] = True
+        (ds / "manifest.json").write_text(json.dumps(doc))
+        with pytest.raises(ManifestError, match="dimension"):
+            read_dataset(ds)
+
 
 class TestContentHash:
     def test_stable_and_sensitive(self, rng):

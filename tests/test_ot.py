@@ -15,6 +15,7 @@ from seqmatch.ot import (
     cost_matrix,
     exact_ot_small,
     ot_distance,
+    pairwise_sq_dists,
     sinkhorn,
     sinkhorn_scan,
     swav_code_plan,
@@ -153,6 +154,18 @@ def assert_scan_matches_per_pair(query, bank, cfg=None, metric=COSINE):
     assert got.iterations.tolist() == [p.iterations_used for p in plans]
     assert got.converged.tolist() == [p.converged for p in plans]
     return got
+
+
+class TestPairwiseSqDists:
+    @pytest.mark.parametrize("left, right", [(True, False), (False, True), (True, True)])
+    def test_stack_equals_each_slice(self, rng, left, right):
+        a = rng.normal(size=(4, 7, 3) if left else (7, 3))
+        b = rng.normal(size=(4, 5, 3) if right else (5, 3))
+        got = pairwise_sq_dists(a, b)
+        assert got.shape == (4, 7, 5)
+        for i in range(4):
+            want = pairwise_sq_dists(a[i] if left else a, b[i] if right else b)
+            assert got[i].tobytes() == want.tobytes()
 
 
 class TestSinkhornScan:

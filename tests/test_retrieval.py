@@ -11,9 +11,8 @@ from seqmatch.data import (
     SnippetDatabase,
     quantize_frames_f32,
 )
-from seqmatch.ot import SinkhornConfig
+from seqmatch.ot import SinkhornConfig, cost_matrix, sinkhorn
 from seqmatch.retrieval import (
-    DistanceResult,
     ImaginedDemo,
     OtSequenceDistance,
     PairedDataset,
@@ -30,6 +29,7 @@ from seqmatch.retrieval import (
     segment,
 )
 from seqmatch.synthgen import GenConfig, gen_anchors, gen_benchmark
+from seqmatch.tcc import TccConfig, tcc_distance, tcc_distance_symmetric
 
 
 def make_snippet(seq_id, frames, tasks):
@@ -75,6 +75,36 @@ def anchor_robot(anchors, task_seq, frames_per_task=4, seq_id="robot-000"):
         labels=labels,
         embodiment=Embodiment.ROBOT,
     )
+
+
+class PerPairDistance:
+    """Ranks a bank one pair at a time with the per-pair reference functions."""
+
+    def __init__(self, distance):
+        self.distance = distance
+
+    def scan(self, a, bank):
+        d = self.distance
+        if isinstance(d, OtSequenceDistance):
+            plans = [sinkhorn(cost_matrix(a, b, d.metric), d.cfg) for b in bank]
+            return np.array([p.cost for p in plans]), np.array([p.converged for p in plans])
+        fn = tcc_distance_symmetric if d.symmetric else tcc_distance
+        return np.array([fn(a, b, d.cfg) for b in bank]), np.ones(len(bank), dtype=bool)
+
+
+class NanDistance(OtSequenceDistance):
+    """A distance that is NaN for every snippet."""
+
+    def scan(self, a, bank):
+        return np.full(len(bank), np.nan), np.ones(len(bank), dtype=bool)
+
+
+class NanBelowDistance(OtSequenceDistance):
+    """OT with every distance under 1e-6 turned into NaN."""
+
+    def scan(self, a, bank):
+        values, converged = super().scan(a, bank)
+        return np.where(values < 1e-6, np.nan, values), converged
 
 
 def ot_config(segment_len=None, segment_count=None):
@@ -170,7 +200,9 @@ class TestImagineDemo:
         demo = imagine_demo(robot.sequence, db, cfg)
         for rec in demo.segments:
             sub = EmbeddingSequence(robot.sequence.frames[rec.start : rec.end])
-            all_values = [cfg.distance(sub, s.sequence).value for s in db.snippets]
+            all_values = [
+                sinkhorn(cost_matrix(sub, s.sequence), cfg.distance.cfg).cost for s in db.snippets
+            ]
             assert rec.distance <= min(all_values) + 1e-12
 
     def test_tie_breaks_to_lowest_snippet_id(self):
@@ -201,41 +233,40 @@ class TestImagineDemo:
     def test_all_nan_distances_reported_with_segment(self):
         anchors, db = anchor_db()
         robot = anchor_robot(anchors, [0])
-
-        def nan_distance(a, b):
-            return DistanceResult(float("nan"), True)
-
-        cfg = RetrievalConfig(distance=nan_distance, segment_len=4)
+        cfg = RetrievalConfig(distance=NanDistance(), segment_len=4)
         with pytest.raises(RetrievalError, match="segment 0"):
             imagine_demo(robot.sequence, db, cfg)
 
     def test_partial_nan_skipped(self):
         anchors, db = anchor_db()
         robot = anchor_robot(anchors, [1])
-        inner = OtSequenceDistance()
-
-        def flaky(a, b):
-            base = inner(a, b)
-            return DistanceResult(float("nan"), True) if base.value < 1e-6 else base
-
-        cfg = RetrievalConfig(distance=flaky, segment_len=4)
+        cfg = RetrievalConfig(distance=NanBelowDistance(), segment_len=4)
         demo = imagine_demo(robot.sequence, db, cfg)
         assert math.isfinite(demo.segments[0].distance)
         assert demo.segments[0].snippet_id != "demo-t01"  # its distance went NaN
 
-    @pytest.mark.parametrize("solver", [SinkhornConfig(), SinkhornConfig(epsilon=0.01, max_iters=4)])
-    def test_bank_scan_matches_per_pair_loop(self, solver):
+    @pytest.mark.parametrize(
+        "distance, some_nonconverged",
+        [
+            (OtSequenceDistance(), False),
+            (OtSequenceDistance(SinkhornConfig(epsilon=0.01, max_iters=4)), True),
+            (TccSequenceDistance(), False),
+            (TccSequenceDistance(symmetric=True), False),
+            (TccSequenceDistance(TccConfig(temperature=0.5, squared=False)), False),
+            (TccSequenceDistance(TccConfig(temperature=0.01), symmetric=True), False),
+        ],
+        ids=["ot", "ot-max-iters-4", "tcc", "tcc-symmetric", "tcc-t0.5-unsquared", "tcc-t0.01-symmetric"],
+    )
+    def test_bank_scan_matches_per_pair_loop(self, distance, some_nonconverged):
         robot_set, db = gen_benchmark("hard", GenConfig(n_trajectories=3, seed=4))
-        distance = OtSequenceDistance(solver)
         scanned = RetrievalConfig(distance=distance, segment_count=2)
-        # a plain callable has no scan, so retrieval calls it once per pair
-        looped = RetrievalConfig(distance=lambda a, b: distance(a, b), segment_count=2)
+        looped = RetrievalConfig(distance=PerPairDistance(distance), segment_count=2)
+        nonconverged = 0
         for robot in robot_set:
             got = imagine_demo(robot.sequence, db, scanned).segments
-            want = imagine_demo(robot.sequence, db, looped).segments
-            assert got == want
-        if solver.max_iters == 4:
-            assert sum(r.n_nonconverged for r in got) > 0
+            assert got == imagine_demo(robot.sequence, db, looped).segments
+            nonconverged += sum(r.n_nonconverged for r in got)
+        assert (nonconverged > 0) == some_nonconverged
 
     def test_deterministic(self):
         anchors, db = anchor_db()

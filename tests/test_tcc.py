@@ -6,6 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from seqmatch.data import EmbeddingSequence
+from seqmatch.ot import _SCAN_BATCH_CELLS
 from seqmatch.tcc import (
     CycleTrace,
     TccConfig,
@@ -13,6 +14,7 @@ from seqmatch.tcc import (
     tcc_distance,
     tcc_distance_symmetric,
     tcc_frame_loss,
+    tcc_scan,
 )
 
 
@@ -190,3 +192,67 @@ class TestTccDistance:
     def test_bad_temperature(self):
         with pytest.raises(ValueError, match="temperature"):
             TccConfig(temperature=0.0)
+
+
+CONFIGS = [
+    TccConfig(),
+    TccConfig(squared=False),
+    TccConfig(temperature=0.01),
+    TccConfig(temperature=0.5, squared=False),
+    TccConfig(temperature=3.0),
+]
+
+
+def assert_scan_matches_per_pair(query, bank, cfg):
+    """Both directions of the bank scan must equal the per-pair functions exactly."""
+    for symmetric, fn in ((False, tcc_distance), (True, tcc_distance_symmetric)):
+        got = tcc_scan(query, bank, cfg, symmetric)
+        assert got.tolist() == [fn(query, b, cfg) for b in bank]
+
+
+class TestTccScan:
+    @pytest.mark.parametrize("cfg", CONFIGS)
+    def test_ragged_bank(self, rng, cfg):
+        bank = [rng.normal(size=(n, 6)) for n in (4, 10, 16, 4, 7, 16, 10, 4)]
+        assert_scan_matches_per_pair(rng.normal(size=(12, 6)), bank, cfg)
+
+    def test_bucket_larger_than_one_batch(self, rng):
+        m, n = 16, 16
+        per_batch = _SCAN_BATCH_CELLS // (m * n)
+        bank = [rng.normal(size=(n, 5)) for _ in range(2 * per_batch + 3)]
+        assert_scan_matches_per_pair(rng.normal(size=(m, 5)), bank, TccConfig())
+
+    def test_pair_larger_than_batch_cap(self, rng):
+        m = _SCAN_BATCH_CELLS // 32 + 1
+        bank = [rng.normal(size=(32, 3)) for _ in range(3)] + [rng.normal(size=(2, 3))]
+        assert_scan_matches_per_pair(rng.normal(size=(m, 3)), bank, TccConfig())
+
+    @pytest.mark.parametrize("cfg", CONFIGS)
+    def test_length_one_queries_and_snippets(self, rng, cfg):
+        bank = [rng.normal(size=(n, 4)) for n in (1, 1, 3, 1, 8)]
+        assert_scan_matches_per_pair(rng.normal(size=(1, 4)), bank, cfg)
+        assert_scan_matches_per_pair(rng.normal(size=(6, 4)), bank, cfg)
+
+    def test_sequences_and_arrays_mixed(self, rng):
+        bank = [EmbeddingSequence(rng.normal(size=(5, 3))), rng.normal(size=(2, 3))]
+        assert_scan_matches_per_pair(EmbeddingSequence(rng.normal(size=(4, 3))), bank, TccConfig())
+
+    def test_empty_bank(self, rng):
+        assert tcc_scan(rng.normal(size=(3, 2)), []).shape == (0,)
+        assert tcc_scan(rng.normal(size=(3, 2)), [], symmetric=True).shape == (0,)
+
+    def test_dimension_mismatch_rejected(self):
+        with pytest.raises(ValueError, match="dimension"):
+            tcc_scan([[1.0, 0.0]], [np.array([[1.0, 0.0]]), np.array([[1.0, 0.0, 0.0]])])
+
+    @given(
+        m=st.integers(1, 9),
+        lengths=st.lists(st.integers(1, 9), max_size=12),
+        temperature=st.sampled_from([0.01, 0.1, 1.0, 3.0]),
+        squared=st.booleans(),
+        seed=st.integers(0, 2**16),
+    )
+    def test_random_banks(self, m, lengths, temperature, squared, seed):
+        r = np.random.default_rng(seed)
+        bank = [r.normal(size=(n, 3)) for n in lengths]
+        assert_scan_matches_per_pair(r.normal(size=(m, 3)), bank, TccConfig(temperature, squared))
