@@ -245,19 +245,10 @@ class TestImagineDemo:
         assert math.isfinite(demo.segments[0].distance)
         assert demo.segments[0].snippet_id != "demo-t01"  # its distance went NaN
 
-    @pytest.mark.parametrize(
-        "distance, some_nonconverged",
-        [
-            (OtSequenceDistance(), False),
-            (OtSequenceDistance(SinkhornConfig(epsilon=0.01, max_iters=4)), True),
-            (TccSequenceDistance(), False),
-            (TccSequenceDistance(symmetric=True), False),
-            (TccSequenceDistance(TccConfig(temperature=0.5, squared=False)), False),
-            (TccSequenceDistance(TccConfig(temperature=0.01), symmetric=True), False),
-        ],
-        ids=["ot", "ot-max-iters-4", "tcc", "tcc-symmetric", "tcc-t0.5-unsquared", "tcc-t0.01-symmetric"],
-    )
-    def test_bank_scan_matches_per_pair_loop(self, distance, some_nonconverged):
+    @staticmethod
+    def assert_scan_matches_per_pair_loop(distance):
+        """Retrieval with the bank scan equals retrieval with the per-pair reference;
+        returns the number of non-converged solves seen."""
         robot_set, db = gen_benchmark("hard", GenConfig(n_trajectories=3, seed=4))
         scanned = RetrievalConfig(distance=distance, segment_count=2)
         looped = RetrievalConfig(distance=PerPairDistance(distance), segment_count=2)
@@ -266,7 +257,25 @@ class TestImagineDemo:
             got = imagine_demo(robot.sequence, db, scanned).segments
             assert got == imagine_demo(robot.sequence, db, looped).segments
             nonconverged += sum(r.n_nonconverged for r in got)
-        assert (nonconverged > 0) == some_nonconverged
+        return nonconverged
+
+    @pytest.mark.parametrize("solver", [SinkhornConfig(), SinkhornConfig(epsilon=0.01, max_iters=4)])
+    def test_bank_scan_matches_per_pair_loop(self, solver):
+        nonconverged = self.assert_scan_matches_per_pair_loop(OtSequenceDistance(solver))
+        assert (nonconverged > 0) == (solver.max_iters == 4)
+
+    @pytest.mark.parametrize(
+        "distance",
+        [
+            TccSequenceDistance(),
+            TccSequenceDistance(symmetric=True),
+            TccSequenceDistance(TccConfig(temperature=0.5, squared=False)),
+            TccSequenceDistance(TccConfig(temperature=0.01), symmetric=True),
+        ],
+        ids=["tcc", "tcc-symmetric", "tcc-t0.5-unsquared", "tcc-t0.01-symmetric"],
+    )
+    def test_tcc_bank_scan_matches_per_pair_loop(self, distance):
+        assert self.assert_scan_matches_per_pair_loop(distance) == 0
 
     def test_deterministic(self):
         anchors, db = anchor_db()
