@@ -48,6 +48,7 @@ from .ot import (
     swav_code_plan,
     swav_codes,
 )
+from .prune import sinkhorn_top2
 from .retrieval import (
     EvalReport,
     ImaginedDemo,

@@ -189,7 +189,7 @@ def _cmd_dist(args) -> int:
         writer = csv.writer(fh)
         writer.writerow(["robot_id", *play_db.ids])
         for clip in robot_db.snippets:
-            values, converged = distance.scan(clip.sequence, bank)
+            values, converged = distance.grid(clip.sequence, bank)
             writer.writerow([clip.seq_id, *[_fmt(v) for v in values]])
             nonconverged += [[clip.seq_id, play_db.ids[j]] for j in np.flatnonzero(~converged)]
     (out / "dist_manifest.json").write_text(

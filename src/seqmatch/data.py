@@ -33,6 +33,8 @@ SCHEMA_VERSION = 1
 MANIFEST_NAME = "manifest.json"
 
 _ID_RE = re.compile(r"^[A-Za-z0-9][A-Za-z0-9._-]*$")
+# A task table key on disk: a task id in canonical decimal, so no two keys name one id.
+_TASK_KEY_RE = re.compile(r"0|[1-9][0-9]*")
 
 
 class DatasetError(Exception):
@@ -127,7 +129,7 @@ class FrameLabel:
             return spec
         if isinstance(spec, int) and not isinstance(spec, bool):
             return cls((spec,))
-        return cls(tuple(int(t) for t in spec))
+        return cls(tuple(spec))
 
     @property
     def task_set(self) -> frozenset[int]:
@@ -193,9 +195,13 @@ class SnippetDatabase:
     def __post_init__(self):
         snippets = tuple(self.snippets)
         object.__setattr__(self, "snippets", snippets)
-        object.__setattr__(
-            self, "task_names", {int(k): str(v) for k, v in dict(self.task_names).items()}
-        )
+        task_names = dict(self.task_names)
+        for k, v in task_names.items():
+            if not isinstance(k, int) or isinstance(k, bool) or k < 0:
+                raise ValueError(f"task ids must be non-negative ints, got {k!r}")
+            if not isinstance(v, str):
+                raise ValueError(f"task {k} name must be a string, got {v!r}")
+        object.__setattr__(self, "task_names", task_names)
         if self.provenance is not None:
             object.__setattr__(self, "provenance", dict(self.provenance))
         by_id: dict[str, LabeledSequence] = {}
@@ -292,7 +298,12 @@ def write_dataset(database: SnippetDatabase, path: str | Path) -> None:
     (out / MANIFEST_NAME).write_text(canonical_json(doc), encoding="utf-8")
 
 
-def _parse_labels(raw, n_frames: int, seq_id: str) -> tuple[FrameLabel, ...]:
+def _parse_labels(raw, n_frames: int, seq_id: str, interned: dict) -> tuple[FrameLabel, ...]:
+    """A sequence's labels; equal entries share one ``FrameLabel`` through ``interned``.
+
+    Only all-int entries are looked up there: ``True`` and ``1.0`` hash and
+    compare equal to ``1`` but are not task ids.
+    """
     if not isinstance(raw, list):
         raise DatasetError("labels must be a list", sequence_id=seq_id)
     if len(raw) != n_frames:
@@ -303,10 +314,14 @@ def _parse_labels(raw, n_frames: int, seq_id: str) -> tuple[FrameLabel, ...]:
     for entry in raw:
         if not isinstance(entry, list) or not entry:
             raise DatasetError(f"bad label entry {entry!r}", sequence_id=seq_id)
-        try:
-            labels.append(FrameLabel(tuple(entry)))
-        except ValueError as exc:
-            raise DatasetError(f"bad label entry {entry!r}: {exc}", sequence_id=seq_id)
+        key = tuple(entry)
+        label = interned.get(key) if all(type(t) is int for t in key) else None
+        if label is None:
+            try:
+                label = interned[key] = FrameLabel(key)
+            except ValueError as exc:
+                raise DatasetError(f"bad label entry {entry!r}: {exc}", sequence_id=seq_id)
+        labels.append(label)
     return tuple(labels)
 
 
@@ -332,15 +347,18 @@ def read_dataset(path: str | Path) -> SnippetDatabase:
     tasks_raw = doc.get("tasks")
     if not isinstance(tasks_raw, dict):
         raise ManifestError("manifest 'tasks' must be an object")
-    try:
-        task_names = {int(k): str(v) for k, v in tasks_raw.items()}
-    except ValueError as exc:
-        raise ManifestError(f"bad task table key: {exc}")
+    task_names = {}
+    for k, v in tasks_raw.items():
+        if not _TASK_KEY_RE.fullmatch(k):
+            raise ManifestError(f"bad task table key {k!r}")
+        if type(v) is not str:
+            raise ManifestError(f"task {k} name must be a string, got {v!r}")
+        task_names[int(k)] = v
     seq_docs = doc.get("sequences")
     if not isinstance(seq_docs, list):
         raise ManifestError("manifest 'sequences' must be a list")
 
-    snippets = []
+    snippets, interned = [], {}
     for rec in seq_docs:
         if not isinstance(rec, dict) or "id" not in rec:
             raise ManifestError(f"bad sequence record {rec!r}")
@@ -384,7 +402,7 @@ def read_dataset(path: str | Path) -> SnippetDatabase:
             raise BlobError(
                 f"blob '{blob_name}' contains NaN or Inf", sequence_id=seq_id
             )
-        labels = _parse_labels(rec.get("labels"), n_frames, seq_id)
+        labels = _parse_labels(rec.get("labels"), n_frames, seq_id, interned)
         undeclared = {t for l in labels for t in l.tasks} - set(task_names)
         if undeclared:
             raise DatasetError(

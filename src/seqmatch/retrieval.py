@@ -1,12 +1,15 @@
 """Segment a robot sequence, retrieve the closest play snippet per segment,
 and compose the retrieved snippets into an imagined demonstration.
 
-Retrieval is label-free and exact: every segment is compared with every
-snippet of the bank, in one thread. A distance ranks a bank with one
-``scan`` call: the transport distance solves it as batched Sinkhorn
-(``seqmatch.ot.sinkhorn_scan``), the cycle distance as batched cycles
-(``seqmatch.tcc.tcc_scan``), each on the same length-bucketed stacks
-and with exactly the per-pair values. Ties on distance go to the
+Retrieval is label-free and exact, in one thread. A distance ranks a
+bank with one ``scan`` call per segment. The cycle distance computes
+every snippet (``seqmatch.tcc.tcc_scan``); the transport distance
+solves only those a lower bound cannot rule out as the best or
+second-best match (``seqmatch.prune.sinkhorn_top2``), and reports the
+rest as ``inf``. The bound holds for every pair whose solve converges,
+and the first solve that does not turns pruning off, so the pick, its
+distance, margin and converged flag are those of the full per-pair
+scan. Ties on distance go to the
 lexicographically smallest snippet id. Evaluation metrics are computed
 at retrieval level: they ask whether the imagined demo names the right
 tasks, not whether a downstream policy would have completed them, and
@@ -18,7 +21,7 @@ dataset's provenance records each one's ``dataset_content_hash``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
@@ -31,6 +34,7 @@ from .data import (
 )
 # cost_matrix, sinkhorn and tcc_distance go unused: perfbench/tracing.py wraps them here.
 from .ot import COSINE, SinkhornConfig, cost_matrix, sinkhorn, sinkhorn_scan  # noqa: F401
+from .prune import sinkhorn_top2
 from .tcc import TccConfig, tcc_distance, tcc_scan  # noqa: F401
 
 METRICS_NOTE = (
@@ -61,6 +65,13 @@ class OtSequenceDistance:
     def scan(
         self, a: EmbeddingSequence, bank: Sequence[EmbeddingSequence]
     ) -> tuple[np.ndarray, np.ndarray]:
+        """``grid``'s entries where ``sinkhorn_top2`` solved; ``inf`` where it pruned."""
+        result = sinkhorn_top2(a, bank, self.cfg, self.metric)
+        return result.costs, result.converged
+
+    def grid(
+        self, a: EmbeddingSequence, bank: Sequence[EmbeddingSequence]
+    ) -> tuple[np.ndarray, np.ndarray]:
         """Entry j: ``sinkhorn(cost_matrix(a, bank[j], metric), cfg)``'s cost and converged flag."""
         result = sinkhorn_scan(a, bank, self.cfg, self.metric)
         return result.costs, result.converged
@@ -89,6 +100,8 @@ class TccSequenceDistance:
     ) -> tuple[np.ndarray, np.ndarray]:
         """Entry j: ``tcc_distance(a, bank[j], cfg)`` (or symmetric) and True."""
         return tcc_scan(a, bank, self.cfg, self.symmetric), np.ones(len(bank), dtype=bool)
+
+    grid = scan
 
     def describe(self) -> dict:
         return {
@@ -159,7 +172,11 @@ def segment(z: EmbeddingSequence | int, cfg: RetrievalConfig) -> list[tuple[int,
 
 @dataclass(frozen=True)
 class SegmentRecord:
-    """One retrieval decision: the robot frame range and what it fetched."""
+    """One retrieval decision: the robot frame range and what it fetched.
+
+    ``n_pruned`` (candidates not solved) counts work, not the decision:
+    it takes no part in equality and is written to JSON only when not 0.
+    """
 
     start: int
     end: int
@@ -169,9 +186,10 @@ class SegmentRecord:
     margin: float | None
     converged: bool
     n_nonconverged: int = 0
+    n_pruned: int = field(default=0, compare=False)
 
     def to_json_dict(self) -> dict:
-        return {
+        doc = {
             "start": self.start,
             "end": self.end,
             "snippet_index": self.snippet_index,
@@ -181,6 +199,9 @@ class SegmentRecord:
             "converged": self.converged,
             "n_nonconverged": self.n_nonconverged,
         }
+        if self.n_pruned:
+            doc["n_pruned"] = self.n_pruned
+        return doc
 
     @classmethod
     def from_json_dict(cls, doc: dict) -> "SegmentRecord":
@@ -188,14 +209,16 @@ class SegmentRecord:
         (bool is no number here) raises ``TypeError`` instead of being coerced."""
         required = ("start", "end", "snippet_index", "snippet_id", "distance", "converged")
         fields = {name: doc[name] for name in required}
-        fields.update(margin=doc.get("margin"), n_nonconverged=doc.get("n_nonconverged", 0))
+        fields.update(
+            margin=doc.get("margin"), n_nonconverged=doc.get("n_nonconverged", 0), n_pruned=doc.get("n_pruned", 0)
+        )
         for name, value in fields.items():
             if type(value) not in _JSON_FIELD_TYPES[name]:
                 raise TypeError(f"segment field {name!r} has type {type(value).__name__}")
         return cls(**fields)
 
 
-_JSON_FIELD_TYPES = dict.fromkeys(("start", "end", "snippet_index", "n_nonconverged"), (int,)) | {
+_JSON_FIELD_TYPES = dict.fromkeys(("start", "end", "snippet_index", "n_nonconverged", "n_pruned"), (int,)) | {
     "snippet_id": (str,), "distance": (int, float), "margin": (int, float, type(None)), "converged": (bool,)
 }
 
@@ -252,6 +275,7 @@ def _evaluate_segment(
     start, end = bounds
     sub = EmbeddingSequence(z.frames[start:end])
     values, converged = distance.scan(sub, [s.sequence for s in db.snippets])
+    pruned = np.isposinf(values)
     finite = np.isfinite(values)
     if not finite.any():
         raise RetrievalError("all snippet distances are NaN", segment_index=seg_index)
@@ -268,7 +292,8 @@ def _evaluate_segment(
         distance=float(values[best]),
         margin=margin,
         converged=bool(converged[best]),
-        n_nonconverged=int((~converged).sum()),
+        n_nonconverged=int((~converged & ~pruned).sum()),
+        n_pruned=int(pruned.sum()),
     )
 
 

@@ -268,6 +268,34 @@ class TestImagine:
         }
 
 
+    @pytest.fixture
+    def hard_bench(self, tmp_path):
+        out = tmp_path / "hard"
+        main(["gen", "--level", "hard", "--seed", "2", "--trajectories", "2",
+              "--snippets-per-task", "3", "--out", str(out)])
+        return out
+
+    def imagine_segments(self, bench, out, flags):
+        code = main(["imagine", "--robot", str(bench / "robot"), "--play", str(bench / "play"),
+                     "--segment-kprime", "2", *flags, "--out", str(out)])
+        doc = json.loads((out / "paired.json").read_text())
+        return code, [s for e in doc["entries"] for s in e["segments"]]
+
+    def test_strict_flags_nonconvergence(self, hard_bench, tmp_path):
+        code, segments = self.imagine_segments(
+            hard_bench, tmp_path / "run", ["--max-iters", "1", "--tol", "1e-12", "--strict"]
+        )
+        assert code == 4
+        # the first non-converged solve turns pruning off: every pair is solved
+        bank = len(read_dataset(hard_bench / "play"))
+        assert [(s.get("n_pruned", 0), s["n_nonconverged"]) for s in segments] == [(0, bank)] * len(segments)
+
+    def test_strict_default_solver_prunes(self, hard_bench, tmp_path):
+        code, segments = self.imagine_segments(hard_bench, tmp_path / "run", ["--strict"])
+        assert code == 0
+        assert all(s["n_pruned"] > 0 and s["n_nonconverged"] == 0 for s in segments)
+
+
 class TestEval:
     def test_recomputes_same_metrics(self, tmp_path):
         bench = tmp_path / "b"
@@ -323,6 +351,8 @@ class TestEval:
             ("converged", 1),
             ("snippet_id", 3),
             ("robot_id", ["robot-000"]),
+            ("n_pruned", 0.0),
+            ("n_pruned", True),
         ],
     )
     def test_mistyped_segment_field_is_data_error(self, tmp_path, capsys, field, value):

@@ -109,6 +109,11 @@ class TestFrameLabel:
         with pytest.raises(ValueError):
             FrameLabel((-1,))
 
+    @pytest.mark.parametrize("spec", [[0.7], ["1"], [True]])
+    def test_of_does_not_coerce_task_ids(self, spec):
+        with pytest.raises(ValueError, match="non-negative ints"):
+            FrameLabel.of(spec)
+
     def test_label_length_must_match_frames(self):
         with pytest.raises(ValueError, match="labels"):
             LabeledSequence(
@@ -142,6 +147,15 @@ class TestDatabaseInvariants:
         with pytest.raises(ValueError, match="duplicate"):
             SnippetDatabase((a, b, make_sequence("a", np.ones((3, 2)))), task_names={0: "t"})
 
+    @pytest.mark.parametrize(
+        "extra, match",
+        [({"1": "u"}, "task ids"), ({True: "u"}, "task ids"), ({-1: "u"}, "task ids"), ({1: 7}, "name")],
+    )
+    def test_task_table_not_coerced(self, extra, match):
+        a = make_sequence("a", np.zeros((1, 2)))
+        with pytest.raises(ValueError, match=match):
+            SnippetDatabase((a,), task_names={0: "t", **extra})
+
     def test_undeclared_task_rejected(self):
         a = make_sequence("a", np.zeros((1, 2)), tasks=[7])
         with pytest.raises(ValueError, match="undeclared"):
@@ -165,6 +179,12 @@ class TestRoundTrip:
         assert back == db
         for s0, s1 in zip(db.snippets, back.snippets):
             assert s0.sequence.frames.tobytes() == s1.sequence.frames.tobytes()
+
+    def test_equal_labels_share_one_frame_label(self, tmp_path, rng):
+        write_dataset(random_db(rng, n_snips=20), tmp_path / "ds")
+        labels = [label for s in read_dataset(tmp_path / "ds") for label in s.labels]
+        distinct = {label.tasks: label for label in labels}
+        assert all(label is distinct[label.tasks] for label in labels)
 
     def test_write_read_write_bytes_identical(self, tmp_path, rng):
         db = random_db(rng, n_snips=20)
@@ -322,6 +342,32 @@ class TestMalformedInputs:
         with pytest.raises(DatasetError, match="bad label entry") as exc:
             read_dataset(ds)
         assert exc.value.sequence_id == doc["sequences"][0]["id"]
+
+    @pytest.mark.parametrize("key", ["00", "01", "-1", "+1", " 1", "1\n", "1.0", "x", "", "\u0663"])
+    def test_task_table_key_must_be_canonical(self, ds, key):
+        doc = json.loads((ds / "manifest.json").read_text())
+        doc["tasks"][key] = "dup"
+        (ds / "manifest.json").write_text(json.dumps(doc))
+        with pytest.raises(ManifestError, match="task table key"):
+            read_dataset(ds)
+
+    @pytest.mark.parametrize("name", [7, None, True, ["task-0"]])
+    def test_task_name_must_be_string(self, ds, name):
+        doc = json.loads((ds / "manifest.json").read_text())
+        doc["tasks"]["0"] = name
+        (ds / "manifest.json").write_text(json.dumps(doc))
+        with pytest.raises(ManifestError, match="name must be a string"):
+            read_dataset(ds)
+
+    @pytest.mark.parametrize("entry", [[True], [1.0]])
+    def test_non_int_label_equal_to_a_read_one_rejected(self, ds, entry):
+        doc = json.loads((ds / "manifest.json").read_text())
+        doc["sequences"][0]["labels"][0] = [1]
+        doc["sequences"][1]["labels"][0] = entry
+        (ds / "manifest.json").write_text(json.dumps(doc))
+        with pytest.raises(DatasetError, match="bad label entry") as exc:
+            read_dataset(ds)
+        assert exc.value.sequence_id == doc["sequences"][1]["id"]
 
     def test_bool_frame_count_rejected(self, ds):
         doc = json.loads((ds / "manifest.json").read_text())

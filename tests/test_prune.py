@@ -1,0 +1,107 @@
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from seqmatch import prune
+from seqmatch.ot import COSINE, SQEUCLIDEAN, SinkhornConfig, sinkhorn_scan
+from seqmatch.prune import sinkhorn_top2, transport_lower_bounds
+from seqmatch.retrieval import RetrievalConfig, segment
+from seqmatch.synthgen import GenConfig, gen_benchmark
+
+
+def assert_top2_matches_scan(query, bank, cfg=None, metric=COSINE):
+    """The pruned scan must solve every pair that can be the cheapest or the runner-up,
+    exactly as the full scan does, and mark every other pair unsolved."""
+    full = sinkhorn_scan(query, bank, cfg, metric)
+    got = sinkhorn_top2(query, bank, cfg, metric)
+    solved = got.iterations > 0
+    assert got.costs[solved].tolist() == full.costs[solved].tolist()
+    assert got.iterations[solved].tolist() == full.iterations[solved].tolist()
+    assert got.converged[solved].tolist() == full.converged[solved].tolist()
+    assert np.isposinf(got.costs[~solved]).all() and not got.converged[~solved].any()
+    if len(bank) >= 2 and full.converged[~solved].all():  # the row term bounds converging pairs
+        assert solved[full.costs <= np.sort(full.costs)[1]].all()
+    if not got.converged[solved].all():
+        assert solved.all()
+    return got
+
+
+class TestSinkhornTop2:
+    @pytest.mark.parametrize("metric", [COSINE, SQEUCLIDEAN])
+    def test_prunes_ragged_bank(self, rng, metric):
+        query = rng.normal(size=(12, 6))
+        bank = [query[:n] + 0.1 * rng.normal(size=(n, 6)) for n in (4, 12, 7)]
+        bank += [rng.normal(size=(n, 6)) for n in (4, 10, 16, 4, 7, 16, 10, 4) * 5]
+        cfg = SinkhornConfig(epsilon={COSINE: 0.5, SQEUCLIDEAN: 5.0}[metric])
+        got = assert_top2_matches_scan(query, bank, cfg, metric)
+        assert got.converged[got.iterations > 0].all()
+        assert 2 <= int((got.iterations > 0).sum()) < len(bank)
+
+    @pytest.mark.parametrize("metric", [COSINE, SQEUCLIDEAN])
+    def test_lower_bounds_hold(self, rng, metric):
+        query = rng.normal(size=(9, 5))
+        bank = [rng.normal(size=(n, 5)) for n in (1, 3, 9, 14) * 6]
+        for cfg in (SinkhornConfig(), SinkhornConfig(epsilon=0.01, max_iters=3)):
+            bounds = transport_lower_bounds(query, bank, cfg, metric)
+            full = sinkhorn_scan(query, bank, cfg, metric)
+            assert (bounds[full.converged] <= full.costs[full.converged]).all()
+            assert (bounds >= 0.0).all()
+
+    def test_exact_ties_all_solved(self, rng):
+        query = rng.normal(size=(6, 4))
+        best, runner_up = query[:3] + 0.01, query + 0.2 * rng.normal(size=(6, 4))
+        bank = [rng.normal(size=(5, 4)) for _ in range(30)] + [best, runner_up, best, runner_up, best]
+        got = assert_top2_matches_scan(query, bank)
+        assert (got.iterations[-5:] > 0).all()
+        assert got.costs[-5] == got.costs[-3] == got.costs[-1]
+
+    @pytest.mark.parametrize("round_size", [2, 3])
+    def test_small_rounds_stop_at_the_runner_up(self, monkeypatch, round_size):
+        # with rounds this small, stopping on the best cost instead of the
+        # runner-up's, or on a bound equal to it, leaves a pick or a tie unsolved
+        monkeypatch.setattr(prune, "_PRUNE_ROUND", round_size)
+        robot_set, db = gen_benchmark("hard", GenConfig(n_trajectories=2, seed=8))
+        bank = [s.sequence for s in db.snippets]
+        cfg = RetrievalConfig(distance=None, segment_count=2)
+        for robot in robot_set:
+            for start, end in segment(robot.sequence, cfg):
+                assert_top2_matches_scan(robot.sequence.frames[start:end], bank)
+        e = np.eye(4)
+        assert_top2_matches_scan(np.tile(e[0], (3, 1)), [np.tile(e[0], (2, 1))] * 5 + [e[1:]] * 4)
+        # decoys whose bound is 0 but whose cost is 0.5, ahead of a runner-up bounded above the best
+        query = e[[0, 0, 0, 1]]
+        near = np.array([e[0] + 0.15 * e[2]] * 3 + [e[1]])
+        got = assert_top2_matches_scan(query, [query] + [e[[0, 1, 1, 1]]] * 8 + [near])
+        assert got.iterations[-1] > 0
+
+    def test_nonconvergence_turns_pruning_off(self, rng):
+        bank = [rng.normal(size=(n, 6)) for n in (1, 9, 9, 1, 12, 9) * 4]
+        got = assert_top2_matches_scan(rng.normal(size=(10, 6)), bank, SinkhornConfig(epsilon=0.01, max_iters=1))
+        assert (got.iterations > 0).all()
+
+    def test_single_snippet_and_empty_bank(self, rng):
+        got = assert_top2_matches_scan(rng.normal(size=(3, 2)), [rng.normal(size=(4, 2))])
+        assert got.iterations[0] > 0
+        got = sinkhorn_top2(rng.normal(size=(3, 2)), [])
+        assert got.costs.shape == got.iterations.shape == got.converged.shape == (0,)
+
+    def test_invalid_input_rejected(self):
+        with pytest.raises(ValueError, match="zero-norm"):
+            sinkhorn_top2([[1.0, 0.0]], [np.array([[1.0, 1.0]]), np.array([[0.0, 0.0]])])
+        with pytest.raises(ValueError, match="dimension"):
+            sinkhorn_top2([[1.0, 0.0]], [np.array([[1.0, 0.0, 0.0]])])
+
+    @settings(max_examples=30)
+    @given(
+        st.integers(min_value=1, max_value=40),
+        st.integers(min_value=1, max_value=8),
+        st.integers(min_value=0, max_value=2**31 - 1),
+        st.sampled_from([COSINE, SQEUCLIDEAN]),
+        st.sampled_from([0.2, 1.0]),
+    )
+    def test_random_ragged_banks(self, n_snippets, m, seed, metric, epsilon):
+        rng = np.random.default_rng(seed)
+        query = rng.normal(size=(m, 3))
+        bank = [rng.normal(size=(int(rng.integers(1, 9)), 3)) for _ in range(n_snippets)]
+        assert_top2_matches_scan(query, bank, SinkhornConfig(epsilon=epsilon), metric)

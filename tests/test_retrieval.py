@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from seqmatch.data import (
     Embodiment,
@@ -90,6 +92,13 @@ class PerPairDistance:
             return np.array([p.cost for p in plans]), np.array([p.converged for p in plans])
         fn = tcc_distance_symmetric if d.symmetric else tcc_distance
         return np.array([fn(a, b, d.cfg) for b in bank]), np.ones(len(bank), dtype=bool)
+
+
+class GridDistance:
+    """Ranks a bank by solving every pair: the transport distance's full ``grid``."""
+
+    def __init__(self, distance):
+        self.scan = distance.grid
 
 
 class NanDistance(OtSequenceDistance):
@@ -287,6 +296,88 @@ class TestImagineDemo:
         assert d1.composed.frames.tobytes() == d2.composed.frames.tobytes()
 
 
+def decision(record):
+    """A segment record's JSON fields without its two solver counts."""
+    return {**record.to_json_dict(), "n_pruned": None, "n_nonconverged": None}
+
+
+def assert_pruned_matches_grid(robot_set, db, solver, **segmentation):
+    """Retrieval with the pruned transport scan equals retrieval with the full grid
+    field by field, apart from the counts: ``n_nonconverged`` counts solved pairs only,
+    so it is the grid's less any pruned pairs that do not converge. Returns each
+    segment's (n_pruned, n_nonconverged)."""
+    distance = OtSequenceDistance(solver)
+    pruned = RetrievalConfig(distance=distance, **segmentation)
+    full = RetrievalConfig(distance=GridDistance(distance), **segmentation)
+    counts = []
+    for robot in robot_set:
+        got = imagine_demo(robot.sequence, db, pruned).segments
+        want = imagine_demo(robot.sequence, db, full).segments
+        assert [decision(r) for r in got] == [decision(r) for r in want]
+        for g, w in zip(got, want):
+            assert w.n_pruned == 0
+            assert w.n_nonconverged - g.n_pruned <= g.n_nonconverged <= w.n_nonconverged
+            assert g.n_pruned > 0 or g.n_nonconverged == w.n_nonconverged
+        counts += [(r.n_pruned, r.n_nonconverged) for r in got]
+    return counts
+
+
+class TestPrunedRetrieval:
+    @pytest.mark.parametrize("level", ["easy", "medium", "hard"])
+    @pytest.mark.parametrize(
+        "solver",
+        [SinkhornConfig(max_iters=1), SinkhornConfig(max_iters=3), SinkhornConfig(), SinkhornConfig(epsilon=0.01)],
+        ids=["iters1", "iters3", "iters1000", "eps0.01"],
+    )
+    def test_matches_full_grid(self, level, solver):
+        robot_set, db = gen_benchmark(level, GenConfig(n_trajectories=3, seed=5))
+        counts = assert_pruned_matches_grid(robot_set, db, solver, segment_count=2)
+        for n_pruned, n_nonconverged in counts:
+            assert n_pruned == 0 or n_nonconverged == 0  # a non-converged solve stops pruning
+        if solver.max_iters == 1:
+            assert counts == [(0, len(db))] * len(counts)
+        if solver == SinkhornConfig():
+            assert all(n_pruned > 0 for n_pruned, _ in counts)
+
+    def test_exact_ties_between_duplicate_snippets(self):
+        robot_set, db = gen_benchmark("hard", GenConfig(n_trajectories=3, seed=6))
+        copies = [
+            LabeledSequence(f"{prefix}-{s.seq_id}", s.sequence, s.labels, s.embodiment)
+            for prefix in ("a", "z")
+            for s in db.snippets
+        ]
+        doubled = SnippetDatabase((*db.snippets, *copies), db.task_names)
+        assert_pruned_matches_grid(robot_set, doubled, SinkhornConfig(), segment_count=2)
+        picks = build_paired_dataset(
+            robot_set, doubled, RetrievalConfig(distance=OtSequenceDistance(), segment_count=2)
+        )
+        for e in picks.entries:
+            for r in e.demo.segments:
+                assert r.snippet_id.startswith("a-") and r.margin == 0.0
+
+    def test_bank_of_one_snippet(self):
+        robot_set, db = gen_benchmark("hard", GenConfig(n_trajectories=2, seed=7))
+        one = SnippetDatabase(db.snippets[:1], db.task_names)
+        counts = assert_pruned_matches_grid(robot_set, one, SinkhornConfig(), segment_count=2)
+        assert counts == [(0, 0)] * len(counts)
+
+    @settings(max_examples=25)
+    @given(
+        st.integers(min_value=1, max_value=30),
+        st.integers(min_value=1, max_value=6),
+        st.integers(min_value=0, max_value=2**31 - 1),
+    )
+    def test_random_ragged_banks(self, n_snippets, segment_len, seed):
+        rng = np.random.default_rng(seed)
+        snippets = tuple(
+            make_snippet(f"s{j:02d}", rng.normal(size=(int(rng.integers(1, 9)), 4)), 0)
+            for j in range(n_snippets)
+        )
+        db = SnippetDatabase(snippets, task_names={0: "t"})
+        robot = make_snippet("robot", rng.normal(size=(int(rng.integers(1, 13)), 4)), 0)
+        assert_pruned_matches_grid([robot], db, SinkhornConfig(epsilon=0.2), segment_len=segment_len)
+
+
 class TestBuildPairedDataset:
     def test_single_pair(self):
         anchors, db = anchor_db()
@@ -422,6 +513,8 @@ class TestPairedJson:
         )
         back = paired_from_json_dict(doc, robot_db, db)
         assert evaluate(back, db).to_json_dict() == evaluate(paired, db).to_json_dict()
+        assert paired_to_json_dict(back) == doc
+        assert any(s["n_pruned"] > 0 for e in doc["entries"] for s in e["segments"])
 
     def test_missing_robot_sequence_rejected(self):
         robot_set, db = gen_benchmark("easy", GenConfig(n_trajectories=2, seed=4))
