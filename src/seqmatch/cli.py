@@ -9,6 +9,16 @@ that file is the only non-deterministic output, everything else is
 byte-stable for fixed flags and inputs. Every command runs in one
 thread: ``--threads`` is still accepted but has no effect.
 
+``main`` pauses Python's cyclic garbage collector while a command runs
+and restores the caller's setting when it returns, however it returns.
+A command keeps hundreds of thousands of small containers alive (a
+manifest's parsed records, labels, segment records), and each collector
+pass would rescan them all for cycles that are not there. Pausing is
+safe because a command builds no cyclic garbage in bulk: what it drops is
+freed by reference counting as before, and the few cycles it leaves (the
+argument parser, a caught exception's traceback) are collected once the
+collector is back on, or at exit.
+
 Exit codes: 0 success, 2 usage/config error, 3 data error, 4 numerical
 failure (OT non-convergence under --strict). Set SEQMATCH_LOG=debug for
 verbose logging.
@@ -18,6 +28,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import gc
 import logging
 import os
 import sys
@@ -467,6 +478,8 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
+    gc_was_enabled = gc.isenabled()
+    gc.disable()
     try:
         return args.run(args)
     except ConfigError as exc:
@@ -478,6 +491,9 @@ def main(argv=None) -> int:
     except StrictNonConvergence as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 4
+    finally:
+        if gc_was_enabled:
+            gc.enable()
 
 
 if __name__ == "__main__":

@@ -21,9 +21,13 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
 import re
+import stat
 from dataclasses import dataclass, field
 from enum import Enum
+from itertools import chain
+from operator import attrgetter
 from pathlib import Path
 from typing import Iterable, Mapping
 
@@ -32,7 +36,8 @@ import numpy as np
 SCHEMA_VERSION = 1
 MANIFEST_NAME = "manifest.json"
 
-_ID_RE = re.compile(r"^[A-Za-z0-9][A-Za-z0-9._-]*$")
+# A sequence id, matched with ``fullmatch``: ``$`` would also accept a trailing newline.
+_ID_RE = re.compile(r"[A-Za-z0-9][A-Za-z0-9._-]*")
 # A task table key on disk: a task id in canonical decimal, so no two keys name one id.
 _TASK_KEY_RE = re.compile(r"0|[1-9][0-9]*")
 
@@ -136,6 +141,14 @@ class FrameLabel:
         return frozenset(self.tasks)
 
 
+_TASKS = attrgetter("tasks")
+
+
+def label_tasks(labels: Iterable[FrameLabel]) -> frozenset[int]:
+    """Every task id that ``labels`` name, gathered without a Python-level loop."""
+    return frozenset(chain.from_iterable(map(_TASKS, labels)))
+
+
 @dataclass(frozen=True, eq=False)
 class LabeledSequence:
     """An embedding sequence with per-frame ground-truth labels and an embodiment tag."""
@@ -147,9 +160,11 @@ class LabeledSequence:
     seed_record: Mapping | None = None
 
     def __post_init__(self):
-        if not _ID_RE.match(self.seq_id):
+        if not isinstance(self.seq_id, str) or not _ID_RE.fullmatch(self.seq_id):
             raise ValueError(f"invalid sequence id {self.seq_id!r}")
-        labels = tuple(FrameLabel.of(l) for l in self.labels)
+        labels = self.labels
+        if type(labels) is not tuple or not set(map(type, labels)) <= {FrameLabel}:
+            labels = tuple(map(FrameLabel.of, labels))
         if len(labels) != self.sequence.n_frames:
             raise ValueError(
                 f"sequence '{self.seq_id}': {len(labels)} labels for "
@@ -170,7 +185,7 @@ class LabeledSequence:
 
     @property
     def task_set(self) -> frozenset[int]:
-        return frozenset(t for l in self.labels for t in l.tasks)
+        return label_tasks(self.labels)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, LabeledSequence):
@@ -301,8 +316,11 @@ def write_dataset(database: SnippetDatabase, path: str | Path) -> None:
 def _parse_labels(raw, n_frames: int, seq_id: str, interned: dict) -> tuple[FrameLabel, ...]:
     """A sequence's labels; equal entries share one ``FrameLabel`` through ``interned``.
 
-    Only all-int entries are looked up there: ``True`` and ``1.0`` hash and
-    compare equal to ``1`` but are not task ids.
+    When every entry is a non-empty list of plain ints, the whole list is
+    checked in a few C-level passes and a ``FrameLabel`` is built only for
+    an entry not interned yet. Otherwise, or when such an entry is not a
+    valid label, ``_parse_label_entries`` goes entry by entry, so an error
+    names the first bad entry.
     """
     if not isinstance(raw, list):
         raise DatasetError("labels must be a list", sequence_id=seq_id)
@@ -310,6 +328,27 @@ def _parse_labels(raw, n_frames: int, seq_id: str, interned: dict) -> tuple[Fram
         raise DatasetError(
             f"{len(raw)} labels for {n_frames} frames", sequence_id=seq_id
         )
+    if set(map(type, raw)) == {list} and all(raw) and set(map(type, chain.from_iterable(raw))) == {int}:
+        keys = list(map(tuple, raw))
+        labels = tuple(map(interned.get, keys))
+        if all(labels):  # a FrameLabel is always true, a miss is None
+            return labels
+        try:
+            for key in set(keys).difference(interned):
+                interned[key] = FrameLabel(key)
+        except ValueError:
+            pass
+        else:
+            return tuple(map(interned.__getitem__, keys))
+    return _parse_label_entries(raw, seq_id, interned)
+
+
+def _parse_label_entries(raw: list, seq_id: str, interned: dict) -> tuple[FrameLabel, ...]:
+    """``_parse_labels`` one entry at a time.
+
+    Only all-int entries are looked up in ``interned``: ``True`` and ``1.0``
+    hash and compare equal to ``1`` but are not task ids.
+    """
     labels = []
     for entry in raw:
         if not isinstance(entry, list) or not entry:
@@ -325,10 +364,47 @@ def _parse_labels(raw, n_frames: int, seq_id: str, interned: dict) -> tuple[Fram
     return tuple(labels)
 
 
+def _read_blob(root: str, blob_name: str, size: int, seq_id: str) -> bytes:
+    """The bytes of blob ``blob_name``, which must be a regular file of ``size`` bytes.
+
+    One open and one read, with no separate existence check.
+    """
+    try:
+        # O_NONBLOCK: opening a FIFO must not hang; fstat rejects it below.
+        fd = os.open(os.path.join(root, blob_name), os.O_RDONLY | os.O_NONBLOCK)
+    except FileNotFoundError:
+        raise BlobError(f"missing blob '{blob_name}'", sequence_id=seq_id)
+    try:
+        info = os.fstat(fd)
+        if not stat.S_ISREG(info.st_mode):
+            raise BlobError(f"blob '{blob_name}' is not a regular file", sequence_id=seq_id)
+        if info.st_size != size:
+            raise BlobError(
+                f"blob '{blob_name}' holds {info.st_size} bytes, expected {size}",
+                sequence_id=seq_id,
+            )
+        data = os.read(fd, size)
+    finally:
+        os.close(fd)
+    if len(data) != size:  # truncated since the fstat
+        raise BlobError(f"blob '{blob_name}': read {len(data)} of {size} bytes", sequence_id=seq_id)
+    return data
+
+
 def read_dataset(path: str | Path) -> SnippetDatabase:
-    """Read and fully validate a dataset directory written by :func:`write_dataset`."""
-    root = Path(path)
-    manifest_path = root / MANIFEST_NAME
+    """Read and fully validate a dataset directory written by :func:`write_dataset`.
+
+    Every malformed input raises a ``DatasetError``: a ``ManifestError``
+    for the manifest document and its records (a sequence id that is not a
+    string, a ``blob`` that is not a bare file name), a ``BlobError`` for a
+    blob that is missing, not a regular file (a directory, say), of the
+    wrong size or not finite, and a plain ``DatasetError`` for bad ids,
+    labels, frame counts and undeclared task ids. Each blob is opened and
+    read once. Labels are checked a sequence at a time in C-level passes,
+    and sequences share one ``FrameLabel`` per distinct entry.
+    """
+    root = os.fspath(path)
+    manifest_path = Path(root, MANIFEST_NAME)
     if not manifest_path.is_file():
         raise ManifestError(f"no {MANIFEST_NAME} under {root}")
     try:
@@ -362,8 +438,10 @@ def read_dataset(path: str | Path) -> SnippetDatabase:
     for rec in seq_docs:
         if not isinstance(rec, dict) or "id" not in rec:
             raise ManifestError(f"bad sequence record {rec!r}")
-        seq_id = str(rec["id"])
-        if not _ID_RE.match(seq_id):
+        seq_id = rec["id"]
+        if type(seq_id) is not str:
+            raise ManifestError(f"sequence id must be a string, got {seq_id!r}")
+        if not _ID_RE.fullmatch(seq_id):
             raise DatasetError("invalid sequence id", sequence_id=seq_id)
         seed_record = rec.get("seed_record")
         if seed_record is not None and not isinstance(seed_record, dict):
@@ -381,29 +459,19 @@ def read_dataset(path: str | Path) -> SnippetDatabase:
         if type(n_frames) is not int or n_frames < 1:
             raise DatasetError(f"bad frame count {n_frames!r}", sequence_id=seq_id)
         blob_name = rec.get("blob")
-        if not isinstance(blob_name, str) or Path(blob_name).name != blob_name:
+        if type(blob_name) is not str or "/" in blob_name or "\0" in blob_name or blob_name in ("", ".", ".."):
             raise ManifestError(f"bad blob reference {blob_name!r}")
-        blob_path = root / blob_name
-        if not blob_path.is_file():
-            raise BlobError(f"missing blob '{blob_name}'", sequence_id=seq_id)
-        data = blob_path.read_bytes()
-        expected = n_frames * dim * 4
-        if len(data) != expected:
-            raise BlobError(
-                f"blob '{blob_name}' holds {len(data)} bytes, expected {expected}",
-                sequence_id=seq_id,
-            )
-        frames = (
-            np.frombuffer(data, dtype="<f4")
-            .astype(np.float64)
-            .reshape(n_frames, dim)
-        )
-        if not np.isfinite(frames).all():
+        data = _read_blob(root, blob_name, n_frames * dim * 4, seq_id)
+        try:
+            # Converts to float64 in its one copy. The shape is valid, so only
+            # a NaN or Inf frame is left to reject.
+            sequence = EmbeddingSequence(np.frombuffer(data, dtype="<f4").reshape(n_frames, dim))
+        except ValueError:
             raise BlobError(
                 f"blob '{blob_name}' contains NaN or Inf", sequence_id=seq_id
             )
         labels = _parse_labels(rec.get("labels"), n_frames, seq_id, interned)
-        undeclared = {t for l in labels for t in l.tasks} - set(task_names)
+        undeclared = label_tasks(labels).difference(task_names)
         if undeclared:
             raise DatasetError(
                 f"labels reference undeclared task ids {sorted(undeclared)}",
@@ -412,7 +480,7 @@ def read_dataset(path: str | Path) -> SnippetDatabase:
         snippets.append(
             LabeledSequence(
                 seq_id=seq_id,
-                sequence=EmbeddingSequence(frames),
+                sequence=sequence,
                 labels=labels,
                 embodiment=embodiment,
                 seed_record=seed_record,
@@ -424,11 +492,22 @@ def read_dataset(path: str | Path) -> SnippetDatabase:
         raise DatasetError(str(exc))
 
 
+class _LabelJson(dict):
+    """``json.dumps(list(tasks))`` per label tuple, rendered on first lookup."""
+
+    def __missing__(self, tasks: tuple[int, ...]) -> str:
+        text = self[tasks] = json.dumps(list(tasks))
+        return text
+
+
 def dataset_content_hash(database: SnippetDatabase) -> str:
     """SHA-256 over the dataset's logical content (task table, ids, labels, float32 frames).
 
     Provenance is excluded so regenerated datasets with identical content
-    hash identically.
+    hash identically. Each sequence contributes the bytes of
+    ``json.dumps({"id", "embodiment", "labels"}, sort_keys=True)`` and then
+    its float32 frames; the JSON is assembled from one rendering per
+    distinct label, and ids match ``_ID_RE``, so they need no escaping.
     """
     h = hashlib.sha256()
     h.update(
@@ -437,12 +516,11 @@ def dataset_content_hash(database: SnippetDatabase) -> str:
             sort_keys=True,
         ).encode()
     )
+    label_json = _LabelJson()
     for s in database.snippets:
-        meta = {
-            "id": s.seq_id,
-            "embodiment": s.embodiment.value,
-            "labels": [list(l.tasks) for l in s.labels],
-        }
-        h.update(json.dumps(meta, sort_keys=True).encode())
+        labels = ", ".join(map(label_json.__getitem__, map(_TASKS, s.labels)))
+        h.update(
+            f'{{"embodiment": "{s.embodiment.value}", "id": "{s.seq_id}", "labels": [{labels}]}}'.encode()
+        )
         h.update(s.sequence.frames.astype("<f4").tobytes(order="C"))
     return h.hexdigest()

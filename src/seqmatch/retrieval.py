@@ -31,6 +31,7 @@ from .data import (
     LabeledSequence,
     SnippetDatabase,
     dataset_content_hash,
+    label_tasks,
 )
 # cost_matrix, sinkhorn and tcc_distance go unused: perfbench/tracing.py wraps them here.
 from .ot import COSINE, SinkhornConfig, cost_matrix, sinkhorn, sinkhorn_scan  # noqa: F401
@@ -403,6 +404,7 @@ def evaluate(paired: PairedDataset, db: SnippetDatabase) -> EvalReport:
     averaged. Top-1: fraction of segments whose retrieved snippet's task
     set equals the segment's ground-truth task set.
     """
+    snippet_task_sets = [s.task_set for s in db.snippets]
     per_traj = []
     total_segments = 0
     total_hits = 0
@@ -411,19 +413,13 @@ def evaluate(paired: PairedDataset, db: SnippetDatabase) -> EvalReport:
         retrieved: set[int] = set()
         hits = 0
         for rec in entry.demo.segments:
-            if not 0 <= rec.snippet_index < len(db):
+            if not 0 <= rec.snippet_index < len(snippet_task_sets):
                 raise RetrievalError(
                     f"snippet index {rec.snippet_index} outside database of {len(db)}"
                 )
-            snippet = db.snippets[rec.snippet_index]
-            snippet_tasks = snippet.task_set
+            snippet_tasks = snippet_task_sets[rec.snippet_index]
             retrieved |= snippet_tasks
-            segment_tasks = {
-                t
-                for label in entry.robot.labels[rec.start : rec.end]
-                for t in label.tasks
-            }
-            if snippet_tasks == segment_tasks:
+            if snippet_tasks == label_tasks(entry.robot.labels[rec.start : rec.end]):
                 hits += 1
         recall = len(retrieved & robot_tasks) / len(robot_tasks)
         imprecision = len(retrieved - robot_tasks) / len(retrieved) if retrieved else 0.0
@@ -473,7 +469,7 @@ def paired_from_json_dict(
         ]
     except (KeyError, TypeError, ValueError) as exc:
         raise RetrievalError(f"malformed paired record: {exc!r}")
-    entries = []
+    entries, play_ids = [], play_db.ids
     for robot_id, segments in records:
         if type(robot_id) is not str:
             raise RetrievalError(f"malformed paired record: robot_id has type {type(robot_id).__name__}")
@@ -481,13 +477,14 @@ def paired_from_json_dict(
             robot = robot_db.get(robot_id)
         except KeyError:
             raise RetrievalError(f"robot sequence '{robot_id}' missing from robot dataset")
+        n_frames = robot.n_frames
         for s in segments:
-            if not 0 <= s.start < s.end <= robot.n_frames:
+            if not 0 <= s.start < s.end <= n_frames:
                 raise RetrievalError(
                     f"segment [{s.start}, {s.end}) outside robot sequence '{robot_id}'"
-                    f" of {robot.n_frames} frames"
+                    f" of {n_frames} frames"
                 )
-            if not 0 <= s.snippet_index < len(play_db) or play_db.snippets[s.snippet_index].seq_id != s.snippet_id:
+            if not 0 <= s.snippet_index < len(play_ids) or play_ids[s.snippet_index] != s.snippet_id:
                 raise RetrievalError(
                     f"snippet '{s.snippet_id}' not at index {s.snippet_index} in play dataset"
                 )

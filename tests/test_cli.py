@@ -1,4 +1,5 @@
 import csv
+import gc
 import hashlib
 import importlib
 import importlib.util
@@ -8,6 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import seqmatch.cli
 from seqmatch.cli import main
 from seqmatch.data import (
     Embodiment,
@@ -437,6 +439,39 @@ class TestAblate:
              "--kprime", "0", "--out", str(tmp_path / "a")]
         )
         assert code == 2
+
+
+class TestGarbageCollector:
+    """``main`` pauses the cyclic collector for the command and restores the caller's setting."""
+
+    @pytest.fixture(params=[True, False], ids=["gc-on", "gc-off"])
+    def gc_before(self, request):
+        was_enabled = gc.isenabled()
+        (gc.enable if request.param else gc.disable)()
+        yield request.param
+        (gc.enable if was_enabled else gc.disable)()
+
+    @pytest.mark.parametrize(
+        "argv, code",
+        [
+            (["gen", "--level", "easy", "--trajectories", "2", "--snippets-per-task", "1"], 0),
+            (["eval", "--paired", "void"], 3),
+            (["gen", "--level", "easy", "--d", "4", "--n-tasks", "7"], 2),
+            (["gen", "--level", "insane"], 2),
+        ],
+        ids=["success", "data-error", "config-error", "parse-error"],
+    )
+    def test_state_restored(self, gc_before, tmp_path, argv, code):
+        assert main([*argv, "--out", str(tmp_path / "out")]) == code
+        assert gc.isenabled() is gc_before
+
+    def test_paused_during_command(self, gc_before, tmp_path, monkeypatch):
+        seen = []
+        gen = seqmatch.cli.gen_benchmark
+        monkeypatch.setattr(seqmatch.cli, "gen_benchmark", lambda *a: seen.append(gc.isenabled()) or gen(*a))
+        argv = ["gen", "--level", "easy", "--trajectories", "2", "--snippets-per-task", "1"]
+        assert main([*argv, "--out", str(tmp_path / "out")]) == 0
+        assert seen == [False] and gc.isenabled() is gc_before
 
 
 class TestPipelineReproducibility:

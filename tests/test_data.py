@@ -1,5 +1,7 @@
 import hashlib
 import json
+import os
+import tempfile
 from pathlib import Path
 
 import numpy as np
@@ -20,6 +22,8 @@ from seqmatch.data import (
     quantize_frames_f32,
     read_dataset,
     write_dataset,
+    _parse_label_entries,
+    _parse_labels,
 )
 
 
@@ -113,6 +117,18 @@ class TestFrameLabel:
     def test_of_does_not_coerce_task_ids(self, spec):
         with pytest.raises(ValueError, match="non-negative ints"):
             FrameLabel.of(spec)
+
+    def test_labels_given_as_frame_labels_are_kept(self):
+        labels = (FrameLabel((0,)), FrameLabel((1, 2)))
+        seq = LabeledSequence("x", EmbeddingSequence([[0.0], [1.0]]), labels, Embodiment.ROBOT)
+        assert all(a is b for a, b in zip(seq.labels, labels))
+        coerced = LabeledSequence("x", EmbeddingSequence([[0.0], [1.0]]), [0, (1, 2)], Embodiment.ROBOT)
+        assert coerced.labels == labels
+
+    @pytest.mark.parametrize("seq_id", ["abc\n", "abc\n\n", "\nabc", "a b", "", "-a", 7, None])
+    def test_invalid_sequence_id_rejected(self, seq_id):
+        with pytest.raises(ValueError, match="invalid sequence id"):
+            LabeledSequence(seq_id, EmbeddingSequence([[0.0]]), (FrameLabel((0,)),), Embodiment.ROBOT)
 
     def test_label_length_must_match_frames(self):
         with pytest.raises(ValueError, match="labels"):
@@ -326,6 +342,52 @@ class TestMalformedInputs:
             read_dataset(ds)
         assert exc.value.sequence_id == "bad id"
 
+    @pytest.mark.parametrize("seq_id", ["snip-000\n", "snip-000\n\n"])
+    def test_sequence_id_with_trailing_newline_rejected(self, ds, seq_id):
+        doc = json.loads((ds / "manifest.json").read_text())
+        doc["sequences"][0]["id"] = seq_id
+        (ds / "manifest.json").write_text(json.dumps(doc))
+        with pytest.raises(DatasetError, match="invalid sequence id") as exc:
+            read_dataset(ds)
+        assert exc.value.sequence_id == seq_id
+
+    @pytest.mark.parametrize("seq_id", [7, True, None, 1.5, ["snip-000"], {"id": "snip-000"}])
+    def test_non_string_sequence_id_rejected(self, ds, seq_id):
+        doc = json.loads((ds / "manifest.json").read_text())
+        doc["sequences"][0]["id"] = seq_id
+        (ds / "manifest.json").write_text(json.dumps(doc))
+        with pytest.raises(ManifestError, match="sequence id must be a string"):
+            read_dataset(ds)
+
+    def test_blob_that_is_a_directory(self, ds):
+        (ds / "snip-001.f32").unlink()
+        (ds / "snip-001.f32").mkdir()
+        with pytest.raises(BlobError, match="snip-001.f32.*not a regular file") as exc:
+            read_dataset(ds)
+        assert exc.value.sequence_id == "snip-001"
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no named pipes")
+    def test_blob_that_is_a_fifo_fails_without_blocking(self, ds):
+        (ds / "snip-001.f32").unlink()
+        os.mkfifo(ds / "snip-001.f32")
+        with pytest.raises(BlobError, match="not a regular file"):
+            read_dataset(ds)
+
+    def test_oversized_blob_reports_its_size(self, ds):
+        blob = ds / "snip-000.f32"
+        size = blob.stat().st_size
+        blob.write_bytes(blob.read_bytes() + b"\0" * 8)
+        with pytest.raises(BlobError, match=f"holds {size + 8} bytes, expected {size}"):
+            read_dataset(ds)
+
+    @pytest.mark.parametrize("name", ["", ".", "..", "sub/snip-000.f32", "/etc/passwd", "a\0b", 7, None])
+    def test_bad_blob_reference(self, ds, name):
+        doc = json.loads((ds / "manifest.json").read_text())
+        doc["sequences"][0]["blob"] = name
+        (ds / "manifest.json").write_text(json.dumps(doc))
+        with pytest.raises(ManifestError, match="bad blob reference"):
+            read_dataset(ds)
+
     def test_seed_record_not_an_object(self, ds):
         doc = json.loads((ds / "manifest.json").read_text())
         doc["sequences"][0]["seed_record"] = [1, 2]
@@ -400,3 +462,152 @@ class TestContentHash:
         db = random_db(rng, n_snips=3)
         relabeled = SnippetDatabase(db.snippets, db.task_names, provenance={"other": 1})
         assert dataset_content_hash(db) == dataset_content_hash(relabeled)
+
+    def test_pinned_digest(self):
+        assert dataset_content_hash(pinned_db()) == PINNED_DIGEST
+
+    def test_pinned_digest_survives_a_round_trip(self, tmp_path):
+        write_dataset(pinned_db(), tmp_path / "ds")
+        assert dataset_content_hash(read_dataset(tmp_path / "ds")) == PINNED_DIGEST
+
+    def test_matches_json_dumps_definition(self, rng):
+        for db in (pinned_db(), random_db(rng, n_snips=30, two_label_every=3)):
+            assert dataset_content_hash(db) == json_dumps_content_hash(db)
+
+
+# One- and two-task labels, both embodiments, ids with '.', '_' and '-',
+# a two-digit task id and a non-ASCII task name.
+PINNED_DIGEST = "0b2ef8ad5704ce438fd2fcb648b81e39c4b3ca45aa6863fb0ad70bb3b338d861"
+
+
+def pinned_db() -> SnippetDatabase:
+    def frames(T, d, shift):
+        return (np.arange(T * d, dtype=np.float64).reshape(T, d) - shift) / 8
+
+    def seq(seq_id, T, shift, specs, embodiment, seed_record=None):
+        labels = tuple(FrameLabel.of(s) for s in specs)
+        return LabeledSequence(seq_id, EmbeddingSequence(frames(T, 3, shift)), labels, embodiment, seed_record)
+
+    return SnippetDatabase(
+        (
+            seq("robot-0.a_b", 4, 5, [0, (0, 2), (2, 10), 10], Embodiment.ROBOT, {"tasks": [0, 2, 10]}),
+            seq("demo_1-x.y", 2, -1, [(10, 1), 1], Embodiment.DEMONSTRATOR),
+            seq("Z9", 1, 0, [2], Embodiment.DEMONSTRATOR),
+        ),
+        task_names={0: "reach", 1: "push", 2: "gräsp", 10: "place"},
+        provenance={"seed": 7},
+    )
+
+
+def json_dumps_content_hash(database: SnippetDatabase) -> str:
+    """``dataset_content_hash`` as first defined: one ``json.dumps`` per sequence."""
+    h = hashlib.sha256()
+    h.update(
+        json.dumps(
+            {"d": database.dim, "tasks": {str(k): v for k, v in sorted(database.task_names.items())}},
+            sort_keys=True,
+        ).encode()
+    )
+    for s in database.snippets:
+        meta = {"id": s.seq_id, "embodiment": s.embodiment.value, "labels": [list(l.tasks) for l in s.labels]}
+        h.update(json.dumps(meta, sort_keys=True).encode())
+        h.update(s.sequence.frames.astype("<f4").tobytes(order="C"))
+    return h.hexdigest()
+
+
+# Label entries as a malformed manifest may hold them: valid ones (which
+# may repeat an id or name an undeclared one), bools, floats, strings,
+# empty and nested lists, three ids, and non-list values.
+valid_entries = st.lists(st.integers(0, 5), min_size=1, max_size=2)
+label_entries = st.one_of(
+    valid_entries,
+    st.lists(st.one_of(st.booleans(), st.floats(), st.text(max_size=1), st.integers(-2, 9)), min_size=1, max_size=2),
+    st.lists(st.integers(0, 3), min_size=3, max_size=3),
+    st.lists(valid_entries, min_size=1, max_size=2),
+    st.just([]),
+    st.booleans(),
+    st.integers(0, 3),
+    st.floats(),
+    st.text(max_size=2),
+    st.none(),
+)
+
+
+@st.composite
+def label_lists(draw):
+    """Mostly valid label lists with up to two entries swapped for any entry."""
+    raw = draw(st.lists(valid_entries, min_size=1, max_size=6))
+    for i, entry in draw(st.lists(st.tuples(st.integers(0, 5), label_entries), max_size=2)):
+        raw[i % len(raw)] = entry
+    return raw
+
+
+def _outcome(parse):
+    try:
+        return [label.tasks for label in parse()]
+    except DatasetError as exc:
+        return str(exc)
+
+
+class TestReaderFuzz:
+    @given(label_lists(), st.lists(valid_entries, max_size=3))
+    def test_bulk_label_path_matches_per_entry_loop(self, raw, seen):
+        interned = {tuple(e): FrameLabel(tuple(e)) for e in seen if len(set(e)) == len(e)}
+        bulk = _outcome(lambda: _parse_labels(raw, len(raw), "s", dict(interned)))
+        assert bulk == _outcome(lambda: _parse_label_entries(raw, "s", dict(interned)))
+
+    @given(
+        st.lists(st.tuples(st.integers(0, 1), st.integers(0, 2), label_entries), max_size=3),
+        st.lists(
+            st.tuples(
+                st.integers(0, 1),
+                st.sampled_from(["T", "blob", "size"]),
+                st.one_of(
+                    st.integers(-1, 8),
+                    st.booleans(),
+                    st.floats(),
+                    st.none(),
+                    st.sampled_from(["", ".", "..", "a/b", "a\0b", "sub", "b.f32", "x.f32"]),
+                ),
+            ),
+            max_size=3,
+        ),
+        st.sampled_from([2] * 6 + [0, 1, 3, True, 2.0, None, "2"]),
+    )
+    def test_every_failure_is_a_dataset_error(self, label_edits, edits, dim):
+        """Mutated labels, ``T``, ``d``, blob names and blob sizes give a
+        ``DatasetError`` or a database that holds exactly the manifest's labels."""
+        with tempfile.TemporaryDirectory() as td:
+            root = Path(td)
+            tasks = {t: f"t{t}" for t in range(4)}
+            write_dataset(
+                SnippetDatabase(
+                    (
+                        make_sequence("a.f", np.ones((3, 2)), [0, (1, 2), 3]),
+                        make_sequence("b", np.zeros((2, 2)), [1, 1]),
+                    ),
+                    tasks,
+                ),
+                root,
+            )
+            (root / "sub").mkdir()
+            doc = json.loads((root / "manifest.json").read_text())
+            records = doc["sequences"]
+            for i, frame, entry in label_edits:
+                records[i]["labels"][frame % len(records[i]["labels"])] = entry
+            for i, key, value in edits:
+                if key == "size":
+                    if type(value) is int and value >= 0:
+                        (root / ("a.f.f32", "b.f32")[i]).write_bytes(np.ones(value, dtype="<f4").tobytes())
+                else:
+                    records[i][key] = value
+            if dim != 2:
+                doc["d"] = dim
+            (root / "manifest.json").write_text(json.dumps(doc))
+            try:
+                db = read_dataset(root)
+            except DatasetError:
+                return
+            assert [json.dumps([list(l.tasks) for l in s.labels]) for s in db] == [
+                json.dumps(r["labels"]) for r in records
+            ]
