@@ -19,6 +19,17 @@ freed by reference counting as before, and the few cycles it leaves (the
 argument parser, a caught exception's traceback) are collected once the
 collector is back on, or at exit.
 
+Every command runs in two steps, both registered on its subparser. The
+config step (``config``) turns the flags into what the command runs on
+(a distance, retrieval configs or, for ``gen``, the generated datasets)
+and reads and writes nothing. The run step (``run``) reads the inputs,
+computes and writes the outputs. ``main`` alone maps exceptions to exit
+codes. A ``ValueError`` from the config step is a usage error, so a bad
+flag is reported before any input is read. Every config is validated
+before the run step starts, so a ``ValueError`` there can only come from
+the inputs (a robot set and bank of different dimension, a zero-norm
+frame) and is a data error.
+
 Exit codes: 0 success, 2 usage/config error, 3 data error, 4 numerical
 failure (OT non-convergence under --strict). Set SEQMATCH_LOG=debug for
 verbose logging.
@@ -29,6 +40,7 @@ from __future__ import annotations
 import argparse
 import csv
 import gc
+import json
 import logging
 import os
 import sys
@@ -52,6 +64,7 @@ from .retrieval import (
     OtSequenceDistance,
     RetrievalConfig,
     RetrievalError,
+    SequenceDistance,
     TccSequenceDistance,
     build_paired_dataset,
     evaluate,
@@ -62,10 +75,6 @@ from .synthgen import GenConfig, gen_benchmark
 from .tcc import TccConfig
 
 log = logging.getLogger("seqmatch")
-
-
-class ConfigError(Exception):
-    """Bad flag values or combinations (exit code 2)."""
 
 
 class StrictNonConvergence(Exception):
@@ -80,6 +89,15 @@ def _configure_logging() -> None:
     logging.basicConfig(level=level, format="%(levelname)s %(name)s: %(message)s")
 
 
+def _write_json(path: Path, doc) -> None:
+    path.write_text(canonical_json(doc), encoding="utf-8")
+
+
+def _write_csv(path: Path, rows) -> None:
+    with path.open("w", newline="", encoding="utf-8") as fh:
+        csv.writer(fh).writerows(rows)
+
+
 def _write_run_manifest(
     out: Path, command: str, config: dict, input_hashes: dict, seed: int | None, t0: float
 ) -> None:
@@ -91,7 +109,7 @@ def _write_run_manifest(
         "seed": seed,
         "wall_clock_sec": time.perf_counter() - t0,
     }
-    (out / "run_manifest.json").write_text(canonical_json(doc), encoding="utf-8")
+    _write_json(out / "run_manifest.json", doc)
 
 
 def _read_required(path: str, what: str) -> SnippetDatabase:
@@ -101,36 +119,8 @@ def _read_required(path: str, what: str) -> SnippetDatabase:
     return read_dataset(p)
 
 
-def _sinkhorn_config(args) -> SinkhornConfig:
-    try:
-        return SinkhornConfig(
-            epsilon=args.epsilon,
-            max_iters=args.max_iters,
-            tol_marginal=args.tol,
-        )
-    except ValueError as exc:
-        raise ConfigError(str(exc))
-
-
-def _distance_from_args(args):
-    if args.method == "ot":
-        return OtSequenceDistance(_sinkhorn_config(args))
-    try:
-        cfg = TccConfig(temperature=args.temperature)
-    except ValueError as exc:
-        raise ConfigError(str(exc))
-    return TccSequenceDistance(cfg, symmetric=args.tcc_symmetric)
-
-
-def _retrieval_config(args) -> RetrievalConfig:
-    try:
-        return RetrievalConfig(
-            distance=_distance_from_args(args),
-            segment_len=args.segment_k if args.segment_kprime is None else None,
-            segment_count=args.segment_kprime,
-        )
-    except ValueError as exc:
-        raise ConfigError(str(exc))
+def _input_hashes(robot_db: SnippetDatabase, play_db: SnippetDatabase) -> dict:
+    return {"robot": dataset_content_hash(robot_db), "play": dataset_content_hash(play_db)}
 
 
 def _method_config_doc(args) -> dict:
@@ -146,39 +136,61 @@ def _fmt(x: float) -> str:
     return repr(float(x))
 
 
-# ---------------------------------------------------------------- commands
+# ---------------------------------------------------------------- config step
 
 
-def _cmd_gen(args) -> int:
-    t0 = time.perf_counter()
-    try:
-        cfg = GenConfig(
-            n_tasks=args.n_tasks,
-            dim=args.d,
-            frames_per_task=args.frames_per_task,
-            n_trajectories=args.trajectories,
-            tasks_per_trajectory=args.tasks_per_trajectory,
-            snippets_per_task=args.snippets_per_task,
-            noise_sigma=args.noise_sigma,
-            seed=args.seed,
+def _gen_config(args) -> tuple[GenConfig, tuple[SnippetDatabase, SnippetDatabase]]:
+    # Generating is part of the config step because the generator is what
+    # checks dim >= n_tasks and the hard level's task budget.
+    cfg = GenConfig(
+        n_tasks=args.n_tasks,
+        dim=args.d,
+        frames_per_task=args.frames_per_task,
+        n_trajectories=args.trajectories,
+        tasks_per_trajectory=args.tasks_per_trajectory,
+        snippets_per_task=args.snippets_per_task,
+        noise_sigma=args.noise_sigma,
+        seed=args.seed,
+    )
+    return cfg, gen_benchmark(args.level, cfg)
+
+
+def _distance_config(args) -> SequenceDistance:
+    if args.method == "ot":
+        return OtSequenceDistance(
+            SinkhornConfig(epsilon=args.epsilon, max_iters=args.max_iters, tol_marginal=args.tol)
         )
-        robot_db, play_db = gen_benchmark(args.level, cfg)
-    except ValueError as exc:
-        raise ConfigError(str(exc))
+    return TccSequenceDistance(TccConfig(temperature=args.temperature), symmetric=args.tcc_symmetric)
+
+
+def _imagine_config(args) -> RetrievalConfig:
+    return RetrievalConfig(
+        distance=_distance_config(args),
+        segment_len=args.segment_k if args.segment_kprime is None else None,
+        segment_count=args.segment_kprime,
+    )
+
+
+def _ablate_config(args) -> list[RetrievalConfig]:
+    distance = _distance_config(args)
+    return [RetrievalConfig(distance=distance, segment_count=kprime) for kprime in args.kprime]
+
+
+def _no_config(args) -> None:
+    return None
+
+
+# ---------------------------------------------------------------- run step
+
+
+def _cmd_gen(args, config, t0: float) -> int:
+    cfg, (robot_db, play_db) = config
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     write_dataset(robot_db, out / "robot")
     write_dataset(play_db, out / "play")
     _write_run_manifest(
-        out,
-        "gen",
-        {"level": args.level, **cfg.__dict__},
-        {
-            "robot": dataset_content_hash(robot_db),
-            "play": dataset_content_hash(play_db),
-        },
-        args.seed,
-        t0,
+        out, "gen", {"level": args.level, **cfg.__dict__}, _input_hashes(robot_db, play_db), args.seed, t0
     )
     print(
         f"wrote {len(robot_db)} robot trajectories and {len(play_db)} snippets under {out}"
@@ -186,41 +198,31 @@ def _cmd_gen(args) -> int:
     return 0
 
 
-def _cmd_dist(args) -> int:
-    t0 = time.perf_counter()
+def _cmd_dist(args, distance: SequenceDistance, t0: float) -> int:
     bench = Path(args.dataset)
     robot_db = _read_required(bench / "robot", "robot")
     play_db = _read_required(bench / "play", "play")
-    distance = _distance_from_args(args)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     bank = [s.sequence for s in play_db.snippets]
+    play_ids = play_db.ids
     nonconverged = []
     with (out / "distances.csv").open("w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["robot_id", *play_db.ids])
+        writer.writerow(["robot_id", *play_ids])
         for clip in robot_db.snippets:
             values, converged = distance.grid(clip.sequence, bank)
             writer.writerow([clip.seq_id, *[_fmt(v) for v in values]])
-            nonconverged += [[clip.seq_id, play_db.ids[j]] for j in np.flatnonzero(~converged)]
-    (out / "dist_manifest.json").write_text(
-        canonical_json(
-            {
-                "config": _method_config_doc(args),
-                "shape": [len(robot_db), len(play_db)],
-                "nonconverged": nonconverged,
-            }
-        ),
-        encoding="utf-8",
+            nonconverged += [[clip.seq_id, play_ids[j]] for j in np.flatnonzero(~converged)]
+    _write_json(
+        out / "dist_manifest.json",
+        {
+            "config": _method_config_doc(args),
+            "shape": [len(robot_db), len(play_db)],
+            "nonconverged": nonconverged,
+        },
     )
-    _write_run_manifest(
-        out,
-        "dist",
-        _method_config_doc(args),
-        {"robot": dataset_content_hash(robot_db), "play": dataset_content_hash(play_db)},
-        None,
-        t0,
-    )
+    _write_run_manifest(out, "dist", _method_config_doc(args), _input_hashes(robot_db, play_db), None, t0)
     print(f"wrote {len(robot_db)}x{len(play_db)} distance grid under {out}")
     if nonconverged and args.strict:
         raise StrictNonConvergence(f"{len(nonconverged)} cells did not converge")
@@ -228,32 +230,23 @@ def _cmd_dist(args) -> int:
 
 
 def _write_report(out: Path, report) -> None:
-    (out / "report.json").write_text(canonical_json(report.to_json_dict()), encoding="utf-8")
-    with (out / "report.csv").open("w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(
-            ["robot_id", "recall", "imprecision", "top1_hits", "n_segments"]
-        )
-        for t in report.per_trajectory:
-            writer.writerow(
+    _write_json(out / "report.json", report.to_json_dict())
+    _write_csv(
+        out / "report.csv",
+        [
+            ["robot_id", "recall", "imprecision", "top1_hits", "n_segments"],
+            *(
                 [t.robot_id, _fmt(t.recall), _fmt(t.imprecision), t.top1_hits, t.n_segments]
-            )
-        writer.writerow(
-            [
-                "overall",
-                _fmt(report.task_recall),
-                _fmt(report.task_imprecision),
-                "",
-                "",
-            ]
-        )
+                for t in report.per_trajectory
+            ),
+            ["overall", _fmt(report.task_recall), _fmt(report.task_imprecision), "", ""],
+        ],
+    )
 
 
-def _cmd_imagine(args) -> int:
-    t0 = time.perf_counter()
+def _cmd_imagine(args, cfg: RetrievalConfig, t0: float) -> int:
     robot_db = _read_required(args.robot, "robot")
     play_db = _read_required(args.play, "play")
-    cfg = _retrieval_config(args)
     paired = build_paired_dataset(
         robot_db,
         play_db,
@@ -286,9 +279,7 @@ def _cmd_imagine(args) -> int:
         SnippetDatabase(imagined, play_db.task_names, {"kind": "imagined", "retrieval": cfg.describe()}),
         out / "imagined",
     )
-    (out / "paired.json").write_text(
-        canonical_json(paired_to_json_dict(paired)), encoding="utf-8"
-    )
+    _write_json(out / "paired.json", paired_to_json_dict(paired))
     report = evaluate(paired, play_db)
     _write_report(out, report)
     _write_run_manifest(
@@ -309,10 +300,7 @@ def _cmd_imagine(args) -> int:
     return 0
 
 
-def _cmd_eval(args) -> int:
-    import json
-
-    t0 = time.perf_counter()
+def _cmd_eval(args, config: None, t0: float) -> int:
     run_dir = Path(args.paired)
     paired_path = run_dir / "paired.json"
     if not paired_path.is_file():
@@ -330,6 +318,8 @@ def _cmd_eval(args) -> int:
     play_path = args.play or provenance.get("play_dataset")
     if not robot_path or not play_path:
         raise DatasetError("robot/play dataset paths neither given nor recorded in paired.json")
+    if type(robot_path) is not str or type(play_path) is not str:
+        raise DatasetError(f"{paired_path}: recorded dataset paths must be strings")
     robot_db = _read_required(robot_path, "robot")
     play_db = _read_required(play_path, "play")
     paired = paired_from_json_dict(doc, robot_db, play_db)
@@ -337,14 +327,7 @@ def _cmd_eval(args) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     _write_report(out, report)
-    _write_run_manifest(
-        out,
-        "eval",
-        {"paired": str(run_dir)},
-        {"robot": dataset_content_hash(robot_db), "play": dataset_content_hash(play_db)},
-        None,
-        t0,
-    )
+    _write_run_manifest(out, "eval", {"paired": str(run_dir)}, _input_hashes(robot_db, play_db), None, t0)
     print(
         f"recall={report.task_recall:.4f} imprecision={report.task_imprecision:.4f} "
         f"top1={report.top1_accuracy:.4f}"
@@ -352,20 +335,13 @@ def _cmd_eval(args) -> int:
     return 0
 
 
-def _cmd_ablate(args) -> int:
-    t0 = time.perf_counter()
+def _cmd_ablate(args, configs: list[RetrievalConfig], t0: float) -> int:
     robot_db = _read_required(args.robot, "robot")
     play_db = _read_required(args.play, "play")
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     rows = []
-    for kprime in args.kprime:
-        if kprime < 1:
-            raise ConfigError(f"segment counts must be >= 1, got {kprime}")
-        try:
-            cfg = RetrievalConfig(distance=_distance_from_args(args), segment_count=kprime)
-        except ValueError as exc:
-            raise ConfigError(str(exc))
+    for kprime, cfg in zip(args.kprime, configs):
         paired = build_paired_dataset(robot_db, play_db, cfg)
         report = evaluate(paired, play_db)
         rows.append(
@@ -377,19 +353,22 @@ def _cmd_ablate(args) -> int:
             }
         )
         log.info("kprime=%d recall=%.4f", kprime, report.task_recall)
-    with (out / "ablation.csv").open("w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["kprime", "recall", "imprecision", "top1_accuracy"])
-        for row in rows:
-            writer.writerow(
+    _write_csv(
+        out / "ablation.csv",
+        [
+            ["kprime", "recall", "imprecision", "top1_accuracy"],
+            *(
                 [row["kprime"], _fmt(row["recall"]), _fmt(row["imprecision"]), _fmt(row["top1_accuracy"])]
-            )
-    (out / "ablation.json").write_text(canonical_json({"rows": rows}), encoding="utf-8")
+                for row in rows
+            ),
+        ],
+    )
+    _write_json(out / "ablation.json", {"rows": rows})
     _write_run_manifest(
         out,
         "ablate",
         {**_method_config_doc(args), "kprime": list(args.kprime)},
-        {"robot": dataset_content_hash(robot_db), "play": dataset_content_hash(play_db)},
+        _input_hashes(robot_db, play_db),
         None,
         t0,
     )
@@ -434,13 +413,13 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--snippets-per-task", type=int, default=5)
     p.add_argument("--noise-sigma", type=float, default=0.05)
     p.add_argument("--out", required=True)
-    p.set_defaults(run=_cmd_gen)
+    p.set_defaults(config=_gen_config, run=_cmd_gen)
 
     p = sub.add_parser("dist", help="robot-clip x snippet distance grid")
     p.add_argument("dataset", help="benchmark dir containing robot/ and play/")
     _add_method_flags(p)
     p.add_argument("--out", required=True)
-    p.set_defaults(run=_cmd_dist)
+    p.set_defaults(config=_distance_config, run=_cmd_dist)
 
     p = sub.add_parser("imagine", help="build a paired dataset by retrieval")
     p.add_argument("--robot", required=True)
@@ -452,14 +431,14 @@ def _build_parser() -> argparse.ArgumentParser:
     seg.add_argument("--segment-k", type=int, default="8", help="segment length in frames")
     seg.add_argument("--segment-kprime", type=int, default=None, help="segment count (K = T // K')")
     p.add_argument("--out", required=True)
-    p.set_defaults(run=_cmd_imagine)
+    p.set_defaults(config=_imagine_config, run=_cmd_imagine)
 
     p = sub.add_parser("eval", help="recompute metrics for a paired run")
     p.add_argument("--paired", required=True, help="directory written by imagine")
     p.add_argument("--robot", default=None)
     p.add_argument("--play", default=None)
     p.add_argument("--out", required=True)
-    p.set_defaults(run=_cmd_eval)
+    p.set_defaults(config=_no_config, run=_cmd_eval)
 
     p = sub.add_parser("ablate", help="sweep the segment count K'")
     p.add_argument("--robot", required=True)
@@ -467,7 +446,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--kprime", type=int, nargs="+", required=True)
     _add_method_flags(p)
     p.add_argument("--out", required=True)
-    p.set_defaults(run=_cmd_ablate)
+    p.set_defaults(config=_ablate_config, run=_cmd_ablate)
     return parser
 
 
@@ -478,14 +457,17 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
+    t0 = time.perf_counter()
     gc_was_enabled = gc.isenabled()
     gc.disable()
     try:
-        return args.run(args)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (DatasetError, RetrievalError, OSError) as exc:
+        try:
+            config = args.config(args)
+        except ValueError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
+        return args.run(args, config, t0)
+    except (DatasetError, RetrievalError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
     except StrictNonConvergence as exc:

@@ -471,12 +471,6 @@ def read_dataset(path: str | Path) -> SnippetDatabase:
                 f"blob '{blob_name}' contains NaN or Inf", sequence_id=seq_id
             )
         labels = _parse_labels(rec.get("labels"), n_frames, seq_id, interned)
-        undeclared = label_tasks(labels).difference(task_names)
-        if undeclared:
-            raise DatasetError(
-                f"labels reference undeclared task ids {sorted(undeclared)}",
-                sequence_id=seq_id,
-            )
         snippets.append(
             LabeledSequence(
                 seq_id=seq_id,

@@ -15,7 +15,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .data import EmbeddingSequence
-from .ot import COSINE, SinkhornConfig, sinkhorn_scan
+from .ot import COSINE, SinkhornConfig, frame_matrix, sinkhorn_scan
 
 
 @dataclass(frozen=True)
@@ -103,8 +103,8 @@ def time_contrastive_loss(
 ) -> float:
     """Time-contrastive loss of one embedding sequence (cosine similarity)."""
     cfg = cfg or TimeContrastiveConfig()
-    frames = z.frames if isinstance(z, EmbeddingSequence) else np.asarray(z, dtype=np.float64)
-    if frames.ndim != 2 or frames.shape[0] < 2:
+    frames = frame_matrix(z)
+    if frames.shape[0] < 2:
         raise ValueError("need a T x d sequence with T >= 2")
     return time_contrastive_loss_from_similarity(_cosine_similarity_matrix(frames), cfg)
 

@@ -402,8 +402,11 @@ def evaluate(paired: PairedDataset, db: SnippetDatabase) -> EvalReport:
     retrieved snippets' tasks, averaged over trajectories. Imprecision:
     fraction of retrieved tasks absent from the robot trajectory,
     averaged. Top-1: fraction of segments whose retrieved snippet's task
-    set equals the segment's ground-truth task set.
+    set equals the segment's ground-truth task set. A paired dataset with
+    no entries has nothing to average over and raises ``RetrievalError``.
     """
+    if not paired.entries:
+        raise RetrievalError("paired dataset has no entries")
     snippet_task_sets = [s.task_set for s in db.snippets]
     per_traj = []
     total_segments = 0

@@ -1,3 +1,4 @@
+import argparse
 import csv
 import gc
 import hashlib
@@ -8,6 +9,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import seqmatch.cli
 from seqmatch.cli import main
@@ -298,6 +301,61 @@ class TestImagine:
         assert all(s["n_pruned"] > 0 and s["n_nonconverged"] == 0 for s in segments)
 
 
+SEGMENT_FIELDS = (
+    "start", "end", "snippet_index", "snippet_id", "distance", "margin", "converged", "n_nonconverged",
+    "n_pruned",
+)
+json_values = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(-2, 40),
+    st.just(2**70),
+    st.floats(),
+    st.text(max_size=3),
+    st.lists(st.integers(0, 3), max_size=2),
+    st.dictionaries(st.text(max_size=2), st.integers(0, 3), max_size=2),
+)
+
+
+def _mutate(doc, target, index, value):
+    """Set ``target`` of a ``paired.json`` document to ``value``; entry and segment
+    targets pick their entry and segment by ``index``, if there is one to pick."""
+    if target in ("robot_dataset", "play_dataset"):
+        doc["provenance"][target] = value
+        return
+    if target == "entries":
+        doc["entries"] = value
+        return
+    entries = doc["entries"]
+    if not isinstance(entries, list) or not entries:
+        return
+    if target == "entry":
+        entries[index % len(entries)] = value
+        return
+    entry = entries[index % len(entries)]
+    if not isinstance(entry, dict):
+        return
+    if target in ("segments", "robot_id"):
+        entry[target] = value
+        return
+    segments = entry.get("segments")
+    if isinstance(segments, list) and segments and isinstance(segments[index % len(segments)], dict):
+        segments[index % len(segments)][target] = value
+
+
+@pytest.fixture(scope="module")
+def paired_run(tmp_path_factory):
+    """A small ``imagine`` run: its directory and the text of its ``paired.json``."""
+    root = tmp_path_factory.mktemp("paired")
+    bench, run = root / "b", root / "run"
+    main(["gen", "--level", "hard", "--seed", "0", "--trajectories", "2",
+          "--snippets-per-task", "1", "--out", str(bench)])
+    assert main(["imagine", "--robot", str(bench / "robot"), "--play", str(bench / "play"),
+                 "--segment-kprime", "2", "--out", str(run)]) == 0
+    (run / "fuzz").mkdir()
+    return run, (run / "paired.json").read_text()
+
+
 class TestEval:
     def test_recomputes_same_metrics(self, tmp_path):
         bench = tmp_path / "b"
@@ -408,6 +466,39 @@ class TestEval:
     def test_missing_paired_run(self, tmp_path):
         assert main(["eval", "--paired", str(tmp_path / "void"), "--out", str(tmp_path / "e")]) == 3
 
+    @pytest.mark.parametrize("entries", [[], "", {}])
+    def test_no_entries_is_data_error(self, paired_run, tmp_path, capsys, entries):
+        run, text = paired_run
+        doc = json.loads(text)
+        doc["entries"] = entries
+        fuzz = tmp_path / "fuzz"
+        fuzz.mkdir()
+        (fuzz / "paired.json").write_text(json.dumps(doc))
+        assert main(["eval", "--paired", str(fuzz), "--out", str(tmp_path / "e")]) == 3
+        assert "no entries" in capsys.readouterr().err
+
+    @given(
+        st.lists(
+            st.tuples(
+                st.sampled_from(["robot_dataset", "play_dataset", "entries", "entry", "segments", "robot_id",
+                                 *SEGMENT_FIELDS]),
+                st.integers(0, 7),
+                json_values,
+            ),
+            min_size=1,
+            max_size=3,
+        )
+    )
+    def test_mutated_paired_json_exits_0_or_3(self, paired_run, mutations):
+        """A ``paired.json`` with mutated provenance paths, entries, segments or
+        segment fields is evaluated or rejected as a data error, never raised."""
+        run, text = paired_run
+        doc = json.loads(text)
+        for target, index, value in mutations:
+            _mutate(doc, target, index, value)
+        (run / "fuzz" / "paired.json").write_text(json.dumps(doc))
+        assert main(["eval", "--paired", str(run / "fuzz"), "--out", str(run / "e")]) in (0, 3)
+
 
 class TestAblate:
     def test_kprime_sweep_on_hard(self, tmp_path):
@@ -430,15 +521,78 @@ class TestAblate:
     def test_missing_kprime_values_usage_error(self, tmp_path):
         assert main(["ablate", "--robot", "x", "--play", "y", "--kprime", "--out", "z"]) == 2
 
-    def test_zero_kprime_usage_error(self, tmp_path):
+    def test_zero_kprime_usage_error(self, tmp_path, capsys):
         bench = tmp_path / "b"
         main(["gen", "--level", "easy", "--seed", "0", "--trajectories", "2",
               "--snippets-per-task", "1", "--out", str(bench)])
         code = main(
             ["ablate", "--robot", str(bench / "robot"), "--play", str(bench / "play"),
-             "--kprime", "0", "--out", str(tmp_path / "a")]
+             "--kprime", "2", "0", "--out", str(tmp_path / "a")]
         )
         assert code == 2
+        assert "segment_count must be >= 1, got 0" in capsys.readouterr().err
+        assert not (tmp_path / "a").exists()
+
+
+class TestExitCodes:
+    """A bad flag is a usage error (2) before any input is read; a ``ValueError``
+    that the inputs cause is a data error (3)."""
+
+    def test_every_command_has_config_and_run_step(self):
+        parser = seqmatch.cli._build_parser()
+        (commands,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+        assert set(commands.choices) == {"gen", "dist", "imagine", "eval", "ablate"}
+        for name, p in commands.choices.items():
+            assert callable(p.get_default("config")) and callable(p.get_default("run")), name
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["gen", "--level", "easy", "--d", "4", "--n-tasks", "7"],
+            ["dist", "nope", "--epsilon", "0"],
+            ["dist", "nope", "--method", "tcc", "--temperature", "0"],
+            ["imagine", "--robot", "nope", "--play", "nope", "--segment-k", "0"],
+            ["imagine", "--robot", "nope", "--play", "nope", "--segment-kprime", "0"],
+            ["ablate", "--robot", "nope", "--play", "nope", "--kprime", "2", "--max-iters", "0"],
+            ["ablate", "--robot", "nope", "--play", "nope", "--kprime", "0"],
+            ["eval", "--paired", "nope", "--robot"],
+        ],
+        ids=["gen", "dist-ot", "dist-tcc", "imagine-k", "imagine-kprime", "ablate-ot", "ablate-kprime",
+             "eval"],
+    )
+    def test_bad_flag_wins_over_missing_input(self, tmp_path, monkeypatch, argv):
+        monkeypatch.chdir(tmp_path)
+        assert main([*argv, "--out", "out"]) == 2
+        assert not (tmp_path / "out").exists()
+
+    @pytest.fixture(params=["dimension mismatch", "zero-norm frame"])
+    def bad_bench(self, request, tmp_path):
+        anchors = gen_anchors(GenConfig(n_tasks=3, dim=8, tasks_per_trajectory=1, seed=0))
+        robot = np.repeat(anchors.vectors[:, None], 4, axis=1)  # one 4-frame clip per task
+        if request.param == "dimension mismatch":
+            play = robot[..., :4]
+        else:
+            play = robot.copy()
+            play[1, 2] = 0.0
+        bench = tmp_path / "bench"
+        tasks = {t: f"task-{t}" for t in range(3)}
+        sides = (("robot", robot, Embodiment.ROBOT), ("play", play, Embodiment.DEMONSTRATOR))
+        for name, clips, embodiment in sides:
+            db = [labeled(f"{name}-{t}", clips[t], t, embodiment) for t in range(3)]
+            write_dataset(SnippetDatabase(db, tasks), bench / name)
+        return bench, request.param
+
+    @pytest.mark.parametrize("command", ["imagine", "dist", "ablate"])
+    def test_value_error_from_data_is_data_error(self, bad_bench, tmp_path, capsys, command):
+        bench, message = bad_bench
+        argv = {
+            "imagine": ["imagine", "--robot", str(bench / "robot"), "--play", str(bench / "play")],
+            "dist": ["dist", str(bench)],
+            "ablate": ["ablate", "--robot", str(bench / "robot"), "--play", str(bench / "play"),
+                       "--kprime", "1"],
+        }[command]
+        assert main([*argv, "--out", str(tmp_path / "out")]) == 3
+        assert message in capsys.readouterr().err
 
 
 class TestGarbageCollector:
