@@ -19,16 +19,19 @@ freed by reference counting as before, and the few cycles it leaves (the
 argument parser, a caught exception's traceback) are collected once the
 collector is back on, or at exit.
 
-Every command runs in two steps, both registered on its subparser. The
-config step (``config``) turns the flags into what the command runs on
-(a distance, retrieval configs or, for ``gen``, the generated datasets)
-and reads and writes nothing. The run step (``run``) reads the inputs,
-computes and writes the outputs. ``main`` alone maps exceptions to exit
-codes. A ``ValueError`` from the config step is a usage error, so a bad
-flag is reported before any input is read. Every config is validated
-before the run step starts, so a ``ValueError`` there can only come from
-the inputs (a robot set and bank of different dimension, a zero-norm
-frame) and is a data error.
+Every command runs in three steps. The config step (``config``) turns
+the flags into what the command runs on (a distance, retrieval configs
+or, for ``gen``, the generated datasets) and reads and writes nothing.
+The run step (``run``) reads the inputs, computes and returns a
+``RunOutput``; it writes nothing either. The write step, in ``main``
+alone, creates ``--out``, writes the files and ``run_manifest.json`` and
+prints the summary. So nothing is written unless the run step returns,
+and under ``--strict`` the outputs are written before the exit code 4.
+``main`` alone maps exceptions to exit codes. A ``ValueError`` from the
+config step is a usage error, so a bad flag is reported before any input
+is read. Every config is validated before the run step starts, so a
+``ValueError`` there can only come from the inputs (a robot set and bank
+of different dimension, a zero-norm frame) and is a data error.
 
 Exit codes: 0 success, 2 usage/config error, 3 data error, 4 numerical
 failure (OT non-convergence under --strict). Set SEQMATCH_LOG=debug for
@@ -40,12 +43,14 @@ from __future__ import annotations
 import argparse
 import csv
 import gc
+import itertools
 import json
 import logging
 import os
 import sys
 import time
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -77,8 +82,16 @@ from .tcc import TccConfig
 log = logging.getLogger("seqmatch")
 
 
-class StrictNonConvergence(Exception):
-    """OT failed to converge and --strict was set (exit code 4)."""
+class RunOutput(NamedTuple):
+    """A run step's result. ``files`` are written in order: a ``SnippetDatabase``
+    as a dataset, a ``.json`` name as its document, any other name as CSV rows."""
+
+    files: list[tuple[str, object]]
+    config: dict
+    input_hashes: dict
+    summary: str
+    seed: int | None = None
+    nonconverged: str | None = None  # the message --strict fails on
 
 
 def _configure_logging() -> None:
@@ -87,29 +100,6 @@ def _configure_logging() -> None:
     if not isinstance(level, int):
         level = logging.WARNING
     logging.basicConfig(level=level, format="%(levelname)s %(name)s: %(message)s")
-
-
-def _write_json(path: Path, doc) -> None:
-    path.write_text(canonical_json(doc), encoding="utf-8")
-
-
-def _write_csv(path: Path, rows) -> None:
-    with path.open("w", newline="", encoding="utf-8") as fh:
-        csv.writer(fh).writerows(rows)
-
-
-def _write_run_manifest(
-    out: Path, command: str, config: dict, input_hashes: dict, seed: int | None, t0: float
-) -> None:
-    doc = {
-        "command": command,
-        "config": config,
-        "input_hashes": input_hashes,
-        "tool_version": __version__,
-        "seed": seed,
-        "wall_clock_sec": time.perf_counter() - t0,
-    }
-    _write_json(out / "run_manifest.json", doc)
 
 
 def _read_required(path: str, what: str) -> SnippetDatabase:
@@ -134,6 +124,26 @@ def _method_config_doc(args) -> dict:
 
 def _fmt(x: float) -> str:
     return repr(float(x))
+
+
+def _nonconverged_solves(paired) -> int:
+    return sum(r.n_nonconverged for e in paired.entries for r in e.demo.segments)
+
+
+def _nonconverged_message(count: int) -> str | None:
+    return f"{count} candidate distances did not converge" if count else None
+
+
+def _report_files(report) -> list[tuple[str, object]]:
+    rows = [
+        ["robot_id", "recall", "imprecision", "top1_hits", "n_segments"],
+        *(
+            [t.robot_id, _fmt(t.recall), _fmt(t.imprecision), t.top1_hits, t.n_segments]
+            for t in report.per_trajectory
+        ),
+        ["overall", _fmt(report.task_recall), _fmt(report.task_imprecision), "", ""],
+    ]
+    return [("report.json", report.to_json_dict()), ("report.csv", rows)]
 
 
 # ---------------------------------------------------------------- config step
@@ -183,68 +193,44 @@ def _no_config(args) -> None:
 # ---------------------------------------------------------------- run step
 
 
-def _cmd_gen(args, config, t0: float) -> int:
+def _cmd_gen(args, config) -> RunOutput:
     cfg, (robot_db, play_db) = config
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    write_dataset(robot_db, out / "robot")
-    write_dataset(play_db, out / "play")
-    _write_run_manifest(
-        out, "gen", {"level": args.level, **cfg.__dict__}, _input_hashes(robot_db, play_db), args.seed, t0
+    return RunOutput(
+        files=[("robot", robot_db), ("play", play_db)],
+        config={"level": args.level, **cfg.__dict__},
+        input_hashes=_input_hashes(robot_db, play_db),
+        summary=f"wrote {len(robot_db)} robot trajectories and {len(play_db)} snippets under {Path(args.out)}",
+        seed=args.seed,
     )
-    print(
-        f"wrote {len(robot_db)} robot trajectories and {len(play_db)} snippets under {out}"
-    )
-    return 0
 
 
-def _cmd_dist(args, distance: SequenceDistance, t0: float) -> int:
+def _cmd_dist(args, distance: SequenceDistance) -> RunOutput:
     bench = Path(args.dataset)
     robot_db = _read_required(bench / "robot", "robot")
     play_db = _read_required(bench / "play", "play")
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     bank = [s.sequence for s in play_db.snippets]
     play_ids = play_db.ids
+    grid = np.empty((len(robot_db), len(play_db)))
     nonconverged = []
-    with (out / "distances.csv").open("w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["robot_id", *play_ids])
-        for clip in robot_db.snippets:
-            values, converged = distance.grid(clip.sequence, bank)
-            writer.writerow([clip.seq_id, *[_fmt(v) for v in values]])
-            nonconverged += [[clip.seq_id, play_ids[j]] for j in np.flatnonzero(~converged)]
-    _write_json(
-        out / "dist_manifest.json",
-        {
-            "config": _method_config_doc(args),
-            "shape": [len(robot_db), len(play_db)],
-            "nonconverged": nonconverged,
-        },
+    for i, clip in enumerate(robot_db.snippets):
+        grid[i], converged = distance.grid(clip.sequence, bank)
+        nonconverged += [[clip.seq_id, play_ids[j]] for j in np.flatnonzero(~converged)]
+    # Rows are rendered as the writer consumes them, not held as strings.
+    rows = itertools.chain(
+        [["robot_id", *play_ids]],
+        ([clip.seq_id, *map(_fmt, values)] for clip, values in zip(robot_db.snippets, grid)),
     )
-    _write_run_manifest(out, "dist", _method_config_doc(args), _input_hashes(robot_db, play_db), None, t0)
-    print(f"wrote {len(robot_db)}x{len(play_db)} distance grid under {out}")
-    if nonconverged and args.strict:
-        raise StrictNonConvergence(f"{len(nonconverged)} cells did not converge")
-    return 0
-
-
-def _write_report(out: Path, report) -> None:
-    _write_json(out / "report.json", report.to_json_dict())
-    _write_csv(
-        out / "report.csv",
-        [
-            ["robot_id", "recall", "imprecision", "top1_hits", "n_segments"],
-            *(
-                [t.robot_id, _fmt(t.recall), _fmt(t.imprecision), t.top1_hits, t.n_segments]
-                for t in report.per_trajectory
-            ),
-            ["overall", _fmt(report.task_recall), _fmt(report.task_imprecision), "", ""],
-        ],
+    manifest = {"config": _method_config_doc(args), "shape": grid.shape, "nonconverged": nonconverged}
+    return RunOutput(
+        files=[("distances.csv", rows), ("dist_manifest.json", manifest)],
+        config=_method_config_doc(args),
+        input_hashes=_input_hashes(robot_db, play_db),
+        summary=f"wrote {len(robot_db)}x{len(play_db)} distance grid under {Path(args.out)}",
+        nonconverged=f"{len(nonconverged)} cells did not converge" if nonconverged else None,
     )
 
 
-def _cmd_imagine(args, cfg: RetrievalConfig, t0: float) -> int:
+def _cmd_imagine(args, cfg: RetrievalConfig) -> RunOutput:
     robot_db = _read_required(args.robot, "robot")
     play_db = _read_required(args.play, "play")
     paired = build_paired_dataset(
@@ -256,8 +242,6 @@ def _cmd_imagine(args, cfg: RetrievalConfig, t0: float) -> int:
             "play_dataset": str(args.play),
         },
     )
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     imagined = [
         LabeledSequence(
             seq_id=f"{e.robot.seq_id}-imagined",
@@ -275,32 +259,27 @@ def _cmd_imagine(args, cfg: RetrievalConfig, t0: float) -> int:
         )
         for e in paired.entries
     ]
-    write_dataset(
-        SnippetDatabase(imagined, play_db.task_names, {"kind": "imagined", "retrieval": cfg.describe()}),
-        out / "imagined",
+    imagined_db = SnippetDatabase(
+        imagined, play_db.task_names, {"kind": "imagined", "retrieval": cfg.describe()}
     )
-    _write_json(out / "paired.json", paired_to_json_dict(paired))
     report = evaluate(paired, play_db)
-    _write_report(out, report)
-    _write_run_manifest(
-        out,
-        "imagine",
-        {**_method_config_doc(args), "segment_k": cfg.segment_len, "segment_kprime": cfg.segment_count},
-        {"robot": paired.provenance["robot_hash"], "play": paired.provenance["play_hash"]},
-        None,
-        t0,
+    return RunOutput(
+        files=[
+            ("imagined", imagined_db),
+            ("paired.json", paired_to_json_dict(paired)),
+            *_report_files(report),
+        ],
+        config={**_method_config_doc(args), "segment_k": cfg.segment_len, "segment_kprime": cfg.segment_count},
+        input_hashes={"robot": paired.provenance["robot_hash"], "play": paired.provenance["play_hash"]},
+        summary=(
+            f"imagined {len(paired)} demos; recall={report.task_recall:.4f} "
+            f"imprecision={report.task_imprecision:.4f} top1={report.top1_accuracy:.4f}"
+        ),
+        nonconverged=_nonconverged_message(_nonconverged_solves(paired)),
     )
-    print(
-        f"imagined {len(paired)} demos; recall={report.task_recall:.4f} "
-        f"imprecision={report.task_imprecision:.4f} top1={report.top1_accuracy:.4f}"
-    )
-    nonconverged = sum(r.n_nonconverged for e in paired.entries for r in e.demo.segments)
-    if nonconverged and args.strict:
-        raise StrictNonConvergence(f"{nonconverged} candidate distances did not converge")
-    return 0
 
 
-def _cmd_eval(args, config: None, t0: float) -> int:
+def _cmd_eval(args, config: None) -> RunOutput:
     run_dir = Path(args.paired)
     paired_path = run_dir / "paired.json"
     if not paired_path.is_file():
@@ -324,25 +303,27 @@ def _cmd_eval(args, config: None, t0: float) -> int:
     play_db = _read_required(play_path, "play")
     paired = paired_from_json_dict(doc, robot_db, play_db)
     report = evaluate(paired, play_db)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    _write_report(out, report)
-    _write_run_manifest(out, "eval", {"paired": str(run_dir)}, _input_hashes(robot_db, play_db), None, t0)
-    print(
-        f"recall={report.task_recall:.4f} imprecision={report.task_imprecision:.4f} "
-        f"top1={report.top1_accuracy:.4f}"
+    return RunOutput(
+        files=_report_files(report),
+        config={"paired": str(run_dir)},
+        input_hashes=_input_hashes(robot_db, play_db),
+        summary=(
+            f"recall={report.task_recall:.4f} imprecision={report.task_imprecision:.4f} "
+            f"top1={report.top1_accuracy:.4f}"
+        ),
     )
-    return 0
 
 
-def _cmd_ablate(args, configs: list[RetrievalConfig], t0: float) -> int:
+def _cmd_ablate(args, configs: list[RetrievalConfig]) -> RunOutput:
     robot_db = _read_required(args.robot, "robot")
     play_db = _read_required(args.play, "play")
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     rows = []
+    nonconverged = 0
     for kprime, cfg in zip(args.kprime, configs):
         paired = build_paired_dataset(robot_db, play_db, cfg)
+        if not rows:  # build_paired_dataset has hashed both inputs
+            provenance = paired.provenance
+        nonconverged += _nonconverged_solves(paired)
         report = evaluate(paired, play_db)
         rows.append(
             {
@@ -353,31 +334,45 @@ def _cmd_ablate(args, configs: list[RetrievalConfig], t0: float) -> int:
             }
         )
         log.info("kprime=%d recall=%.4f", kprime, report.task_recall)
-    _write_csv(
-        out / "ablation.csv",
-        [
-            ["kprime", "recall", "imprecision", "top1_accuracy"],
-            *(
-                [row["kprime"], _fmt(row["recall"]), _fmt(row["imprecision"]), _fmt(row["top1_accuracy"])]
-                for row in rows
-            ),
-        ],
-    )
-    _write_json(out / "ablation.json", {"rows": rows})
-    _write_run_manifest(
-        out,
-        "ablate",
-        {**_method_config_doc(args), "kprime": list(args.kprime)},
-        _input_hashes(robot_db, play_db),
-        None,
-        t0,
-    )
-    for row in rows:
-        print(
+    csv_rows = [
+        ["kprime", "recall", "imprecision", "top1_accuracy"],
+        *(
+            [row["kprime"], _fmt(row["recall"]), _fmt(row["imprecision"]), _fmt(row["top1_accuracy"])]
+            for row in rows
+        ),
+    ]
+    return RunOutput(
+        files=[("ablation.csv", csv_rows), ("ablation.json", {"rows": rows})],
+        config={**_method_config_doc(args), "kprime": list(args.kprime)},
+        input_hashes={"robot": provenance["robot_hash"], "play": provenance["play_hash"]},
+        summary="\n".join(
             f"kprime={row['kprime']}: recall={row['recall']:.4f} "
             f"imprecision={row['imprecision']:.4f} top1={row['top1_accuracy']:.4f}"
-        )
-    return 0
+            for row in rows
+        ),
+        nonconverged=_nonconverged_message(nonconverged),
+    )
+
+
+# ---------------------------------------------------------------- write step
+
+
+def _write_outputs(out: Path, command: str, result: RunOutput, t0: float) -> None:
+    out.mkdir(parents=True, exist_ok=True)
+    for name, content in result.files:
+        path = out / name
+        if isinstance(content, SnippetDatabase):
+            write_dataset(content, path)
+        elif path.suffix == ".json":
+            path.write_text(canonical_json(content), encoding="utf-8")
+        else:
+            with path.open("w", newline="", encoding="utf-8") as fh:
+                csv.writer(fh).writerows(content)
+    manifest = dict(
+        command=command, config=result.config, input_hashes=result.input_hashes,
+        tool_version=__version__, seed=result.seed, wall_clock_sec=time.perf_counter() - t0,
+    )
+    (out / "run_manifest.json").write_text(canonical_json(manifest), encoding="utf-8")
 
 
 # ---------------------------------------------------------------- parser
@@ -466,13 +461,16 @@ def main(argv=None) -> int:
         except ValueError as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 2
-        return args.run(args, config, t0)
+        result = args.run(args, config)
+        _write_outputs(Path(args.out), args.command, result, t0)
+        print(result.summary)
+        if result.nonconverged and args.strict:
+            print(f"error: {result.nonconverged}", file=sys.stderr)
+            return 4
+        return 0
     except (DatasetError, RetrievalError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except StrictNonConvergence as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 4
     finally:
         if gc_was_enabled:
             gc.enable()

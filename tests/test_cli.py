@@ -156,6 +156,9 @@ class TestDist:
         assert code == 4
         manifest = json.loads((tmp_path / "d" / "dist_manifest.json").read_text())
         assert manifest["nonconverged"]  # flagged per cell
+        # every output is written before the exit code
+        assert (tmp_path / "d" / "distances.csv").is_file()
+        assert (tmp_path / "d" / "run_manifest.json").is_file()
         # same command without --strict succeeds with the flags recorded
         assert main(
             ["dist", str(bench), "--method", "ot", "--max-iters", "1",
@@ -291,6 +294,9 @@ class TestImagine:
             hard_bench, tmp_path / "run", ["--max-iters", "1", "--tol", "1e-12", "--strict"]
         )
         assert code == 4
+        # every output is written before the exit code
+        for name in ("imagined/manifest.json", "report.json", "report.csv", "run_manifest.json"):
+            assert (tmp_path / "run" / name).is_file(), name
         # the first non-converged solve turns pruning off: every pair is solved
         bank = len(read_dataset(hard_bench / "play"))
         assert [(s.get("n_pruned", 0), s["n_nonconverged"]) for s in segments] == [(0, bank)] * len(segments)
@@ -518,6 +524,22 @@ class TestAblate:
         assert recalls[2] > recalls[1]
         assert set(recalls) == {1, 2, 4, 32}  # kprime = T runs with K clamped to 1
 
+    def test_strict_flags_nonconvergence(self, tmp_path, capsys):
+        bench = tmp_path / "b"
+        main(["gen", "--level", "hard", "--seed", "1", "--trajectories", "2",
+              "--snippets-per-task", "1", "--out", str(bench)])
+        argv = ["ablate", "--robot", str(bench / "robot"), "--play", str(bench / "play"),
+                "--kprime", "1", "2", "--max-iters", "1", "--tol", "1e-12"]
+        assert main([*argv, "--out", str(tmp_path / "loose")]) == 0
+        capsys.readouterr()
+        out = tmp_path / "abl"
+        assert main([*argv, "--strict", "--out", str(out)]) == 4
+        assert "candidate distances did not converge" in capsys.readouterr().err
+        # every output is written before the exit code, and matches the run without --strict
+        for name in ("ablation.csv", "ablation.json"):
+            assert (out / name).read_bytes() == (tmp_path / "loose" / name).read_bytes()
+        assert (out / "run_manifest.json").is_file()
+
     def test_missing_kprime_values_usage_error(self, tmp_path):
         assert main(["ablate", "--robot", "x", "--play", "y", "--kprime", "--out", "z"]) == 2
 
@@ -593,6 +615,7 @@ class TestExitCodes:
         }[command]
         assert main([*argv, "--out", str(tmp_path / "out")]) == 3
         assert message in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
 
 class TestGarbageCollector:
