@@ -6,8 +6,12 @@ snippet distance grid as CSV), ``imagine`` (paired dataset + report),
 sweep). Every command drops a ``run_manifest.json`` beside its outputs
 with the full config, input hashes, tool version, wall clock and seed;
 that file is the only non-deterministic output, everything else is
-byte-stable for fixed flags and inputs. Every command runs in one
-thread: ``--threads`` is still accepted but has no effect.
+byte-stable for fixed flags and inputs. A manifest's config is the
+config's own ``describe()``: the distance's for ``dist``, the
+``RetrievalConfig``'s for ``imagine`` (as in ``paired.json``) and one per
+K' for ``ablate``. The method and ``gen`` flags take their defaults from
+the config dataclasses. Every command runs in one thread: ``--threads``
+is still accepted but has no effect.
 
 ``main`` pauses Python's cyclic garbage collector while a command runs
 and restores the caller's setting when it returns, however it returns.
@@ -23,15 +27,17 @@ Every command runs in three steps. The config step (``config``) turns
 the flags into what the command runs on (a distance, retrieval configs
 or, for ``gen``, the generated datasets) and reads and writes nothing.
 The run step (``run``) reads the inputs, computes and returns a
-``RunOutput``; it writes nothing either. The write step, in ``main``
-alone, creates ``--out``, writes the files and ``run_manifest.json`` and
-prints the summary. So nothing is written unless the run step returns,
-and under ``--strict`` the outputs are written before the exit code 4.
-``main`` alone maps exceptions to exit codes. A ``ValueError`` from the
-config step is a usage error, so a bad flag is reported before any input
-is read. Every config is validated before the run step starts, so a
-``ValueError`` there can only come from the inputs (a robot set and bank
-of different dimension, a zero-norm frame) and is a data error.
+``RunOutput``; it writes nothing either, and it reads no method flag
+(``--method``, ``--epsilon``, ``--kprime``, ...), only the configs. The
+write step, in ``main`` alone, creates ``--out``, writes the files and
+``run_manifest.json`` and prints the summary. So nothing is written
+unless the run step returns, and under ``--strict`` the outputs are
+written before the exit code 4. ``main`` alone maps exceptions to exit
+codes. A ``ValueError`` from the config step is a usage error, so a bad
+flag is reported before any input is read. Every config is validated
+before the run step starts, so a ``ValueError`` there can only come from
+the inputs (a robot set and bank of different dimension, a zero-norm
+frame under the cosine cost) and is a data error.
 
 Exit codes: 0 success, 2 usage/config error, 3 data error, 4 numerical
 failure (OT non-convergence under --strict). Set SEQMATCH_LOG=debug for
@@ -44,7 +50,6 @@ import argparse
 import csv
 import gc
 import itertools
-import json
 import logging
 import os
 import sys
@@ -62,6 +67,7 @@ from .data import (
     canonical_json,
     dataset_content_hash,
     read_dataset,
+    read_json_object,
     write_dataset,
 )
 from .ot import SinkhornConfig
@@ -111,15 +117,6 @@ def _read_required(path: str, what: str) -> SnippetDatabase:
 
 def _input_hashes(robot_db: SnippetDatabase, play_db: SnippetDatabase) -> dict:
     return {"robot": dataset_content_hash(robot_db), "play": dataset_content_hash(play_db)}
-
-
-def _method_config_doc(args) -> dict:
-    doc = {"method": args.method}
-    if args.method == "ot":
-        doc.update(epsilon=args.epsilon, max_iters=args.max_iters, tol=args.tol)
-    else:
-        doc.update(temperature=args.temperature, tcc_symmetric=args.tcc_symmetric)
-    return doc
 
 
 def _fmt(x: float) -> str:
@@ -220,10 +217,10 @@ def _cmd_dist(args, distance: SequenceDistance) -> RunOutput:
         [["robot_id", *play_ids]],
         ([clip.seq_id, *map(_fmt, values)] for clip, values in zip(robot_db.snippets, grid)),
     )
-    manifest = {"config": _method_config_doc(args), "shape": grid.shape, "nonconverged": nonconverged}
+    manifest = {"config": distance.describe(), "shape": grid.shape, "nonconverged": nonconverged}
     return RunOutput(
         files=[("distances.csv", rows), ("dist_manifest.json", manifest)],
-        config=_method_config_doc(args),
+        config=distance.describe(),
         input_hashes=_input_hashes(robot_db, play_db),
         summary=f"wrote {len(robot_db)}x{len(play_db)} distance grid under {Path(args.out)}",
         nonconverged=f"{len(nonconverged)} cells did not converge" if nonconverged else None,
@@ -269,7 +266,7 @@ def _cmd_imagine(args, cfg: RetrievalConfig) -> RunOutput:
             ("paired.json", paired_to_json_dict(paired)),
             *_report_files(report),
         ],
-        config={**_method_config_doc(args), "segment_k": cfg.segment_len, "segment_kprime": cfg.segment_count},
+        config=cfg.describe(),
         input_hashes={"robot": paired.provenance["robot_hash"], "play": paired.provenance["play_hash"]},
         summary=(
             f"imagined {len(paired)} demos; recall={report.task_recall:.4f} "
@@ -282,14 +279,7 @@ def _cmd_imagine(args, cfg: RetrievalConfig) -> RunOutput:
 def _cmd_eval(args, config: None) -> RunOutput:
     run_dir = Path(args.paired)
     paired_path = run_dir / "paired.json"
-    if not paired_path.is_file():
-        raise DatasetError(f"no paired.json under {run_dir}")
-    try:
-        doc = json.loads(paired_path.read_text(encoding="utf-8"))
-    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
-        raise DatasetError(f"{paired_path} is not valid UTF-8 JSON: {exc}")
-    if not isinstance(doc, dict):
-        raise DatasetError(f"{paired_path} does not hold a JSON object")
+    doc = read_json_object(paired_path, DatasetError)
     provenance = doc.get("provenance", {})
     if not isinstance(provenance, dict):
         raise DatasetError(f"{paired_path}: provenance is not a JSON object")
@@ -319,7 +309,8 @@ def _cmd_ablate(args, configs: list[RetrievalConfig]) -> RunOutput:
     play_db = _read_required(args.play, "play")
     rows = []
     nonconverged = 0
-    for kprime, cfg in zip(args.kprime, configs):
+    for cfg in configs:
+        kprime = cfg.segment_count
         paired = build_paired_dataset(robot_db, play_db, cfg)
         if not rows:  # build_paired_dataset has hashed both inputs
             provenance = paired.provenance
@@ -343,7 +334,7 @@ def _cmd_ablate(args, configs: list[RetrievalConfig]) -> RunOutput:
     ]
     return RunOutput(
         files=[("ablation.csv", csv_rows), ("ablation.json", {"rows": rows})],
-        config={**_method_config_doc(args), "kprime": list(args.kprime)},
+        config=[cfg.describe() for cfg in configs],
         input_hashes={"robot": provenance["robot_hash"], "play": provenance["play_hash"]},
         summary="\n".join(
             f"kprime={row['kprime']}: recall={row['recall']:.4f} "
@@ -380,10 +371,10 @@ def _write_outputs(out: Path, command: str, result: RunOutput, t0: float) -> Non
 
 def _add_method_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--method", choices=["ot", "tcc"], default="ot")
-    p.add_argument("--epsilon", type=float, default=0.05, help="entropic regularization")
-    p.add_argument("--max-iters", type=int, default=1000)
-    p.add_argument("--tol", type=float, default=1e-6, help="marginal tolerance")
-    p.add_argument("--temperature", type=float, default=0.1, help="tcc softmax temperature")
+    p.add_argument("--epsilon", type=float, default=SinkhornConfig.epsilon, help="entropic regularization")
+    p.add_argument("--max-iters", type=int, default=SinkhornConfig.max_iters)
+    p.add_argument("--tol", type=float, default=SinkhornConfig.tol_marginal, help="marginal tolerance")
+    p.add_argument("--temperature", type=float, default=TccConfig.temperature, help="tcc softmax temperature")
     p.add_argument("--tcc-symmetric", action="store_true", help="average both tcc directions")
     p.add_argument("--threads", type=int, default=1, help="accepted for compatibility; no effect")
     p.add_argument("--strict", action="store_true", help="fail on OT non-convergence")
@@ -399,14 +390,14 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("gen", help="generate a synthetic benchmark")
     p.add_argument("--level", choices=["easy", "medium", "hard"], required=True)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--d", type=int, default=32, help="embedding dimension")
-    p.add_argument("--n-tasks", type=int, default=7)
-    p.add_argument("--frames-per-task", type=int, default=8)
-    p.add_argument("--trajectories", type=int, default=20)
-    p.add_argument("--tasks-per-trajectory", type=int, default=4)
-    p.add_argument("--snippets-per-task", type=int, default=5)
-    p.add_argument("--noise-sigma", type=float, default=0.05)
+    p.add_argument("--seed", type=int, default=GenConfig.seed)
+    p.add_argument("--d", type=int, default=GenConfig.dim, help="embedding dimension")
+    p.add_argument("--n-tasks", type=int, default=GenConfig.n_tasks)
+    p.add_argument("--frames-per-task", type=int, default=GenConfig.frames_per_task)
+    p.add_argument("--trajectories", type=int, default=GenConfig.n_trajectories)
+    p.add_argument("--tasks-per-trajectory", type=int, default=GenConfig.tasks_per_trajectory)
+    p.add_argument("--snippets-per-task", type=int, default=GenConfig.snippets_per_task)
+    p.add_argument("--noise-sigma", type=float, default=GenConfig.noise_sigma)
     p.add_argument("--out", required=True)
     p.set_defaults(config=_gen_config, run=_cmd_gen)
 

@@ -391,6 +391,19 @@ def _read_blob(root: str, blob_name: str, size: int, seq_id: str) -> bytes:
     return data
 
 
+def read_json_object(path: Path, error: type[DatasetError]) -> dict:
+    """The JSON object stored in ``path``; each failure raises ``error`` naming the file."""
+    if not path.is_file():
+        raise error(f"no {path.name} under {path.parent}")
+    try:
+        doc = json.loads(path.read_text(encoding="utf-8"))
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+        raise error(f"unparsable {path}, not valid UTF-8 JSON: {exc}")
+    if not isinstance(doc, dict):
+        raise error(f"{path} does not hold a JSON object")
+    return doc
+
+
 def read_dataset(path: str | Path) -> SnippetDatabase:
     """Read and fully validate a dataset directory written by :func:`write_dataset`.
 
@@ -404,15 +417,7 @@ def read_dataset(path: str | Path) -> SnippetDatabase:
     and sequences share one ``FrameLabel`` per distinct entry.
     """
     root = os.fspath(path)
-    manifest_path = Path(root, MANIFEST_NAME)
-    if not manifest_path.is_file():
-        raise ManifestError(f"no {MANIFEST_NAME} under {root}")
-    try:
-        doc = json.loads(manifest_path.read_text(encoding="utf-8"))
-    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
-        raise ManifestError(f"unparsable manifest: {exc}")
-    if not isinstance(doc, dict):
-        raise ManifestError("manifest root must be a JSON object")
+    doc = read_json_object(Path(root, MANIFEST_NAME), ManifestError)
     if doc.get("schema_version") != SCHEMA_VERSION:
         raise ManifestError(
             f"unsupported schema_version {doc.get('schema_version')!r}"

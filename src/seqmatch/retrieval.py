@@ -21,7 +21,7 @@ dataset's provenance records each one's ``dataset_content_hash``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Sequence
 
 import numpy as np
@@ -78,13 +78,7 @@ class OtSequenceDistance:
         return result.costs, result.converged
 
     def describe(self) -> dict:
-        return {
-            "name": self.name,
-            "metric": self.metric,
-            "epsilon": self.cfg.epsilon,
-            "max_iters": self.cfg.max_iters,
-            "tol_marginal": self.cfg.tol_marginal,
-        }
+        return {"name": self.name, "metric": self.metric, **asdict(self.cfg)}
 
 
 class TccSequenceDistance:
@@ -105,12 +99,7 @@ class TccSequenceDistance:
     grid = scan
 
     def describe(self) -> dict:
-        return {
-            "name": self.name,
-            "temperature": self.cfg.temperature,
-            "squared": self.cfg.squared,
-            "symmetric": self.symmetric,
-        }
+        return {"name": self.name, **asdict(self.cfg), "symmetric": self.symmetric}
 
 
 SequenceDistance = OtSequenceDistance | TccSequenceDistance

@@ -25,6 +25,7 @@ from seqmatch.data import (
     write_dataset,
 )
 from seqmatch.ot import SinkhornConfig, cost_matrix, sinkhorn
+from seqmatch.retrieval import OtSequenceDistance, RetrievalConfig, TccSequenceDistance
 from seqmatch.synthgen import GenConfig, gen_anchors
 from seqmatch.tcc import TccConfig, tcc_distance, tcc_distance_symmetric
 
@@ -259,8 +260,8 @@ class TestImagine:
 
     @pytest.mark.parametrize(
         "flags, effective",
-        [([], {"segment_k": 8, "segment_kprime": None}),
-         (["--segment-kprime", "2"], {"segment_k": None, "segment_kprime": 2})],
+        [([], {"segment_len": 8, "segment_count": None}),
+         (["--segment-kprime", "2"], {"segment_len": None, "segment_count": 2})],
     )
     def test_run_manifest_records_effective_config(self, easy_bench, tmp_path, flags, effective):
         out = tmp_path / "run"
@@ -274,6 +275,32 @@ class TestImagine:
         assert manifest["input_hashes"] == {
             "robot": provenance["robot_hash"], "play": provenance["play_hash"]
         }
+
+    @pytest.mark.parametrize(
+        "flags, distance",
+        [([], OtSequenceDistance()),
+         (["--method", "tcc", "--temperature", "0.5", "--tcc-symmetric"],
+          TccSequenceDistance(TccConfig(temperature=0.5), symmetric=True))],
+        ids=["ot", "tcc"],
+    )
+    def test_manifest_config_is_describe(self, easy_bench, tmp_path, flags, distance):
+        """Every manifest records a config as its own ``describe()``."""
+        robot, play = str(easy_bench / "robot"), str(easy_bench / "play")
+        runs = {
+            "imagine": ["imagine", "--robot", robot, "--play", play, "--segment-kprime", "2"],
+            "dist": ["dist", str(easy_bench)],
+            "ablate": ["ablate", "--robot", robot, "--play", play, "--kprime", "1", "2"],
+        }
+        docs = {}
+        for command, argv in runs.items():
+            assert main([*argv, *flags, "--out", str(tmp_path / command)]) == 0
+            docs[command] = json.loads((tmp_path / command / "run_manifest.json").read_text())["config"]
+        paired = json.loads((tmp_path / "imagine" / "paired.json").read_text())
+        assert docs["imagine"] == paired["provenance"]["retrieval"]
+        assert docs["imagine"] == RetrievalConfig(distance, segment_count=2).describe()
+        dist_manifest = json.loads((tmp_path / "dist" / "dist_manifest.json").read_text())
+        assert docs["dist"] == dist_manifest["config"] == distance.describe()
+        assert docs["ablate"] == [RetrievalConfig(distance, segment_count=k).describe() for k in (1, 2)]
 
 
     @pytest.fixture
@@ -616,6 +643,16 @@ class TestExitCodes:
         assert main([*argv, "--out", str(tmp_path / "out")]) == 3
         assert message in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("bad_bench", ["zero-norm frame"], indirect=True)
+    def test_zero_norm_frame_is_valid_tcc_data(self, bad_bench, tmp_path):
+        # The cycle distance needs no frame norm, so a zero-norm frame is not
+        # rejected when a dataset is read: it is an error only for the cosine cost.
+        bench, _ = bad_bench
+        robot, play, run = str(bench / "robot"), str(bench / "play"), str(tmp_path / "run")
+        assert main(["imagine", "--robot", robot, "--play", play, "--method", "tcc", "--out", run]) == 0
+        assert main(["dist", str(bench), "--method", "tcc", "--out", str(tmp_path / "d")]) == 0
+        assert main(["eval", "--paired", run, "--out", str(tmp_path / "e")]) == 0
 
 
 class TestGarbageCollector:

@@ -225,6 +225,12 @@ class TestRoundTrip:
             write_dataset(SnippetDatabase(tuple(seqs), {0: "t"}), target)
         assert not target.exists()
 
+    def test_empty_database_rejected_before_any_write(self, tmp_path):
+        target = tmp_path / "ds"
+        with pytest.raises(DatasetError, match="empty dataset"):
+            write_dataset(SnippetDatabase(()), target)
+        assert not target.exists()
+
     def test_unrepresentable_floats_rejected_before_any_write(self, tmp_path):
         seq = LabeledSequence(
             seq_id="pi",
@@ -445,6 +451,28 @@ class TestMalformedInputs:
         (ds / "manifest.json").write_text(json.dumps(doc))
         with pytest.raises(ManifestError, match="dimension"):
             read_dataset(ds)
+
+    @pytest.mark.parametrize(
+        "edit, error, match",
+        [
+            (lambda doc: [doc], ManifestError, "manifest.json does not hold a JSON object"),
+            (lambda doc: {**doc, "tasks": [["0", "task-0"]]}, ManifestError, "'tasks' must be an object"),
+            (lambda doc: {**doc, "sequences": {"0": doc["sequences"][0]}}, ManifestError,
+             "'sequences' must be a list"),
+            (lambda doc: {**doc, "sequences": ["snip-000"]}, ManifestError, "bad sequence record"),
+            (lambda doc: {**doc, "sequences": [{k: v for k, v in doc["sequences"][0].items() if k != "id"}]},
+             ManifestError, "bad sequence record"),
+            (lambda doc: {**doc, "sequences": [{**doc["sequences"][0], "labels": "0"}]}, DatasetError,
+             "labels must be a list"),
+        ],
+        ids=["root", "tasks", "sequences", "record", "record-id", "labels"],
+    )
+    def test_malformed_manifest_structure(self, ds, edit, error, match):
+        doc = json.loads((ds / "manifest.json").read_text())
+        (ds / "manifest.json").write_text(json.dumps(edit(doc)))
+        with pytest.raises(error, match=match) as exc:
+            read_dataset(ds)
+        assert type(exc.value) is error
 
 
 class TestContentHash:
