@@ -42,13 +42,12 @@ from .ot import (
     cost_matrix,
     exact_ot_small,
     ot_distance,
-    ot_plan,
     sinkhorn,
     sinkhorn_scan,
+    sinkhorn_top2,
     swav_code_plan,
     swav_codes,
 )
-from .prune import sinkhorn_top2
 from .retrieval import (
     EvalReport,
     ImaginedDemo,

@@ -397,8 +397,8 @@ def read_json_object(path: Path, error: type[DatasetError]) -> dict:
         raise error(f"no {path.name} under {path.parent}")
     try:
         doc = json.loads(path.read_text(encoding="utf-8"))
-    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
-        raise error(f"unparsable {path}, not valid UTF-8 JSON: {exc}")
+    except (ValueError, RecursionError) as exc:  # also integers of too many digits, too deep nesting
+        raise error(f"unparsable {path}, not valid UTF-8 JSON or past the parser's limits: {exc}")
     if not isinstance(doc, dict):
         raise error(f"{path} does not hold a JSON object")
     return doc
@@ -434,7 +434,10 @@ def read_dataset(path: str | Path) -> SnippetDatabase:
             raise ManifestError(f"bad task table key {k!r}")
         if type(v) is not str:
             raise ManifestError(f"task {k} name must be a string, got {v!r}")
-        task_names[int(k)] = v
+        try:
+            task_names[int(k)] = v
+        except ValueError:  # more digits than int() converts
+            raise ManifestError(f"task table key of {len(k)} digits is too long") from None
     seq_docs = doc.get("sequences")
     if not isinstance(seq_docs, list):
         raise ManifestError("manifest 'sequences' must be a list")

@@ -14,6 +14,14 @@ runs it over a whole snippet bank, in the length buckets of ``bank_batches``,
 and gives every pair exactly the cost, iteration count and convergence
 flag that ``sinkhorn(cost_matrix(...))`` gives it alone.
 
+Retrieval needs only the cheapest snippet and the runner-up's cost.
+``sinkhorn_top2`` solves the pairs in ascending order of a lower bound
+on their cost (``transport_lower_bounds``, the relaxed Word Mover's
+bound of Kusner et al., ICML 2015, section 4) and stops once no
+unsolved pair can be among the two cheapest. The pairs it solves get
+exactly the entries of ``sinkhorn_scan``; on the benchmark banks it
+solves 9-26% of them.
+
 The reported sequence distance is the raw plan cost ``sum(C * M)``; the
 plan moves unit total mass by construction, so no extra length
 normalization is applied (none is implied for rectangular instances).
@@ -45,6 +53,14 @@ _EXACT_MAX_CELLS = 16
 # bank raised peak RSS by about 6 MiB over the per-pair loop; capped at
 # 4096 cells, by about 1 MiB.
 _SCAN_BATCH_CELLS = 4096
+# Pairs solved per round of ``sinkhorn_top2``. Smaller rounds stop closer
+# to the fewest solves a bound allows; larger ones pay numpy's per-call
+# overhead less often. Of 2 to 32, 8 was fastest or within 5% of it on the
+# desk-scale and 500-snippet hard banks; 16-32 won only on 2000 snippets.
+_PRUNE_ROUND = 8
+# Relative slack on ``transport_lower_bounds`` for float rounding in the
+# plan's marginals and cost.
+_BOUND_RTOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -56,12 +72,12 @@ class SinkhornConfig:
     tol_marginal: float = 1e-6
 
     def __post_init__(self):
-        if not self.epsilon > 0:
-            raise ValueError(f"epsilon must be > 0, got {self.epsilon}")
+        if not np.isfinite(self.epsilon) or self.epsilon <= 0:
+            raise ValueError(f"epsilon must be finite and > 0, got {self.epsilon}")
         if self.max_iters < 1:
             raise ValueError(f"max_iters must be >= 1, got {self.max_iters}")
-        if not self.tol_marginal > 0:
-            raise ValueError(f"tol_marginal must be > 0, got {self.tol_marginal}")
+        if not np.isfinite(self.tol_marginal) or self.tol_marginal <= 0:
+            raise ValueError(f"tol_marginal must be finite and > 0, got {self.tol_marginal}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -291,6 +307,20 @@ def bank_batches(
             yield idx, np.stack([frames[j] for j in idx])
 
 
+def _cost_batches(
+    A: np.ndarray, bank: Sequence[EmbeddingSequence | np.ndarray], metric: str
+) -> Iterator[tuple[list[int], np.ndarray]]:
+    """(bank indices, k x m x n cost stack) for each batch of ``bank_batches``.
+
+    A stack with a NaN or Inf cost raises ``ValueError``.
+    """
+    for idx, stack in bank_batches(A, bank):
+        C = _costs(A, stack, metric)
+        if not np.isfinite(C).all():
+            raise ValueError("cost matrix contains NaN or Inf")
+        yield idx, C
+
+
 def sinkhorn_scan(
     query: EmbeddingSequence | np.ndarray,
     bank: Sequence[EmbeddingSequence | np.ndarray],
@@ -308,10 +338,7 @@ def sinkhorn_scan(
     out = ScanResult(
         np.empty(len(bank)), np.empty(len(bank), dtype=np.int64), np.empty(len(bank), dtype=bool)
     )
-    for idx, stack in bank_batches(A, bank):
-        C = _costs(A, stack, metric)
-        if not np.isfinite(C).all():
-            raise ValueError("cost matrix contains NaN or Inf")
+    for idx, C in _cost_batches(A, bank, metric):
         P, _, _, iters, converged = _log_sinkhorn(C, cfg)
         out.costs[idx] = (C * P).reshape(len(idx), -1).sum(axis=1)
         out.iterations[idx] = iters
@@ -319,13 +346,75 @@ def sinkhorn_scan(
     return out
 
 
-def ot_plan(
-    a: EmbeddingSequence | np.ndarray,
-    b: EmbeddingSequence | np.ndarray,
+def transport_lower_bounds(
+    query: EmbeddingSequence | np.ndarray,
+    bank: Sequence[EmbeddingSequence | np.ndarray],
     cfg: SinkhornConfig | None = None,
     metric: str = COSINE,
-) -> TransportPlan:
-    return sinkhorn(cost_matrix(a, b, metric), cfg)
+) -> np.ndarray:
+    """Per snippet, a lower bound on the cost ``sinkhorn_scan`` reports for it.
+
+    The relaxed Word Mover's bound (Kusner et al., ICML 2015, section 4)
+    from the same cost stacks: the larger of a column term,
+    ``mean_j min_i C_ij``, and a row term, ``mean_i min_j C_ij`` less
+    ``tol_marginal * sum_i min_j C_ij``. ``_log_sinkhorn`` updates g
+    last, so every plan has exact column marginals and the column term
+    bounds every cost. A converged plan's row sums lie within
+    ``tol_marginal`` of 1/m, so the row term bounds the cost of every
+    pair that converges. A relative slack of ``_BOUND_RTOL`` covers
+    float rounding in both.
+    """
+    cfg = cfg or SinkhornConfig()
+    A = frame_matrix(query)
+    bounds = np.empty(len(bank))
+    for idx, C in _cost_batches(A, bank, metric):
+        col = C.min(axis=1).mean(axis=1)
+        row_min = C.min(axis=2)
+        row = row_min.mean(axis=1) - cfg.tol_marginal * row_min.sum(axis=1)
+        bounds[idx] = np.maximum(col, row) * (1.0 - _BOUND_RTOL)
+    return bounds
+
+
+def sinkhorn_top2(
+    query: EmbeddingSequence | np.ndarray,
+    bank: Sequence[EmbeddingSequence | np.ndarray],
+    cfg: SinkhornConfig | None = None,
+    metric: str = COSINE,
+) -> ScanResult:
+    """``sinkhorn_scan`` that solves only the pairs that can be among the two cheapest.
+
+    Pairs are solved in ascending order of ``transport_lower_bounds``,
+    ``_PRUNE_ROUND`` at a time, and the scan stops once the next bound
+    is strictly above the second-lowest cost solved so far. Every pair
+    that can be the cheapest, tie with it or be the runner-up is solved,
+    and gets exactly the entry ``sinkhorn_scan`` gives it; every other
+    entry has cost ``inf``, 0 iterations and ``converged`` False.
+
+    The row term of the bound holds only for pairs that converge, and a
+    solve that does not converge is the sign of a solver setting too
+    tight for it: from the first solved pair that has not converged on,
+    the scan stops pruning and solves the rest of the bank.
+    """
+    cfg = cfg or SinkhornConfig()
+    A = frame_matrix(query)
+    bounds = transport_lower_bounds(A, bank, cfg, metric)
+    order = np.argsort(bounds, kind="stable")
+    out = ScanResult(
+        np.full(len(bank), np.inf), np.zeros(len(bank), dtype=np.int64), np.zeros(len(bank), dtype=bool)
+    )
+    solved, pruning = 0, True
+    while solved < len(order):
+        take = order[solved : solved + _PRUNE_ROUND if pruning else len(order)]
+        out.costs[take], out.iterations[take], out.converged[take] = sinkhorn_scan(
+            A, [bank[j] for j in take], cfg, metric
+        )
+        solved += len(take)
+        pruning = pruning and bool(out.converged[take].all())
+        if pruning and solved < len(order):
+            runner_up = np.partition(out.costs[order[:solved]], 1)[1]
+            if bounds[order[solved]] > runner_up:
+                break
+    return out
 
 
 def ot_distance(
@@ -335,7 +424,7 @@ def ot_distance(
     metric: str = COSINE,
 ) -> float:
     """Cost of the entropic transport plan between two sequences."""
-    return ot_plan(a, b, cfg, metric).cost
+    return sinkhorn(cost_matrix(a, b, metric), cfg).cost
 
 
 def exact_ot_small(cost: CostMatrix | np.ndarray) -> float:

@@ -5,7 +5,7 @@ Retrieval is label-free and exact, in one thread. A distance ranks a
 bank with one ``scan`` call per segment. The cycle distance computes
 every snippet (``seqmatch.tcc.tcc_scan``); the transport distance
 solves only those a lower bound cannot rule out as the best or
-second-best match (``seqmatch.prune.sinkhorn_top2``), and reports the
+second-best match (``seqmatch.ot.sinkhorn_top2``), and reports the
 rest as ``inf``. The bound holds for every pair whose solve converges,
 and the first solve that does not turns pruning off, so the pick, its
 distance, margin and converged flag are those of the full per-pair
@@ -34,8 +34,7 @@ from .data import (
     label_tasks,
 )
 # cost_matrix, sinkhorn and tcc_distance go unused: perfbench/tracing.py wraps them here.
-from .ot import COSINE, SinkhornConfig, cost_matrix, sinkhorn, sinkhorn_scan  # noqa: F401
-from .prune import sinkhorn_top2
+from .ot import COSINE, SinkhornConfig, cost_matrix, sinkhorn, sinkhorn_scan, sinkhorn_top2  # noqa: F401
 from .tcc import TccConfig, tcc_distance, tcc_scan  # noqa: F401
 
 METRICS_NOTE = (

@@ -71,8 +71,8 @@ class GenConfig:
         ):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
-        if self.noise_sigma < 0:
-            raise ValueError(f"noise_sigma must be >= 0, got {self.noise_sigma}")
+        if not np.isfinite(self.noise_sigma) or self.noise_sigma < 0:
+            raise ValueError(f"noise_sigma must be finite and >= 0, got {self.noise_sigma}")
         if self.tasks_per_trajectory > self.n_tasks:
             raise ValueError("tasks_per_trajectory cannot exceed n_tasks")
 

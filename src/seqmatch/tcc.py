@@ -29,8 +29,8 @@ class TccConfig:
     squared: bool = True
 
     def __post_init__(self):
-        if not self.temperature > 0:
-            raise ValueError(f"temperature must be > 0, got {self.temperature}")
+        if not np.isfinite(self.temperature) or self.temperature <= 0:
+            raise ValueError(f"temperature must be finite and > 0, got {self.temperature}")
 
 
 @dataclass(frozen=True, eq=False)

@@ -432,6 +432,17 @@ class TestEval:
         assert "UTF-8" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
+        "value", ["1" + "0" * 5000, "[" * 100_000 + "]" * 100_000], ids=["int-digits", "nesting"]
+    )
+    def test_json_past_parser_limits_is_data_error(self, tmp_path, capsys, value):
+        run = tmp_path / "run"
+        run.mkdir()
+        (run / "paired.json").write_text('{"entries": [{"segments": [{"start": ' + value + "}]}]}")
+        assert main(["eval", "--paired", str(run), "--out", str(tmp_path / "e")]) == 3
+        assert f"unparsable {run / 'paired.json'}" in capsys.readouterr().err
+        assert not (tmp_path / "e").exists()
+
+    @pytest.mark.parametrize(
         "field, value",
         [
             ("start", 0.0),
@@ -605,9 +616,13 @@ class TestExitCodes:
             ["ablate", "--robot", "nope", "--play", "nope", "--kprime", "2", "--max-iters", "0"],
             ["ablate", "--robot", "nope", "--play", "nope", "--kprime", "0"],
             ["eval", "--paired", "nope", "--robot"],
+            ["imagine", "--robot", "nope", "--play", "nope", "--epsilon", "inf"],
+            ["dist", "nope", "--tol", "inf"],
+            ["dist", "nope", "--method", "tcc", "--temperature", "inf"],
+            ["gen", "--level", "easy", "--noise-sigma", "inf"],
         ],
         ids=["gen", "dist-ot", "dist-tcc", "imagine-k", "imagine-kprime", "ablate-ot", "ablate-kprime",
-             "eval"],
+             "eval", "imagine-epsilon-inf", "dist-tol-inf", "dist-temperature-inf", "gen-noise-inf"],
     )
     def test_bad_flag_wins_over_missing_input(self, tmp_path, monkeypatch, argv):
         monkeypatch.chdir(tmp_path)

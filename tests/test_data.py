@@ -411,7 +411,11 @@ class TestMalformedInputs:
             read_dataset(ds)
         assert exc.value.sequence_id == doc["sequences"][0]["id"]
 
-    @pytest.mark.parametrize("key", ["00", "01", "-1", "+1", " 1", "1\n", "1.0", "x", "", "\u0663"])
+    @pytest.mark.parametrize(
+        "key",
+        ["00", "01", "-1", "+1", " 1", "1\n", "1.0", "x", "", "\u0663",
+         pytest.param("1" + "0" * 5000, id="5001-digits")],  # more digits than int() converts
+    )
     def test_task_table_key_must_be_canonical(self, ds, key):
         doc = json.loads((ds / "manifest.json").read_text())
         doc["tasks"][key] = "dup"
@@ -444,6 +448,20 @@ class TestMalformedInputs:
         with pytest.raises(DatasetError, match="frame count") as exc:
             read_dataset(ds)
         assert exc.value.sequence_id == doc["sequences"][0]["id"]
+
+    @pytest.mark.parametrize(
+        "value",
+        ["1" + "0" * 5000, "[" * 100_000 + "]" * 100_000],
+        ids=["int-digits", "nesting"],
+    )
+    def test_json_past_parser_limits_rejected(self, ds, value):
+        # json.loads raises a bare ValueError for integers past int()'s digit
+        # limit, and a RecursionError for arrays nested past the recursion limit
+        doc = json.loads((ds / "manifest.json").read_text())
+        doc["sequences"][0]["T"] = "huge"
+        (ds / "manifest.json").write_text(json.dumps(doc).replace('"huge"', value))
+        with pytest.raises(ManifestError, match="unparsable"):
+            read_dataset(ds)
 
     def test_bool_dimension_rejected(self, ds):
         doc = json.loads((ds / "manifest.json").read_text())

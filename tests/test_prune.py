@@ -1,11 +1,10 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from seqmatch import prune
-from seqmatch.ot import COSINE, SQEUCLIDEAN, SinkhornConfig, sinkhorn_scan
-from seqmatch.prune import sinkhorn_top2, transport_lower_bounds
+from seqmatch import ot
+from seqmatch.ot import COSINE, SQEUCLIDEAN, SinkhornConfig, sinkhorn_scan, sinkhorn_top2, transport_lower_bounds
 from seqmatch.retrieval import RetrievalConfig, segment
 from seqmatch.synthgen import GenConfig, gen_benchmark
 
@@ -60,7 +59,7 @@ class TestSinkhornTop2:
     def test_small_rounds_stop_at_the_runner_up(self, monkeypatch, round_size):
         # with rounds this small, stopping on the best cost instead of the
         # runner-up's, or on a bound equal to it, leaves a pick or a tie unsolved
-        monkeypatch.setattr(prune, "_PRUNE_ROUND", round_size)
+        monkeypatch.setattr(ot, "_PRUNE_ROUND", round_size)
         robot_set, db = gen_benchmark("hard", GenConfig(n_trajectories=2, seed=8))
         bank = [s.sequence for s in db.snippets]
         cfg = RetrievalConfig(distance=None, segment_count=2)
@@ -105,3 +104,34 @@ class TestSinkhornTop2:
         query = rng.normal(size=(m, 3))
         bank = [rng.normal(size=(int(rng.integers(1, 9)), 3)) for _ in range(n_snippets)]
         assert_top2_matches_scan(query, bank, SinkhornConfig(epsilon=epsilon), metric)
+
+    @settings(max_examples=50)
+    @given(
+        st.integers(min_value=1, max_value=30),
+        st.integers(min_value=1, max_value=4),
+        st.integers(min_value=1, max_value=8),
+        st.integers(min_value=2, max_value=300),
+        st.floats(min_value=0.003, max_value=0.05),
+        st.integers(min_value=0, max_value=2**31 - 1),
+        st.sampled_from([COSINE, SQEUCLIDEAN]),
+    )
+    # random draws rarely prune a pair that does not converge; these prune 8 and 3 such pairs
+    @example(26, 2, 2, 216, 0.018, 1812741671, COSINE)
+    @example(13, 1, 3, 280, 0.0497, 737112299, SQEUCLIDEAN)
+    def test_picks_match_scan_when_solves_do_not_converge(
+        self, n_random, n_copies, m, max_iters, epsilon, seed, metric
+    ):
+        # near-copies of the query converge first and set a low runner-up, so
+        # pruning stays on while the random snippets it skips may not converge
+        rng = np.random.default_rng(seed)
+        query = rng.normal(size=(m, 3))
+        bank = [rng.normal(size=(int(rng.integers(1, 9)), 3)) for _ in range(n_random)]
+        for _ in range(n_copies):
+            rows = np.sort(rng.integers(0, m, size=int(rng.integers(1, 9))))
+            bank.append(query[rows] + rng.uniform(0.001, 0.2) * rng.normal(size=(len(rows), 3)))
+        bank = [bank[j] for j in rng.permutation(len(bank))]
+        cfg = SinkhornConfig(epsilon=epsilon, max_iters=max_iters)
+        got = assert_top2_matches_scan(query, bank, cfg, metric)
+        full = sinkhorn_scan(query, bank, cfg, metric)
+        assert np.argmin(got.costs) == np.argmin(full.costs)
+        assert np.partition(got.costs, 1)[1] == np.partition(full.costs, 1)[1]
