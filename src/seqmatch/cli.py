@@ -205,17 +205,15 @@ def _cmd_dist(args, distance: SequenceDistance) -> RunOutput:
     bench = Path(args.dataset)
     robot_db = _read_required(bench / "robot", "robot")
     play_db = _read_required(bench / "play", "play")
-    bank = [s.sequence for s in play_db.snippets]
-    play_ids = play_db.ids
-    grid = np.empty((len(robot_db), len(play_db)))
-    nonconverged = []
-    for i, clip in enumerate(robot_db.snippets):
-        grid[i], converged = distance.grid(clip.sequence, bank)
-        nonconverged += [[clip.seq_id, play_ids[j]] for j in np.flatnonzero(~converged)]
+    robot_ids, play_ids = robot_db.ids, play_db.ids
+    grid, converged = distance.grid(
+        [clip.sequence for clip in robot_db.snippets], [s.sequence for s in play_db.snippets]
+    )
+    nonconverged = [[robot_ids[i], play_ids[j]] for i, j in zip(*np.nonzero(~converged))]
     # Rows are rendered as the writer consumes them, not held as strings.
     rows = itertools.chain(
         [["robot_id", *play_ids]],
-        ([clip.seq_id, *map(_fmt, values)] for clip, values in zip(robot_db.snippets, grid)),
+        ([robot_id, *map(_fmt, values)] for robot_id, values in zip(robot_ids, grid)),
     )
     manifest = {"config": distance.describe(), "shape": grid.shape, "nonconverged": nonconverged}
     return RunOutput(

@@ -12,15 +12,19 @@ cost matrices (batched as in Feydy et al., AISTATS 2019). ``sinkhorn``
 and ``swav_code_plan`` run it on a stack of one; ``sinkhorn_scan``
 runs it over a whole snippet bank, in the length buckets of ``bank_batches``,
 and gives every pair exactly the cost, iteration count and convergence
-flag that ``sinkhorn(cost_matrix(...))`` gives it alone.
+flag that ``sinkhorn(cost_matrix(...))`` gives it alone. Every stack,
+of one query or of many, holds at most ``_SCAN_BATCH_CELLS`` cost cells.
 
 Retrieval needs only the cheapest snippet and the runner-up's cost.
-``sinkhorn_top2`` solves the pairs in ascending order of a lower bound
-on their cost (``transport_lower_bounds``, the relaxed Word Mover's
-bound of Kusner et al., ICML 2015, section 4) and stops once no
-unsolved pair can be among the two cheapest. The pairs it solves get
-exactly the entries of ``sinkhorn_scan``; on the benchmark banks it
-solves 9-26% of them.
+``sinkhorn_top2`` solves each query's pairs in ascending order of a
+lower bound on their cost (``transport_lower_bounds``, the relaxed Word
+Mover's bound of Kusner et al., ICML 2015, section 4), a round at a
+time, and stops a query once no unsolved pair can be among its two
+cheapest. It takes every query of a robot set at once and solves their
+rounds in lockstep, stacking one round's pairs of all queries by shape,
+so a round costs a few large solver calls instead of a few small ones
+per query. The pairs it solves get exactly the entries of
+``sinkhorn_scan``; on the benchmark banks it solves 9-26% of them.
 
 The reported sequence distance is the raw plan cost ``sum(C * M)``; the
 plan moves unit total mass by construction, so no extra length
@@ -161,13 +165,15 @@ def pairwise_sq_dists(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def _costs(A: np.ndarray, B: np.ndarray, metric: str) -> np.ndarray:
-    """Frame costs of A (m x d) against B (n x d), or against each of a stack B."""
+    """Frame costs of A (m x d) against B (n x d); either side may be a stack
+    (k x m x d, k x n x d), giving one m x n block per pair, each computed
+    exactly as for that pair alone."""
     if metric == COSINE:
-        na = np.linalg.norm(A, axis=1)
+        na = np.linalg.norm(A, axis=-1)
         nb = np.linalg.norm(B, axis=-1)
         if (na == 0.0).any() or (nb == 0.0).any():
             raise ValueError("zero-norm frame: cosine distance undefined")
-        sim = (A @ B.swapaxes(-1, -2)) / (na[:, None] * nb[..., None, :])
+        sim = (A @ B.swapaxes(-1, -2)) / (na[..., :, None] * nb[..., None, :])
         return np.clip(1.0 - sim, 0.0, 2.0)
     if metric == SQEUCLIDEAN:
         return pairwise_sq_dists(A, B)
@@ -285,40 +291,68 @@ class ScanResult(NamedTuple):
     converged: np.ndarray
 
 
-def bank_batches(
-    A: np.ndarray, bank: Sequence[EmbeddingSequence | np.ndarray]
-) -> Iterator[tuple[list[int], np.ndarray]]:
-    """(bank indices, k x n x d stack) batches of equal-length snippets for query ``A``.
+def _pair_batches(
+    queries: Sequence[np.ndarray], bank: Sequence[np.ndarray], qs: np.ndarray, js: np.ndarray
+) -> Iterator[np.ndarray]:
+    """Positions of each batch of equal-shape pairs (``queries[qs[p]]``, ``bank[js[p]]``).
 
-    A batch spans at most ``_SCAN_BATCH_CELLS`` query x snippet cells (one
-    pair at least), which bounds a scan's memory whatever the bank size.
+    Pairs are grouped by (m, n) shape and keep their order within a
+    shape. A batch spans at most ``_SCAN_BATCH_CELLS`` query x snippet
+    cells (one pair at least), which bounds a scan's memory whatever the
+    bank size. A snippet whose dimension differs from its query's raises
+    ``ValueError``.
     """
-    frames = [frame_matrix(s) for s in bank]
-    by_len: dict[int, list[int]] = {}
-    for j, B in enumerate(frames):
-        if B.shape[1] != A.shape[1]:
-            raise ValueError(f"dimension mismatch: {A.shape[1]} vs {B.shape[1]}")
-        by_len.setdefault(B.shape[0], []).append(j)
-    m = A.shape[0]
-    for n, members in by_len.items():
+    query_shapes, bank_shapes = [A.shape for A in queries], [B.shape for B in bank]
+    by_shape: dict[tuple[int, int], list[int]] = {}
+    for p, (q, j) in enumerate(zip(qs.tolist(), js.tolist())):
+        (m, dq), (n, db) = query_shapes[q], bank_shapes[j]
+        if db != dq:
+            raise ValueError(f"dimension mismatch: {dq} vs {db}")
+        by_shape.setdefault((m, n), []).append(p)
+    for (m, n), members in by_shape.items():
         per_batch = max(1, _SCAN_BATCH_CELLS // (m * n))
         for lo in range(0, len(members), per_batch):
-            idx = members[lo : lo + per_batch]
-            yield idx, np.stack([frames[j] for j in idx])
+            yield np.array(members[lo : lo + per_batch])
+
+
+def _against_bank(
+    query: EmbeddingSequence | np.ndarray, bank: Sequence[EmbeddingSequence | np.ndarray]
+) -> tuple[list[np.ndarray], list[np.ndarray], np.ndarray, np.ndarray]:
+    """(queries, bank, qs, js) of ``_pair_batches`` for one query against every snippet."""
+    A = frame_matrix(query)
+    frames = [frame_matrix(s) for s in bank]
+    return [A], frames, np.zeros(len(frames), dtype=np.int64), np.arange(len(frames))
+
+
+def bank_batches(
+    A: np.ndarray, bank: Sequence[EmbeddingSequence | np.ndarray]
+) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """(bank indices, k x n x d stack) batches of equal-length snippets for query ``A``.
+
+    The batches of ``_pair_batches`` for one query against the whole bank.
+    """
+    queries, frames, qs, js = _against_bank(A, bank)
+    for idx in _pair_batches(queries, frames, qs, js):
+        yield idx, np.stack([frames[j] for j in idx])
 
 
 def _cost_batches(
-    A: np.ndarray, bank: Sequence[EmbeddingSequence | np.ndarray], metric: str
-) -> Iterator[tuple[list[int], np.ndarray]]:
-    """(bank indices, k x m x n cost stack) for each batch of ``bank_batches``.
+    queries: Sequence[np.ndarray], bank: Sequence[np.ndarray], qs: np.ndarray, js: np.ndarray, metric: str
+) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """(positions, k x m x n cost stack) for each batch of ``_pair_batches``.
 
     A stack with a NaN or Inf cost raises ``ValueError``.
     """
-    for idx, stack in bank_batches(A, bank):
-        C = _costs(A, stack, metric)
+    for pos in _pair_batches(queries, bank, qs, js):
+        q = qs[pos]
+        # A batch of one query's pairs takes its frames unstacked, as
+        # cost_matrix does: the costs are the same, without the copies.
+        A = queries[q[0]] if (q == q[0]).all() else np.stack([queries[i] for i in q])
+        B = np.stack([bank[j] for j in js[pos]])
+        C = _costs(A, B, metric)
         if not np.isfinite(C).all():
             raise ValueError("cost matrix contains NaN or Inf")
-        yield idx, C
+        yield pos, C
 
 
 def sinkhorn_scan(
@@ -334,11 +368,10 @@ def sinkhorn_scan(
     of ``bank_batches`` is solved as one stack of cost matrices.
     """
     cfg = cfg or SinkhornConfig()
-    A = frame_matrix(query)
     out = ScanResult(
         np.empty(len(bank)), np.empty(len(bank), dtype=np.int64), np.empty(len(bank), dtype=bool)
     )
-    for idx, C in _cost_batches(A, bank, metric):
+    for idx, C in _cost_batches(*_against_bank(query, bank), metric):
         P, _, _, iters, converged = _log_sinkhorn(C, cfg)
         out.costs[idx] = (C * P).reshape(len(idx), -1).sum(axis=1)
         out.iterations[idx] = iters
@@ -365,9 +398,8 @@ def transport_lower_bounds(
     float rounding in both.
     """
     cfg = cfg or SinkhornConfig()
-    A = frame_matrix(query)
     bounds = np.empty(len(bank))
-    for idx, C in _cost_batches(A, bank, metric):
+    for idx, C in _cost_batches(*_against_bank(query, bank), metric):
         col = C.min(axis=1).mean(axis=1)
         row_min = C.min(axis=2)
         row = row_min.mean(axis=1) - cfg.tol_marginal * row_min.sum(axis=1)
@@ -376,45 +408,67 @@ def transport_lower_bounds(
 
 
 def sinkhorn_top2(
-    query: EmbeddingSequence | np.ndarray,
+    queries: Sequence[EmbeddingSequence | np.ndarray],
     bank: Sequence[EmbeddingSequence | np.ndarray],
     cfg: SinkhornConfig | None = None,
     metric: str = COSINE,
-) -> ScanResult:
-    """``sinkhorn_scan`` that solves only the pairs that can be among the two cheapest.
+) -> list[ScanResult]:
+    """Per query, a ``sinkhorn_scan`` that solves only the pairs that can be among its two cheapest.
 
-    Pairs are solved in ascending order of ``transport_lower_bounds``,
-    ``_PRUNE_ROUND`` at a time, and the scan stops once the next bound
-    is strictly above the second-lowest cost solved so far. Every pair
-    that can be the cheapest, tie with it or be the runner-up is solved,
-    and gets exactly the entry ``sinkhorn_scan`` gives it; every other
-    entry has cost ``inf``, 0 iterations and ``converged`` False.
+    A query's pairs are solved in ascending (stable) order of its
+    ``transport_lower_bounds``, ``_PRUNE_ROUND`` at a time, and its scan
+    stops once its next bound is strictly above the second-lowest cost
+    solved for it so far. Every pair that can be the cheapest, tie with
+    it or be the runner-up is solved, and gets exactly the entry
+    ``sinkhorn_scan`` gives it; every other entry has cost ``inf``, 0
+    iterations and ``converged`` False.
 
     The row term of the bound holds only for pairs that converge, and a
     solve that does not converge is the sign of a solver setting too
-    tight for it: from the first solved pair that has not converged on,
-    the scan stops pruning and solves the rest of the bank.
+    tight for it: from a query's first solved pair that has not
+    converged on, its scan stops pruning and solves the rest of the bank
+    in its next round.
+
+    The queries' rounds run in lockstep: round r of every query still
+    scanning is solved together, its pairs grouped by (m, n) shape
+    across queries into stacks of at most ``_SCAN_BATCH_CELLS`` cells,
+    one ``_log_sinkhorn`` call per stack. A pair's solve does not depend
+    on the rest of its stack, so each query gets the result it would
+    get alone.
     """
     cfg = cfg or SinkhornConfig()
-    A = frame_matrix(query)
-    bounds = transport_lower_bounds(A, bank, cfg, metric)
-    order = np.argsort(bounds, kind="stable")
-    out = ScanResult(
-        np.full(len(bank), np.inf), np.zeros(len(bank), dtype=np.int64), np.zeros(len(bank), dtype=bool)
-    )
-    solved, pruning = 0, True
-    while solved < len(order):
-        take = order[solved : solved + _PRUNE_ROUND if pruning else len(order)]
-        out.costs[take], out.iterations[take], out.converged[take] = sinkhorn_scan(
-            A, [bank[j] for j in take], cfg, metric
-        )
-        solved += len(take)
-        pruning = pruning and bool(out.converged[take].all())
-        if pruning and solved < len(order):
-            runner_up = np.partition(out.costs[order[:solved]], 1)[1]
-            if bounds[order[solved]] > runner_up:
-                break
-    return out
+    As = [frame_matrix(q) for q in queries]
+    frames = [frame_matrix(s) for s in bank]
+    n = len(frames)
+    bounds = [transport_lower_bounds(A, frames, cfg, metric) for A in As]
+    orders = [np.argsort(b, kind="stable") for b in bounds]
+    costs = np.full((len(As), n), np.inf)
+    iterations = np.zeros((len(As), n), dtype=np.int64)
+    converged = np.zeros((len(As), n), dtype=bool)
+    solved, pruning = [0] * len(As), [True] * len(As)
+    live = list(range(len(As))) if n else []
+    while live:
+        takes = [orders[q][solved[q] : solved[q] + _PRUNE_ROUND if pruning[q] else n] for q in live]
+        qs = np.repeat(live, [len(take) for take in takes])
+        js = np.concatenate(takes)
+        for pos, C in _cost_batches(As, frames, qs, js, metric):
+            P, _, _, iters, conv = _log_sinkhorn(C, cfg)
+            cells = qs[pos], js[pos]
+            costs[cells] = (C * P).reshape(len(pos), -1).sum(axis=1)
+            iterations[cells], converged[cells] = iters, conv
+        still_live = []
+        for q, take in zip(live, takes):
+            solved[q] += len(take)
+            pruning[q] = pruning[q] and bool(converged[q, take].all())
+            if solved[q] == n:
+                continue
+            if pruning[q]:
+                runner_up = np.partition(costs[q, orders[q][: solved[q]]], 1)[1]
+                if bounds[q][orders[q][solved[q]]] > runner_up:
+                    continue
+            still_live.append(q)
+        live = still_live
+    return [ScanResult(costs[q], iterations[q], converged[q]) for q in range(len(As))]
 
 
 def ot_distance(

@@ -1,15 +1,17 @@
 """Segment a robot sequence, retrieve the closest play snippet per segment,
 and compose the retrieved snippets into an imagined demonstration.
 
-Retrieval is label-free and exact, in one thread. A distance ranks a
-bank with one ``scan`` call per segment. The cycle distance computes
-every snippet (``seqmatch.tcc.tcc_scan``); the transport distance
-solves only those a lower bound cannot rule out as the best or
-second-best match (``seqmatch.ot.sinkhorn_top2``), and reports the
-rest as ``inf``. The bound holds for every pair whose solve converges,
-and the first solve that does not turns pruning off, so the pick, its
-distance, margin and converged flag are those of the full per-pair
-scan. Ties on distance go to the
+Retrieval is label-free and exact, in one thread. A distance's ``scan``
+ranks a bank for many queries at once, and ``build_paired_dataset``
+makes one ``scan`` call for every segment of every robot trajectory.
+The cycle distance computes every snippet (``seqmatch.tcc.tcc_scan``,
+query by query); the transport distance solves only those a lower
+bound cannot rule out as a segment's best or second-best match
+(``seqmatch.ot.sinkhorn_top2``, all segments in lockstep), and reports
+the rest as ``inf``. The bound holds for every pair whose solve
+converges, and a segment's first solve that does not turns its pruning
+off, so the pick, its distance, margin and converged flag are those of
+the full per-pair scan. Ties on distance go to the
 lexicographically smallest snippet id. Evaluation metrics are computed
 at retrieval level: they ask whether the imagined demo names the right
 tasks, not whether a downstream policy would have completed them, and
@@ -34,7 +36,9 @@ from .data import (
     label_tasks,
 )
 # cost_matrix, sinkhorn and tcc_distance go unused: perfbench/tracing.py wraps them here.
-from .ot import COSINE, SinkhornConfig, cost_matrix, sinkhorn, sinkhorn_scan, sinkhorn_top2  # noqa: F401
+from .ot import (  # noqa: F401
+    COSINE, ScanResult, SinkhornConfig, cost_matrix, sinkhorn, sinkhorn_scan, sinkhorn_top2,
+)
 from .tcc import TccConfig, tcc_distance, tcc_scan  # noqa: F401
 
 METRICS_NOTE = (
@@ -53,6 +57,15 @@ class RetrievalError(Exception):
         self.segment_index = segment_index
 
 
+def _rows(rows: Sequence[np.ndarray], n: int, dtype=np.float64) -> np.ndarray:
+    """Per-query rows over an n-snippet bank as one Q x n array (Q may be 0)."""
+    return np.array(rows, dtype=dtype).reshape(len(rows), n)
+
+
+def _values_converged(results: Sequence[ScanResult], n: int) -> tuple[np.ndarray, np.ndarray]:
+    return _rows([r.costs for r in results], n), _rows([r.converged for r in results], n, bool)
+
+
 class OtSequenceDistance:
     """Entropic transport cost as a sequence distance (permutation-invariant)."""
 
@@ -63,18 +76,18 @@ class OtSequenceDistance:
         self.metric = metric
 
     def scan(
-        self, a: EmbeddingSequence, bank: Sequence[EmbeddingSequence]
+        self, queries: Sequence[EmbeddingSequence], bank: Sequence[EmbeddingSequence]
     ) -> tuple[np.ndarray, np.ndarray]:
         """``grid``'s entries where ``sinkhorn_top2`` solved; ``inf`` where it pruned."""
-        result = sinkhorn_top2(a, bank, self.cfg, self.metric)
-        return result.costs, result.converged
+        return _values_converged(sinkhorn_top2(queries, bank, self.cfg, self.metric), len(bank))
 
     def grid(
-        self, a: EmbeddingSequence, bank: Sequence[EmbeddingSequence]
+        self, queries: Sequence[EmbeddingSequence], bank: Sequence[EmbeddingSequence]
     ) -> tuple[np.ndarray, np.ndarray]:
-        """Entry j: ``sinkhorn(cost_matrix(a, bank[j], metric), cfg)``'s cost and converged flag."""
-        result = sinkhorn_scan(a, bank, self.cfg, self.metric)
-        return result.costs, result.converged
+        """Entry (i, j): ``sinkhorn(cost_matrix(queries[i], bank[j], metric), cfg)``'s
+        cost and converged flag."""
+        results = [sinkhorn_scan(a, bank, self.cfg, self.metric) for a in queries]
+        return _values_converged(results, len(bank))
 
     def describe(self) -> dict:
         return {"name": self.name, "metric": self.metric, **asdict(self.cfg)}
@@ -90,10 +103,11 @@ class TccSequenceDistance:
         self.symmetric = symmetric
 
     def scan(
-        self, a: EmbeddingSequence, bank: Sequence[EmbeddingSequence]
+        self, queries: Sequence[EmbeddingSequence], bank: Sequence[EmbeddingSequence]
     ) -> tuple[np.ndarray, np.ndarray]:
-        """Entry j: ``tcc_distance(a, bank[j], cfg)`` (or symmetric) and True."""
-        return tcc_scan(a, bank, self.cfg, self.symmetric), np.ones(len(bank), dtype=bool)
+        """Entry (i, j): ``tcc_distance(queries[i], bank[j], cfg)`` (or symmetric) and True."""
+        values = _rows([tcc_scan(a, bank, self.cfg, self.symmetric) for a in queries], len(bank))
+        return values, np.ones(values.shape, dtype=bool)
 
     grid = scan
 
@@ -254,16 +268,15 @@ class PairedDataset:
         return len(self.entries)
 
 
-def _evaluate_segment(
-    z: EmbeddingSequence,
+def _segment_record(
     bounds: tuple[int, int],
     seg_index: int,
+    values: np.ndarray,
+    converged: np.ndarray,
     db: SnippetDatabase,
-    distance: SequenceDistance,
 ) -> SegmentRecord:
+    """The pick of one segment from its scan row over ``db``."""
     start, end = bounds
-    sub = EmbeddingSequence(z.frames[start:end])
-    values, converged = distance.scan(sub, [s.sequence for s in db.snippets])
     pruned = np.isposinf(values)
     finite = np.isfinite(values)
     if not finite.any():
@@ -286,6 +299,41 @@ def _evaluate_segment(
     )
 
 
+def _imagine_demos(
+    sequences: Sequence[EmbeddingSequence],
+    source_ids: Sequence[str | None],
+    db: SnippetDatabase,
+    cfg: RetrievalConfig,
+) -> list[ImaginedDemo]:
+    """The imagined demo of each sequence, in order, from one ``scan`` of every segment.
+
+    Records are built sequence by sequence and segment by segment, so a
+    segment whose distances are all NaN is reported with its index in
+    its own sequence.
+    """
+    if len(db) == 0:
+        raise RetrievalError("snippet database is empty")
+    for z in sequences:
+        if db.dim != z.dim:
+            raise ValueError(f"dimension mismatch: sequence d={z.dim}, database d={db.dim}")
+    segments = [segment(z, cfg) for z in sequences]
+    subs = [
+        EmbeddingSequence(z.frames[start:end])
+        for z, ranges in zip(sequences, segments)
+        for start, end in ranges
+    ]
+    values, converged = cfg.distance.scan(subs, [s.sequence for s in db.snippets])
+    rows = zip(values, converged)
+    demos = []
+    for source_id, ranges in zip(source_ids, segments):
+        records = [_segment_record(b, i, *next(rows), db) for i, b in enumerate(ranges)]
+        composed = EmbeddingSequence(
+            np.vstack([db.snippets[r.snippet_index].sequence.frames for r in records])
+        )
+        demos.append(ImaginedDemo(source_id=source_id, segments=tuple(records), composed=composed))
+    return demos
+
+
 def imagine_demo(
     z: EmbeddingSequence,
     db: SnippetDatabase,
@@ -293,17 +341,7 @@ def imagine_demo(
     source_id: str | None = None,
 ) -> ImaginedDemo:
     """Retrieve the closest snippet per segment and concatenate the results."""
-    if len(db) == 0:
-        raise RetrievalError("snippet database is empty")
-    if db.dim != z.dim:
-        raise ValueError(f"dimension mismatch: sequence d={z.dim}, database d={db.dim}")
-    records = [
-        _evaluate_segment(z, b, i, db, cfg.distance) for i, b in enumerate(segment(z, cfg))
-    ]
-    composed = EmbeddingSequence(
-        np.vstack([db.snippets[r.snippet_index].sequence.frames for r in records])
-    )
-    return ImaginedDemo(source_id=source_id, segments=tuple(records), composed=composed)
+    return _imagine_demos([z], [source_id], db, cfg)[0]
 
 
 def build_paired_dataset(
@@ -312,7 +350,8 @@ def build_paired_dataset(
     cfg: RetrievalConfig,
     extra_provenance: dict | None = None,
 ) -> PairedDataset:
-    """One imagined demo per robot trajectory.
+    """One imagined demo per robot trajectory, from one ``scan`` of every segment
+    of every trajectory.
 
     Each entry keeps both the robot embeddings and the imagined demo so
     downstream consumers can condition on either side of the pairing.
@@ -321,10 +360,9 @@ def build_paired_dataset(
     """
     if not robot_db.snippets:
         raise RetrievalError("robot set is empty")
-    entries = [
-        PairedEntry(robot=ls, demo=imagine_demo(ls.sequence, db, cfg, source_id=ls.seq_id))
-        for ls in robot_db.snippets
-    ]
+    robots = robot_db.snippets
+    demos = _imagine_demos([ls.sequence for ls in robots], [ls.seq_id for ls in robots], db, cfg)
+    entries = [PairedEntry(robot=ls, demo=demo) for ls, demo in zip(robots, demos)]
     provenance = {
         "retrieval": cfg.describe(),
         "robot_hash": dataset_content_hash(robot_db),

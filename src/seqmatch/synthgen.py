@@ -95,10 +95,13 @@ class MismatchSpec:
             self, "merge_pairs", tuple(tuple(int(t) for t in p) for p in self.merge_pairs)
         )
         object.__setattr__(self, "speed_factors", tuple(float(s) for s in self.speed_factors))
-        if self.noise_sigma < 0:
-            raise ValueError(f"noise_sigma must be >= 0, got {self.noise_sigma}")
-        if not self.speed_factors or any(s <= 0 for s in self.speed_factors):
-            raise ValueError("speed factors must be positive")
+        if not np.isfinite(self.noise_sigma) or self.noise_sigma < 0:
+            raise ValueError(f"noise_sigma must be finite and >= 0, got {self.noise_sigma}")
+        for name in ("offset_magnitude", "rotation_angle_deg"):
+            if not np.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
+        if not self.speed_factors or not all(np.isfinite(s) and s > 0 for s in self.speed_factors):
+            raise ValueError(f"speed factors must be finite and positive, got {self.speed_factors}")
         for pair in self.merge_pairs:
             if len(pair) != 2 or pair[0] == pair[1] or min(pair) < 0:
                 raise ValueError(f"bad merge pair {pair}")

@@ -629,15 +629,18 @@ class TestExitCodes:
         assert main([*argv, "--out", "out"]) == 2
         assert not (tmp_path / "out").exists()
 
-    @pytest.fixture(params=["dimension mismatch", "zero-norm frame"])
+    @pytest.fixture(params=["dimension mismatch", "zero-norm frame", "zero-norm robot frame"])
     def bad_bench(self, request, tmp_path):
         anchors = gen_anchors(GenConfig(n_tasks=3, dim=8, tasks_per_trajectory=1, seed=0))
         robot = np.repeat(anchors.vectors[:, None], 4, axis=1)  # one 4-frame clip per task
+        play = robot.copy()
         if request.param == "dimension mismatch":
             play = robot[..., :4]
-        else:
-            play = robot.copy()
+        elif request.param == "zero-norm frame":
             play[1, 2] = 0.0
+        else:  # in the second robot trajectory, after a first one that retrieves fine
+            robot = robot.copy()
+            robot[1, 2] = 0.0
         bench = tmp_path / "bench"
         tasks = {t: f"task-{t}" for t in range(3)}
         sides = (("robot", robot, Embodiment.ROBOT), ("play", play, Embodiment.DEMONSTRATOR))
@@ -656,10 +659,14 @@ class TestExitCodes:
                        "--kprime", "1"],
         }[command]
         assert main([*argv, "--out", str(tmp_path / "out")]) == 3
-        assert message in capsys.readouterr().err
+        if message == "dimension mismatch":
+            detail = "8 vs 4" if command == "dist" else "sequence d=8, database d=4"
+            assert capsys.readouterr().err == f"error: dimension mismatch: {detail}\n"
+        else:
+            assert capsys.readouterr().err == "error: zero-norm frame: cosine distance undefined\n"
         assert not (tmp_path / "out").exists()
 
-    @pytest.mark.parametrize("bad_bench", ["zero-norm frame"], indirect=True)
+    @pytest.mark.parametrize("bad_bench", ["zero-norm frame", "zero-norm robot frame"], indirect=True)
     def test_zero_norm_frame_is_valid_tcc_data(self, bad_bench, tmp_path):
         # The cycle distance needs no frame norm, so a zero-norm frame is not
         # rejected when a dataset is read: it is an error only for the cosine cost.

@@ -13,7 +13,7 @@ def assert_top2_matches_scan(query, bank, cfg=None, metric=COSINE):
     """The pruned scan must solve every pair that can be the cheapest or the runner-up,
     exactly as the full scan does, and mark every other pair unsolved."""
     full = sinkhorn_scan(query, bank, cfg, metric)
-    got = sinkhorn_top2(query, bank, cfg, metric)
+    (got,) = sinkhorn_top2([query], bank, cfg, metric)
     solved = got.iterations > 0
     assert got.costs[solved].tolist() == full.costs[solved].tolist()
     assert got.iterations[solved].tolist() == full.iterations[solved].tolist()
@@ -82,14 +82,50 @@ class TestSinkhornTop2:
     def test_single_snippet_and_empty_bank(self, rng):
         got = assert_top2_matches_scan(rng.normal(size=(3, 2)), [rng.normal(size=(4, 2))])
         assert got.iterations[0] > 0
-        got = sinkhorn_top2(rng.normal(size=(3, 2)), [])
+        (got,) = sinkhorn_top2([rng.normal(size=(3, 2))], [])
         assert got.costs.shape == got.iterations.shape == got.converged.shape == (0,)
 
     def test_invalid_input_rejected(self):
         with pytest.raises(ValueError, match="zero-norm"):
-            sinkhorn_top2([[1.0, 0.0]], [np.array([[1.0, 1.0]]), np.array([[0.0, 0.0]])])
+            sinkhorn_top2([[[1.0, 0.0]]], [np.array([[1.0, 1.0]]), np.array([[0.0, 0.0]])])
         with pytest.raises(ValueError, match="dimension"):
-            sinkhorn_top2([[1.0, 0.0]], [np.array([[1.0, 0.0, 0.0]])])
+            sinkhorn_top2([[[1.0, 0.0]]], [np.array([[1.0, 0.0, 0.0]])])
+
+    def test_invalid_second_query_rejected(self):
+        bank = [np.array([[1.0, 1.0]]), np.array([[0.5, 1.0], [1.0, 0.0]])]
+        with pytest.raises(ValueError, match="^zero-norm frame: cosine distance undefined$"):
+            sinkhorn_top2([[[1.0, 0.0]], [[1.0, 0.0], [0.0, 0.0]]], bank)
+        with pytest.raises(ValueError, match="^dimension mismatch: 3 vs 2$"):
+            sinkhorn_top2([[[1.0, 0.0]], [[1.0, 0.0, 0.0]]], bank)
+
+    @settings(max_examples=25)
+    @given(
+        st.lists(st.integers(min_value=1, max_value=8), min_size=1, max_size=5),
+        st.integers(min_value=0, max_value=30),
+        st.integers(min_value=0, max_value=2**31 - 1),
+        st.sampled_from([COSINE, SQEUCLIDEAN]),
+        st.one_of(st.integers(min_value=2, max_value=20), st.just(1000)),
+    )
+    @example([3, 1, 3], 0, 1, COSINE, 1000)  # empty bank
+    @example([2, 5], 1, 2, SQEUCLIDEAN, 3)  # one-snippet bank
+    def test_lockstep_equals_one_query_calls(self, lengths, n_random, seed, metric, max_iters):
+        # queries of mixed lengths against a ragged bank holding exact duplicates
+        # and near-copies of the queries, which converge first and keep pruning on
+        rng = np.random.default_rng(seed)
+        queries = [rng.normal(size=(m, 3)) for m in lengths]
+        bank = [rng.normal(size=(int(rng.integers(1, 9)), 3)) for _ in range(n_random)]
+        bank += bank[: n_random // 3]
+        if n_random > 1:
+            bank += [q[: int(rng.integers(1, len(q) + 1))] + 0.05 * rng.normal(size=(1, 3)) for q in queries]
+        bank = [bank[j] for j in rng.permutation(len(bank))]
+        cfg = SinkhornConfig(epsilon=0.02 if max_iters < 1000 else 0.5, max_iters=max_iters)
+        got = sinkhorn_top2(queries, bank, cfg, metric)
+        assert len(got) == len(queries)
+        for query, result in zip(queries, got):
+            (want,) = sinkhorn_top2([query], bank, cfg, metric)
+            assert result.costs.tolist() == want.costs.tolist()
+            assert result.iterations.tolist() == want.iterations.tolist()
+            assert result.converged.tolist() == want.converged.tolist()
 
     @settings(max_examples=30)
     @given(

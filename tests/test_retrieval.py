@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -85,13 +86,17 @@ class PerPairDistance:
     def __init__(self, distance):
         self.distance = distance
 
-    def scan(self, a, bank):
+    def scan(self, queries, bank):
         d = self.distance
         if isinstance(d, OtSequenceDistance):
-            plans = [sinkhorn(cost_matrix(a, b, d.metric), d.cfg) for b in bank]
-            return np.array([p.cost for p in plans]), np.array([p.converged for p in plans])
+            plans = [[sinkhorn(cost_matrix(a, b, d.metric), d.cfg) for b in bank] for a in queries]
+            return (
+                np.array([[p.cost for p in row] for row in plans]),
+                np.array([[p.converged for p in row] for row in plans]),
+            )
         fn = tcc_distance_symmetric if d.symmetric else tcc_distance
-        return np.array([fn(a, b, d.cfg) for b in bank]), np.ones(len(bank), dtype=bool)
+        values = np.array([[fn(a, b, d.cfg) for b in bank] for a in queries])
+        return values, np.ones(values.shape, dtype=bool)
 
 
 class GridDistance:
@@ -104,15 +109,29 @@ class GridDistance:
 class NanDistance(OtSequenceDistance):
     """A distance that is NaN for every snippet."""
 
-    def scan(self, a, bank):
-        return np.full(len(bank), np.nan), np.ones(len(bank), dtype=bool)
+    def scan(self, queries, bank):
+        shape = (len(queries), len(bank))
+        return np.full(shape, np.nan), np.ones(shape, dtype=bool)
+
+
+class NanForQueryDistance(OtSequenceDistance):
+    """OT with every distance of one query sequence turned into NaN."""
+
+    def __init__(self, nan_query):
+        super().__init__()
+        self.nan_query = nan_query
+
+    def scan(self, queries, bank):
+        values, converged = super().scan(queries, bank)
+        values[[q == self.nan_query for q in queries]] = np.nan
+        return values, converged
 
 
 class NanBelowDistance(OtSequenceDistance):
     """OT with every distance under 1e-6 turned into NaN."""
 
-    def scan(self, a, bank):
-        values, converged = super().scan(a, bank)
+    def scan(self, queries, bank):
+        values, converged = super().scan(queries, bank)
         return np.where(values < 1e-6, np.nan, values), converged
 
 
@@ -403,6 +422,50 @@ class TestBuildPairedDataset:
         robot_set, db = gen_benchmark("easy", GenConfig(n_trajectories=2, seed=2))
         paired = build_paired_dataset(robot_set, db, ot_config(segment_len=8))
         assert set(paired.provenance) >= {"retrieval", "robot_hash", "play_hash"}
+
+    @pytest.mark.parametrize(
+        "distance, segmentation, pruned, nonconverged",
+        [
+            (OtSequenceDistance(), {"segment_count": 2}, True, False),
+            (OtSequenceDistance(), {"segment_len": 8}, True, False),
+            (OtSequenceDistance(SinkhornConfig(epsilon=0.01, max_iters=4)), {"segment_count": 2}, False, True),
+            (OtSequenceDistance(SinkhornConfig(epsilon=0.01, max_iters=60)), {"segment_len": 5}, True, True),
+            (TccSequenceDistance(), {"segment_count": 2}, False, False),
+        ],
+        ids=["ot-kprime2", "ot-k8", "ot-iters4", "ot-iters60-k5", "tcc-kprime2"],
+    )
+    def test_equals_per_trajectory_imagine_demo(self, distance, segmentation, pruned, nonconverged):
+        robot_set, db = gen_benchmark("hard", GenConfig(n_trajectories=4, seed=9))
+        cfg = RetrievalConfig(distance=distance, **segmentation)
+        paired = build_paired_dataset(robot_set, db, cfg)
+        counts = []
+        for robot, entry in zip(robot_set, paired.entries):
+            demo = imagine_demo(robot.sequence, db, cfg, source_id=robot.seq_id)
+            assert entry.demo.source_id == demo.source_id == robot.seq_id
+            assert [dataclasses.astuple(r) for r in entry.demo.segments] == [
+                dataclasses.astuple(r) for r in demo.segments
+            ]
+            assert entry.demo.composed == demo.composed
+            counts += [(r.n_pruned, r.n_nonconverged) for r in demo.segments]
+        assert any(n_pruned for n_pruned, _ in counts) == pruned
+        assert any(n_nonconverged for _, n_nonconverged in counts) == nonconverged
+
+    def test_all_nan_segment_of_second_trajectory_keeps_its_index(self):
+        robot_set, db = gen_benchmark("hard", GenConfig(n_trajectories=3, seed=9))
+        second = robot_set.snippets[1].sequence
+        cfg = RetrievalConfig(distance=None, segment_len=5)
+        (start, end) = segment(second, cfg)[1]
+        distance = NanForQueryDistance(EmbeddingSequence(second.frames[start:end]))
+        cfg = RetrievalConfig(distance=distance, segment_len=5)
+        with pytest.raises(RetrievalError, match="^segment 1: all snippet distances are NaN$") as exc:
+            build_paired_dataset(robot_set, db, cfg)
+        assert exc.value.segment_index == 1
+
+    def test_dimension_mismatch_rejected(self):
+        robot_set, db = gen_benchmark("hard", GenConfig(n_trajectories=2, dim=12, seed=9))
+        _, narrow = gen_benchmark("hard", GenConfig(n_trajectories=1, dim=8, seed=9))
+        with pytest.raises(ValueError, match="^dimension mismatch: sequence d=12, database d=8$"):
+            build_paired_dataset(robot_set, narrow, ot_config(segment_count=2))
 
     def test_duplicate_robot_ids_rejected(self):
         anchors, db = anchor_db()

@@ -166,6 +166,23 @@ class TestDemoSnippets:
         with pytest.raises(ValueError, match="merge pair"):
             gen_demo_snippets(anchors, spec, cfg)
 
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [
+            ("noise_sigma", float("nan"), "noise_sigma must be finite"),
+            ("noise_sigma", -0.1, "noise_sigma must be finite and >= 0"),
+            ("offset_magnitude", float("inf"), "offset_magnitude must be finite"),
+            ("rotation_angle_deg", float("nan"), "rotation_angle_deg must be finite"),
+            ("speed_factors", (float("nan"),), "speed factors must be finite"),
+            ("speed_factors", (float("inf"),), "speed factors must be finite"),
+            ("speed_factors", (1.0, 0.0), "speed factors must be finite and positive"),
+        ],
+        ids=["noise-nan", "noise-negative", "offset-inf", "rotation-nan", "speed-nan", "speed-inf", "speed-zero"],
+    )
+    def test_invalid_spec_rejected(self, field, value, message):
+        with pytest.raises(ValueError, match=message):
+            MismatchSpec(level="hard", **{field: value})
+
     def test_embodiment_tag(self):
         cfg = small_cfg(n_tasks=2, dim=4, snippets_per_task=1, seed=0)
         spec = MismatchSpec.for_level("easy", cfg.n_tasks, seed=cfg.seed)
