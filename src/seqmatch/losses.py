@@ -42,8 +42,8 @@ class TimeContrastiveConfig:
     def __post_init__(self):
         if self.window < 1:
             raise ValueError(f"window must be >= 1, got {self.window}")
-        if not self.temperature > 0:
-            raise ValueError(f"temperature must be > 0, got {self.temperature}")
+        if not np.isfinite(self.temperature) or self.temperature <= 0:
+            raise ValueError(f"temperature must be finite and > 0, got {self.temperature}")
 
 
 def _softplus(x: float) -> float:
@@ -155,7 +155,7 @@ def task_alignment_loss(
     n = len(robot_clips)
     if n < 2:
         raise ValueError("need at least 2 clip pairs")
-    D = np.array([sinkhorn_scan(r, demo_clips, ot_cfg, metric).costs for r in robot_clips])
+    D = sinkhorn_scan(robot_clips, demo_clips, ot_cfg, metric).costs
     return task_alignment_loss_from_distances(D, log_form=log_form)
 
 
@@ -188,8 +188,8 @@ def swav_assignment_loss(
     if not np.isfinite(S).all():
         raise ValueError("scores contain NaN or Inf")
     _check_code_rows(Q)
-    if not temperature > 0:
-        raise ValueError(f"temperature must be > 0, got {temperature}")
+    if not np.isfinite(temperature) or temperature <= 0:
+        raise ValueError(f"temperature must be finite and > 0, got {temperature}")
     logp = _log_softmax_rows(S / temperature)
     return float(np.mean(-(Q * logp).sum(axis=1)))
 

@@ -9,21 +9,23 @@ plan, and callers that need hard guarantees check the flag.
 There is one solver, the stabilised log-domain scaling of Schmitzer
 (SIAM J. Sci. Comput. 2019), and it works on a stack of equal-shape
 cost matrices (batched as in Feydy et al., AISTATS 2019). ``sinkhorn``
-and ``swav_code_plan`` run it on a stack of one; ``sinkhorn_scan``
-runs it over a whole snippet bank, in the length buckets of ``bank_batches``,
-and gives every pair exactly the cost, iteration count and convergence
-flag that ``sinkhorn(cost_matrix(...))`` gives it alone. Every stack,
-of one query or of many, holds at most ``_SCAN_BATCH_CELLS`` cost cells.
+and ``swav_code_plan`` run it on a stack of one. Every bank scan takes
+Q queries and an N-snippet bank and returns Q x N arrays, and every one
+draws its stacks from ``pair_stacks``, which groups (query, snippet)
+pairs by shape, across queries, into stacks of at most
+``_SCAN_BATCH_CELLS`` cost cells. ``sinkhorn_scan`` solves the whole
+grid and gives every pair exactly the cost, iteration count and
+convergence flag that ``sinkhorn(cost_matrix(...))`` gives it alone.
 
-Retrieval needs only the cheapest snippet and the runner-up's cost.
-``sinkhorn_top2`` solves each query's pairs in ascending order of a
-lower bound on their cost (``transport_lower_bounds``, the relaxed Word
-Mover's bound of Kusner et al., ICML 2015, section 4), a round at a
-time, and stops a query once no unsolved pair can be among its two
-cheapest. It takes every query of a robot set at once and solves their
-rounds in lockstep, stacking one round's pairs of all queries by shape,
-so a round costs a few large solver calls instead of a few small ones
-per query. The pairs it solves get exactly the entries of
+Retrieval needs only each query's cheapest snippet and the runner-up's
+cost. ``sinkhorn_top2`` solves each query's pairs in ascending order of
+a lower bound on their cost (``transport_lower_bounds``, the relaxed
+Word Mover's bound of Kusner et al., ICML 2015, section 4, computed for
+the whole grid in one pass), a round at a time, and stops a query once
+no unsolved pair can be among its two cheapest. The rounds of all
+queries run in lockstep, one round's pairs of every query stacked by
+shape, so a round costs a few large solver calls instead of a few small
+ones per query. The pairs it solves get exactly the entries of
 ``sinkhorn_scan``; on the benchmark banks it solves 9-26% of them.
 
 The reported sequence distance is the raw plan cost ``sum(C * M)``; the
@@ -284,24 +286,33 @@ def sinkhorn(
 
 
 class ScanResult(NamedTuple):
-    """Per-snippet solver outcome of one bank scan, in bank order."""
+    """Solver outcome of a scan of Q queries against an N-snippet bank: Q x N
+    arrays, entry (i, j) for ``queries[i]`` against ``bank[j]``."""
 
     costs: np.ndarray
     iterations: np.ndarray
     converged: np.ndarray
 
 
-def _pair_batches(
-    queries: Sequence[np.ndarray], bank: Sequence[np.ndarray], qs: np.ndarray, js: np.ndarray
-) -> Iterator[np.ndarray]:
-    """Positions of each batch of equal-shape pairs (``queries[qs[p]]``, ``bank[js[p]]``).
+def pair_stacks(
+    queries: Sequence[np.ndarray],
+    bank: Sequence[np.ndarray],
+    qs: np.ndarray | None = None,
+    js: np.ndarray | None = None,
+) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """(positions, query side, k x n x d bank stack) for each stack of equal-shape pairs.
 
-    Pairs are grouped by (m, n) shape and keep their order within a
-    shape. A batch spans at most ``_SCAN_BATCH_CELLS`` query x snippet
-    cells (one pair at least), which bounds a scan's memory whatever the
-    bank size. A snippet whose dimension differs from its query's raises
-    ``ValueError``.
+    Pair p is (``queries[qs[p]]``, ``bank[js[p]]``) of frame matrices;
+    by default every pair of the Q x N grid, in row-major order. Pairs
+    are grouped by (m, n) shape, in order, into stacks of at most
+    ``_SCAN_BATCH_CELLS`` cost cells (one pair at least), which bounds a
+    scan's memory whatever the bank size. The query side is the m x d
+    query itself when the whole stack shares it, as ``cost_matrix``
+    takes it, and a k x m x d stack otherwise. A snippet whose dimension
+    differs from its query's raises ``ValueError``.
     """
+    if qs is None:
+        qs, js = np.indices((len(queries), len(bank))).reshape(2, -1)
     query_shapes, bank_shapes = [A.shape for A in queries], [B.shape for B in bank]
     by_shape: dict[tuple[int, int], list[int]] = {}
     for p, (q, j) in enumerate(zip(qs.tolist(), js.tolist())):
@@ -312,80 +323,65 @@ def _pair_batches(
     for (m, n), members in by_shape.items():
         per_batch = max(1, _SCAN_BATCH_CELLS // (m * n))
         for lo in range(0, len(members), per_batch):
-            yield np.array(members[lo : lo + per_batch])
-
-
-def _against_bank(
-    query: EmbeddingSequence | np.ndarray, bank: Sequence[EmbeddingSequence | np.ndarray]
-) -> tuple[list[np.ndarray], list[np.ndarray], np.ndarray, np.ndarray]:
-    """(queries, bank, qs, js) of ``_pair_batches`` for one query against every snippet."""
-    A = frame_matrix(query)
-    frames = [frame_matrix(s) for s in bank]
-    return [A], frames, np.zeros(len(frames), dtype=np.int64), np.arange(len(frames))
-
-
-def bank_batches(
-    A: np.ndarray, bank: Sequence[EmbeddingSequence | np.ndarray]
-) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """(bank indices, k x n x d stack) batches of equal-length snippets for query ``A``.
-
-    The batches of ``_pair_batches`` for one query against the whole bank.
-    """
-    queries, frames, qs, js = _against_bank(A, bank)
-    for idx in _pair_batches(queries, frames, qs, js):
-        yield idx, np.stack([frames[j] for j in idx])
+            pos = np.array(members[lo : lo + per_batch])
+            q = qs[pos]
+            A = queries[q[0]] if (q == q[0]).all() else np.stack([queries[i] for i in q])
+            yield pos, A, np.stack([bank[j] for j in js[pos]])
 
 
 def _cost_batches(
     queries: Sequence[np.ndarray], bank: Sequence[np.ndarray], qs: np.ndarray, js: np.ndarray, metric: str
 ) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """(positions, k x m x n cost stack) for each batch of ``_pair_batches``.
+    """(positions, k x m x n cost stack) for each stack of ``pair_stacks``.
 
     A stack with a NaN or Inf cost raises ``ValueError``.
     """
-    for pos in _pair_batches(queries, bank, qs, js):
-        q = qs[pos]
-        # A batch of one query's pairs takes its frames unstacked, as
-        # cost_matrix does: the costs are the same, without the copies.
-        A = queries[q[0]] if (q == q[0]).all() else np.stack([queries[i] for i in q])
-        B = np.stack([bank[j] for j in js[pos]])
+    for pos, A, B in pair_stacks(queries, bank, qs, js):
         C = _costs(A, B, metric)
         if not np.isfinite(C).all():
             raise ValueError("cost matrix contains NaN or Inf")
         yield pos, C
 
 
+def _solve_pairs(
+    queries: Sequence[np.ndarray], bank: Sequence[np.ndarray], qs: np.ndarray, js: np.ndarray,
+    cfg: SinkhornConfig, metric: str, out: ScanResult,
+) -> None:
+    """Solve the pairs (``queries[qs[p]]``, ``bank[js[p]]``) into cells (qs[p], js[p]) of ``out``."""
+    for pos, C in _cost_batches(queries, bank, qs, js, metric):
+        P, _, _, iters, converged = _log_sinkhorn(C, cfg)
+        cells = qs[pos], js[pos]
+        out.costs[cells] = (C * P).reshape(len(pos), -1).sum(axis=1)
+        out.iterations[cells], out.converged[cells] = iters, converged
+
+
 def sinkhorn_scan(
-    query: EmbeddingSequence | np.ndarray,
+    queries: Sequence[EmbeddingSequence | np.ndarray],
     bank: Sequence[EmbeddingSequence | np.ndarray],
     cfg: SinkhornConfig | None = None,
     metric: str = COSINE,
 ) -> ScanResult:
-    """Transport cost of one sequence against every sequence of a bank.
+    """Transport cost of every query against every sequence of a bank.
 
-    Entry j equals ``sinkhorn(cost_matrix(query, bank[j], metric), cfg)``
-    bit for bit in cost, ``iterations_used`` and ``converged``; each batch
-    of ``bank_batches`` is solved as one stack of cost matrices.
+    Entry (i, j) equals ``sinkhorn(cost_matrix(queries[i], bank[j], metric), cfg)``
+    bit for bit in cost, ``iterations_used`` and ``converged``; each
+    stack of ``pair_stacks`` is solved as one stack of cost matrices.
     """
     cfg = cfg or SinkhornConfig()
-    out = ScanResult(
-        np.empty(len(bank)), np.empty(len(bank), dtype=np.int64), np.empty(len(bank), dtype=bool)
-    )
-    for idx, C in _cost_batches(*_against_bank(query, bank), metric):
-        P, _, _, iters, converged = _log_sinkhorn(C, cfg)
-        out.costs[idx] = (C * P).reshape(len(idx), -1).sum(axis=1)
-        out.iterations[idx] = iters
-        out.converged[idx] = converged
+    As, frames = [frame_matrix(q) for q in queries], [frame_matrix(s) for s in bank]
+    shape = (len(As), len(frames))
+    out = ScanResult(np.empty(shape), np.empty(shape, dtype=np.int64), np.empty(shape, dtype=bool))
+    _solve_pairs(As, frames, *np.indices(shape).reshape(2, -1), cfg, metric, out)
     return out
 
 
 def transport_lower_bounds(
-    query: EmbeddingSequence | np.ndarray,
+    queries: Sequence[EmbeddingSequence | np.ndarray],
     bank: Sequence[EmbeddingSequence | np.ndarray],
     cfg: SinkhornConfig | None = None,
     metric: str = COSINE,
 ) -> np.ndarray:
-    """Per snippet, a lower bound on the cost ``sinkhorn_scan`` reports for it.
+    """Per (query, snippet) pair, a lower bound on the cost ``sinkhorn_scan`` reports for it.
 
     The relaxed Word Mover's bound (Kusner et al., ICML 2015, section 4)
     from the same cost stacks: the larger of a column term,
@@ -398,12 +394,13 @@ def transport_lower_bounds(
     float rounding in both.
     """
     cfg = cfg or SinkhornConfig()
-    bounds = np.empty(len(bank))
-    for idx, C in _cost_batches(*_against_bank(query, bank), metric):
+    As, frames = [frame_matrix(q) for q in queries], [frame_matrix(s) for s in bank]
+    bounds = np.empty((len(As), len(frames)))
+    for pos, C in _cost_batches(As, frames, *np.indices(bounds.shape).reshape(2, -1), metric):
         col = C.min(axis=1).mean(axis=1)
         row_min = C.min(axis=2)
         row = row_min.mean(axis=1) - cfg.tol_marginal * row_min.sum(axis=1)
-        bounds[idx] = np.maximum(col, row) * (1.0 - _BOUND_RTOL)
+        bounds.flat[pos] = np.maximum(col, row) * (1.0 - _BOUND_RTOL)
     return bounds
 
 
@@ -412,10 +409,10 @@ def sinkhorn_top2(
     bank: Sequence[EmbeddingSequence | np.ndarray],
     cfg: SinkhornConfig | None = None,
     metric: str = COSINE,
-) -> list[ScanResult]:
-    """Per query, a ``sinkhorn_scan`` that solves only the pairs that can be among its two cheapest.
+) -> ScanResult:
+    """A ``sinkhorn_scan`` that solves, per query, only the pairs that can be among its two cheapest.
 
-    A query's pairs are solved in ascending (stable) order of its
+    A query's pairs are solved in ascending (stable) order of its row of
     ``transport_lower_bounds``, ``_PRUNE_ROUND`` at a time, and its scan
     stops once its next bound is strictly above the second-lowest cost
     solved for it so far. Every pair that can be the cheapest, tie with
@@ -437,38 +434,31 @@ def sinkhorn_top2(
     get alone.
     """
     cfg = cfg or SinkhornConfig()
-    As = [frame_matrix(q) for q in queries]
-    frames = [frame_matrix(s) for s in bank]
+    As, frames = [frame_matrix(q) for q in queries], [frame_matrix(s) for s in bank]
     n = len(frames)
-    bounds = [transport_lower_bounds(A, frames, cfg, metric) for A in As]
-    orders = [np.argsort(b, kind="stable") for b in bounds]
-    costs = np.full((len(As), n), np.inf)
-    iterations = np.zeros((len(As), n), dtype=np.int64)
-    converged = np.zeros((len(As), n), dtype=bool)
+    bounds = transport_lower_bounds(As, frames, cfg, metric)
+    orders = np.argsort(bounds, axis=1, kind="stable")
+    costs = np.full_like(bounds, np.inf)
+    out = ScanResult(costs, np.zeros_like(bounds, np.int64), np.zeros_like(bounds, bool))
     solved, pruning = [0] * len(As), [True] * len(As)
     live = list(range(len(As))) if n else []
     while live:
-        takes = [orders[q][solved[q] : solved[q] + _PRUNE_ROUND if pruning[q] else n] for q in live]
+        takes = [orders[q, solved[q] : solved[q] + _PRUNE_ROUND if pruning[q] else n] for q in live]
         qs = np.repeat(live, [len(take) for take in takes])
-        js = np.concatenate(takes)
-        for pos, C in _cost_batches(As, frames, qs, js, metric):
-            P, _, _, iters, conv = _log_sinkhorn(C, cfg)
-            cells = qs[pos], js[pos]
-            costs[cells] = (C * P).reshape(len(pos), -1).sum(axis=1)
-            iterations[cells], converged[cells] = iters, conv
+        _solve_pairs(As, frames, qs, np.concatenate(takes), cfg, metric, out)
         still_live = []
         for q, take in zip(live, takes):
             solved[q] += len(take)
-            pruning[q] = pruning[q] and bool(converged[q, take].all())
+            pruning[q] = pruning[q] and bool(out.converged[q, take].all())
             if solved[q] == n:
                 continue
             if pruning[q]:
-                runner_up = np.partition(costs[q, orders[q][: solved[q]]], 1)[1]
-                if bounds[q][orders[q][solved[q]]] > runner_up:
+                runner_up = np.partition(out.costs[q, orders[q, : solved[q]]], 1)[1]
+                if bounds[q, orders[q, solved[q]]] > runner_up:
                     continue
             still_live.append(q)
         live = still_live
-    return [ScanResult(costs[q], iterations[q], converged[q]) for q in range(len(As))]
+    return out
 
 
 def ot_distance(

@@ -2,11 +2,11 @@
 and compose the retrieved snippets into an imagined demonstration.
 
 Retrieval is label-free and exact, in one thread. A distance's ``scan``
-ranks a bank for many queries at once, and ``build_paired_dataset``
-makes one ``scan`` call for every segment of every robot trajectory.
-The cycle distance computes every snippet (``seqmatch.tcc.tcc_scan``,
-query by query); the transport distance solves only those a lower
-bound cannot rule out as a segment's best or second-best match
+ranks a bank for many queries at once and returns Q x N arrays, and
+``build_paired_dataset`` makes one ``scan`` call for every segment of
+every robot trajectory. The cycle distance computes every snippet
+(``seqmatch.tcc.tcc_scan``); the transport distance solves only those a
+lower bound cannot rule out as a segment's best or second-best match
 (``seqmatch.ot.sinkhorn_top2``, all segments in lockstep), and reports
 the rest as ``inf``. The bound holds for every pair whose solve
 converges, and a segment's first solve that does not turns its pruning
@@ -37,7 +37,7 @@ from .data import (
 )
 # cost_matrix, sinkhorn and tcc_distance go unused: perfbench/tracing.py wraps them here.
 from .ot import (  # noqa: F401
-    COSINE, ScanResult, SinkhornConfig, cost_matrix, sinkhorn, sinkhorn_scan, sinkhorn_top2,
+    COSINE, SinkhornConfig, cost_matrix, sinkhorn, sinkhorn_scan, sinkhorn_top2,
 )
 from .tcc import TccConfig, tcc_distance, tcc_scan  # noqa: F401
 
@@ -57,15 +57,6 @@ class RetrievalError(Exception):
         self.segment_index = segment_index
 
 
-def _rows(rows: Sequence[np.ndarray], n: int, dtype=np.float64) -> np.ndarray:
-    """Per-query rows over an n-snippet bank as one Q x n array (Q may be 0)."""
-    return np.array(rows, dtype=dtype).reshape(len(rows), n)
-
-
-def _values_converged(results: Sequence[ScanResult], n: int) -> tuple[np.ndarray, np.ndarray]:
-    return _rows([r.costs for r in results], n), _rows([r.converged for r in results], n, bool)
-
-
 class OtSequenceDistance:
     """Entropic transport cost as a sequence distance (permutation-invariant)."""
 
@@ -79,15 +70,16 @@ class OtSequenceDistance:
         self, queries: Sequence[EmbeddingSequence], bank: Sequence[EmbeddingSequence]
     ) -> tuple[np.ndarray, np.ndarray]:
         """``grid``'s entries where ``sinkhorn_top2`` solved; ``inf`` where it pruned."""
-        return _values_converged(sinkhorn_top2(queries, bank, self.cfg, self.metric), len(bank))
+        result = sinkhorn_top2(queries, bank, self.cfg, self.metric)
+        return result.costs, result.converged
 
     def grid(
         self, queries: Sequence[EmbeddingSequence], bank: Sequence[EmbeddingSequence]
     ) -> tuple[np.ndarray, np.ndarray]:
         """Entry (i, j): ``sinkhorn(cost_matrix(queries[i], bank[j], metric), cfg)``'s
         cost and converged flag."""
-        results = [sinkhorn_scan(a, bank, self.cfg, self.metric) for a in queries]
-        return _values_converged(results, len(bank))
+        result = sinkhorn_scan(queries, bank, self.cfg, self.metric)
+        return result.costs, result.converged
 
     def describe(self) -> dict:
         return {"name": self.name, "metric": self.metric, **asdict(self.cfg)}
@@ -106,7 +98,7 @@ class TccSequenceDistance:
         self, queries: Sequence[EmbeddingSequence], bank: Sequence[EmbeddingSequence]
     ) -> tuple[np.ndarray, np.ndarray]:
         """Entry (i, j): ``tcc_distance(queries[i], bank[j], cfg)`` (or symmetric) and True."""
-        values = _rows([tcc_scan(a, bank, self.cfg, self.symmetric) for a in queries], len(bank))
+        values = tcc_scan(queries, bank, self.cfg, self.symmetric)
         return values, np.ones(values.shape, dtype=bool)
 
     grid = scan

@@ -9,7 +9,8 @@ dimension; an unsquared variant is selectable via ``squared=False``).
 
 The sequence distance sums frame losses over the first argument's frames
 and is therefore asymmetric; ``tcc_distance_symmetric`` averages both
-directions. ``tcc_scan`` gives either one, exactly, against a whole bank.
+directions. ``tcc_scan`` gives either one, exactly, for every query
+against every snippet of a bank, as a Q x N array.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from typing import Sequence
 import numpy as np
 
 from .data import EmbeddingSequence
-from .ot import bank_batches, frame_matrix, pairwise_sq_dists
+from .ot import frame_matrix, pair_stacks, pairwise_sq_dists
 
 
 @dataclass(frozen=True)
@@ -118,19 +119,21 @@ def tcc_distance_symmetric(
 
 
 def tcc_scan(
-    query: EmbeddingSequence | np.ndarray,
+    queries: Sequence[EmbeddingSequence | np.ndarray],
     bank: Sequence[EmbeddingSequence | np.ndarray],
     cfg: TccConfig | None = None,
     symmetric: bool = False,
 ) -> np.ndarray:
-    """Entry j is ``tcc_distance(query, bank[j], cfg)`` bit for bit, or
-    ``tcc_distance_symmetric`` when ``symmetric``."""
+    """Entry (i, j) is ``tcc_distance(queries[i], bank[j], cfg)`` bit for bit, or
+    ``tcc_distance_symmetric`` when ``symmetric``. Each stack holds one query:
+    stacking queries, as transport does, measured slower here."""
     cfg = cfg or TccConfig()
-    A = frame_matrix(query)
-    out = np.empty(len(bank))
-    for idx, stack in bank_batches(A, bank):
-        d = _cycle(A, stack, cfg)[4].sum(axis=-1)
-        if symmetric:
-            d = 0.5 * (d + _cycle(stack, A, cfg)[4].sum(axis=-1))
-        out[idx] = d
+    frames = [frame_matrix(s) for s in bank]
+    out = np.empty((len(queries), len(frames)))
+    for i, query in enumerate(queries):
+        for pos, A, stack in pair_stacks([frame_matrix(query)], frames):
+            d = _cycle(A, stack, cfg)[4].sum(axis=-1)
+            if symmetric:
+                d = 0.5 * (d + _cycle(stack, A, cfg)[4].sum(axis=-1))
+            out[i, pos] = d
     return out

@@ -81,6 +81,12 @@ class TestTimeContrastive:
         cfg = TimeContrastiveConfig(window=2)  # no frame is ever outside the window
         assert time_contrastive_loss(z, cfg) == pytest.approx(-6.0)  # 1 per positive pair
 
+    @pytest.mark.parametrize("temperature", [0.0, -0.1, math.inf, -math.inf, math.nan])
+    def test_bad_temperature_rejected(self, temperature):
+        # an infinite temperature flattens every logit to 0: the loss no longer sees the scores
+        with pytest.raises(ValueError, match="^temperature must be finite and > 0"):
+            TimeContrastiveConfig(temperature=temperature)
+
     def test_needs_two_frames(self):
         with pytest.raises(ValueError, match="T >= 2"):
             time_contrastive_loss(EmbeddingSequence([[1.0, 0.0]]))
@@ -215,6 +221,14 @@ class TestSwavLoss:
         assert swav_two_view_loss(s1, s2, q1, q2) == pytest.approx(
             swav_assignment_loss(s1, q2) + swav_assignment_loss(s2, q1), abs=1e-12
         )
+
+    @pytest.mark.parametrize("temperature", [0.0, -1.0, math.inf, -math.inf, math.nan])
+    def test_bad_temperature_rejected(self, temperature):
+        codes = np.full((2, 3), 1.0 / 3.0)
+        with pytest.raises(ValueError, match="^temperature must be finite and > 0"):
+            swav_assignment_loss(np.array([[1.0, 0.0, 0.0], [0.0, 2.0, 0.0]]), codes, temperature)
+        with pytest.raises(ValueError, match="^temperature must be finite and > 0"):
+            swav_two_view_loss(np.zeros((2, 3)), np.zeros((2, 3)), codes, codes, temperature)
 
     def test_bad_code_rows_rejected(self):
         with pytest.raises(ValueError, match="sum to 1"):

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from seqmatch.data import EmbeddingSequence
@@ -146,13 +146,15 @@ class TestSinkhorn:
         assert plan.marginal_error() <= 1e-6
 
 
-def assert_scan_matches_per_pair(query, bank, cfg=None, metric=COSINE):
-    """The bank scan must equal per-pair sinkhorn(cost_matrix(...)) exactly."""
-    got = sinkhorn_scan(query, bank, cfg, metric)
-    plans = [sinkhorn(cost_matrix(query, b, metric), cfg) for b in bank]
-    assert got.costs.tolist() == [p.cost for p in plans]
-    assert got.iterations.tolist() == [p.iterations_used for p in plans]
-    assert got.converged.tolist() == [p.converged for p in plans]
+def assert_scan_matches_per_pair(queries, bank, cfg=None, metric=COSINE):
+    """Entry (i, j) of the bank scan must equal per-pair sinkhorn(cost_matrix(...)) exactly."""
+    got = sinkhorn_scan(queries, bank, cfg, metric)
+    assert got.costs.shape == got.iterations.shape == got.converged.shape == (len(queries), len(bank))
+    for i, query in enumerate(queries):
+        plans = [sinkhorn(cost_matrix(query, b, metric), cfg) for b in bank]
+        assert got.costs[i].tolist() == [p.cost for p in plans]
+        assert got.iterations[i].tolist() == [p.iterations_used for p in plans]
+        assert got.converged[i].tolist() == [p.converged for p in plans]
     return got
 
 
@@ -172,25 +174,26 @@ class TestSinkhornScan:
     @pytest.mark.parametrize("metric", [COSINE, SQEUCLIDEAN])
     def test_ragged_bank(self, rng, metric):
         bank = [rng.normal(size=(n, 6)) for n in (4, 10, 16, 4, 7, 16, 10, 4)]
-        assert_scan_matches_per_pair(rng.normal(size=(12, 6)), bank, metric=metric)
+        queries = [rng.normal(size=(m, 6)) for m in (12, 3, 12)]
+        assert_scan_matches_per_pair(queries, bank, metric=metric)
 
     def test_bucket_larger_than_one_batch(self, rng):
         m, n = 16, 16
         per_batch = _SCAN_BATCH_CELLS // (m * n)
         bank = [rng.normal(size=(n, 5)) for _ in range(2 * per_batch + 3)]
-        assert_scan_matches_per_pair(rng.normal(size=(m, 5)), bank)
+        assert_scan_matches_per_pair([rng.normal(size=(m, 5)) for _ in range(2)], bank)
 
     def test_pair_larger_than_batch_cap(self, rng):
         m = _SCAN_BATCH_CELLS // 32 + 1
         bank = [rng.normal(size=(32, 3)) for _ in range(3)] + [rng.normal(size=(2, 3))]
-        assert_scan_matches_per_pair(rng.normal(size=(m, 3)), bank)
+        assert_scan_matches_per_pair([rng.normal(size=(m, 3)), rng.normal(size=(2, 3))], bank)
 
     @pytest.mark.parametrize("metric", [COSINE, SQEUCLIDEAN])
     def test_length_one_segments_and_snippets(self, rng, metric):
         bank = [rng.normal(size=(n, 4)) for n in (1, 1, 3, 1, 8)]
-        got = assert_scan_matches_per_pair(rng.normal(size=(1, 4)), bank, metric=metric)
-        assert got.iterations.tolist() == [1] * len(bank)  # one row: forced plan
-        assert_scan_matches_per_pair(rng.normal(size=(6, 4)), bank, metric=metric)
+        got = assert_scan_matches_per_pair([rng.normal(size=(1, 4)), rng.normal(size=(1, 4))], bank, metric=metric)
+        assert got.iterations.tolist() == [[1] * len(bank)] * 2  # one row: forced plan
+        assert_scan_matches_per_pair([rng.normal(size=(6, 4)), rng.normal(size=(1, 4))], bank, metric=metric)
 
     @pytest.mark.parametrize("epsilon", [0.05, 1e-4])
     def test_identical_and_antipodal_frames(self, rng, epsilon):
@@ -198,29 +201,51 @@ class TestSinkhornScan:
         x /= np.linalg.norm(x)
         query = np.tile(x, (5, 1))
         bank = [np.tile(x, (3, 1)), np.tile(-x, (4, 1)), np.vstack([x, -x]), np.tile(-x, (5, 1))]
-        got = assert_scan_matches_per_pair(query, bank, SinkhornConfig(epsilon=epsilon))
-        assert got.costs[0] == pytest.approx(0.0, abs=1e-12)
-        assert got.costs[1] == pytest.approx(2.0, abs=1e-6)
-        assert got.costs[2] == pytest.approx(1.0, abs=1e-6)
+        got = assert_scan_matches_per_pair([query, -query[:2]], bank, SinkhornConfig(epsilon=epsilon))
+        assert got.costs[0, 0] == pytest.approx(0.0, abs=1e-12)
+        assert got.costs[0, 1] == pytest.approx(2.0, abs=1e-6)
+        assert got.costs[0, 2] == pytest.approx(1.0, abs=1e-6)
+        assert got.costs[1, 1] == pytest.approx(0.0, abs=1e-12)
 
     def test_nonconverged_pairs_stop_at_max_iters(self, rng):
         cfg = SinkhornConfig(epsilon=0.01, max_iters=3)
         bank = [rng.normal(size=(n, 6)) for n in (1, 9, 9, 1, 12, 9)]
-        got = assert_scan_matches_per_pair(rng.normal(size=(10, 6)), bank, cfg)
-        assert 0 < int((~got.converged).sum()) < len(bank)
+        got = assert_scan_matches_per_pair([rng.normal(size=(m, 6)) for m in (10, 9, 10)], bank, cfg)
+        assert 0 < int((~got.converged).sum()) < got.converged.size
         assert got.iterations[~got.converged].tolist() == [3] * int((~got.converged).sum())
 
     def test_empty_bank(self, rng):
-        got = sinkhorn_scan(rng.normal(size=(3, 2)), [])
-        assert got.costs.shape == got.iterations.shape == got.converged.shape == (0,)
+        got = sinkhorn_scan([rng.normal(size=(3, 2)), rng.normal(size=(5, 2))], [])
+        assert got.costs.shape == got.iterations.shape == got.converged.shape == (2, 0)
+
+    def test_no_queries(self, rng):
+        got = sinkhorn_scan([], [rng.normal(size=(3, 2))] * 4)
+        assert got.costs.shape == got.iterations.shape == got.converged.shape == (0, 4)
 
     def test_zero_norm_frame_rejected(self):
         with pytest.raises(ValueError, match="zero-norm"):
-            sinkhorn_scan([[1.0, 0.0]], [np.array([[1.0, 1.0]]), np.array([[0.0, 0.0]])])
+            sinkhorn_scan([[[1.0, 0.0]]], [np.array([[1.0, 1.0]]), np.array([[0.0, 0.0]])])
+        with pytest.raises(ValueError, match="^zero-norm frame: cosine distance undefined$"):
+            sinkhorn_scan([[[1.0, 0.0]], [[1.0, 0.0], [0.0, 0.0]]], [np.array([[1.0, 1.0]])])
 
     def test_dimension_mismatch_rejected(self):
         with pytest.raises(ValueError, match="dimension"):
-            sinkhorn_scan([[1.0, 0.0]], [np.array([[1.0, 0.0, 0.0]])])
+            sinkhorn_scan([[[1.0, 0.0]]], [np.array([[1.0, 0.0, 0.0]])])
+        with pytest.raises(ValueError, match="^dimension mismatch: 3 vs 2$"):
+            sinkhorn_scan([[[1.0, 0.0]], [[1.0, 0.0, 0.0]]], [np.array([[1.0, 0.0]])])
+
+    @settings(max_examples=30)
+    @given(
+        st.lists(st.integers(min_value=1, max_value=9), max_size=4),
+        st.lists(st.integers(min_value=1, max_value=9), max_size=8),
+        st.integers(min_value=0, max_value=2**31 - 1),
+        st.sampled_from([COSINE, SQEUCLIDEAN]),
+    )
+    def test_random_grids(self, query_lengths, bank_lengths, seed, metric):
+        r = np.random.default_rng(seed)
+        queries = [r.normal(size=(m, 3)) for m in query_lengths]
+        bank = [r.normal(size=(n, 3)) for n in bank_lengths]
+        assert_scan_matches_per_pair(queries, bank, SinkhornConfig(max_iters=50), metric)
 
 
 class TestOtDistance:

@@ -4,16 +4,24 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from seqmatch import ot
-from seqmatch.ot import COSINE, SQEUCLIDEAN, SinkhornConfig, sinkhorn_scan, sinkhorn_top2, transport_lower_bounds
+from seqmatch.ot import (
+    COSINE, SQEUCLIDEAN, ScanResult, SinkhornConfig, sinkhorn_scan, sinkhorn_top2, transport_lower_bounds,
+)
 from seqmatch.retrieval import RetrievalConfig, segment
 from seqmatch.synthgen import GenConfig, gen_benchmark
+
+
+def only_row(result):
+    """The one row of a scan of a single query."""
+    assert all(field.shape[0] == 1 for field in result)
+    return ScanResult(*(field[0] for field in result))
 
 
 def assert_top2_matches_scan(query, bank, cfg=None, metric=COSINE):
     """The pruned scan must solve every pair that can be the cheapest or the runner-up,
     exactly as the full scan does, and mark every other pair unsolved."""
-    full = sinkhorn_scan(query, bank, cfg, metric)
-    (got,) = sinkhorn_top2([query], bank, cfg, metric)
+    full = only_row(sinkhorn_scan([query], bank, cfg, metric))
+    got = only_row(sinkhorn_top2([query], bank, cfg, metric))
     solved = got.iterations > 0
     assert got.costs[solved].tolist() == full.costs[solved].tolist()
     assert got.iterations[solved].tolist() == full.iterations[solved].tolist()
@@ -39,13 +47,21 @@ class TestSinkhornTop2:
 
     @pytest.mark.parametrize("metric", [COSINE, SQEUCLIDEAN])
     def test_lower_bounds_hold(self, rng, metric):
-        query = rng.normal(size=(9, 5))
+        queries = [rng.normal(size=(m, 5)) for m in (9, 1, 14, 9)]
         bank = [rng.normal(size=(n, 5)) for n in (1, 3, 9, 14) * 6]
         for cfg in (SinkhornConfig(), SinkhornConfig(epsilon=0.01, max_iters=3)):
-            bounds = transport_lower_bounds(query, bank, cfg, metric)
-            full = sinkhorn_scan(query, bank, cfg, metric)
+            bounds = transport_lower_bounds(queries, bank, cfg, metric)
+            full = sinkhorn_scan(queries, bank, cfg, metric)
+            assert bounds.shape == (len(queries), len(bank))
             assert (bounds[full.converged] <= full.costs[full.converged]).all()
             assert (bounds >= 0.0).all()
+            for query, row in zip(queries, bounds):  # the grid's rows are the one-query bounds
+                assert row.tolist() == transport_lower_bounds([query], bank, cfg, metric)[0].tolist()
+
+    def test_lower_bounds_of_empty_grids(self, rng):
+        queries = [rng.normal(size=(m, 2)) for m in (3, 1)]
+        assert transport_lower_bounds(queries, []).shape == (2, 0)
+        assert transport_lower_bounds([], [rng.normal(size=(4, 2))] * 3).shape == (0, 3)
 
     def test_exact_ties_all_solved(self, rng):
         query = rng.normal(size=(6, 4))
@@ -82,8 +98,10 @@ class TestSinkhornTop2:
     def test_single_snippet_and_empty_bank(self, rng):
         got = assert_top2_matches_scan(rng.normal(size=(3, 2)), [rng.normal(size=(4, 2))])
         assert got.iterations[0] > 0
-        (got,) = sinkhorn_top2([rng.normal(size=(3, 2))], [])
-        assert got.costs.shape == got.iterations.shape == got.converged.shape == (0,)
+        got = sinkhorn_top2([rng.normal(size=(3, 2)), rng.normal(size=(1, 2))], [])
+        assert got.costs.shape == got.iterations.shape == got.converged.shape == (2, 0)
+        got = sinkhorn_top2([], [rng.normal(size=(4, 2))] * 3)
+        assert got.costs.shape == got.iterations.shape == got.converged.shape == (0, 3)
 
     def test_invalid_input_rejected(self):
         with pytest.raises(ValueError, match="zero-norm"):
@@ -120,12 +138,12 @@ class TestSinkhornTop2:
         bank = [bank[j] for j in rng.permutation(len(bank))]
         cfg = SinkhornConfig(epsilon=0.02 if max_iters < 1000 else 0.5, max_iters=max_iters)
         got = sinkhorn_top2(queries, bank, cfg, metric)
-        assert len(got) == len(queries)
-        for query, result in zip(queries, got):
-            (want,) = sinkhorn_top2([query], bank, cfg, metric)
-            assert result.costs.tolist() == want.costs.tolist()
-            assert result.iterations.tolist() == want.iterations.tolist()
-            assert result.converged.tolist() == want.converged.tolist()
+        assert got.costs.shape == (len(queries), len(bank))
+        for i, query in enumerate(queries):
+            want = only_row(sinkhorn_top2([query], bank, cfg, metric))
+            assert got.costs[i].tolist() == want.costs.tolist()
+            assert got.iterations[i].tolist() == want.iterations.tolist()
+            assert got.converged[i].tolist() == want.converged.tolist()
 
     @settings(max_examples=30)
     @given(
@@ -168,6 +186,6 @@ class TestSinkhornTop2:
         bank = [bank[j] for j in rng.permutation(len(bank))]
         cfg = SinkhornConfig(epsilon=epsilon, max_iters=max_iters)
         got = assert_top2_matches_scan(query, bank, cfg, metric)
-        full = sinkhorn_scan(query, bank, cfg, metric)
+        full = only_row(sinkhorn_scan([query], bank, cfg, metric))
         assert np.argmin(got.costs) == np.argmin(full.costs)
         assert np.partition(got.costs, 1)[1] == np.partition(full.costs, 1)[1]

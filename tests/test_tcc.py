@@ -203,56 +203,68 @@ CONFIGS = [
 ]
 
 
-def assert_scan_matches_per_pair(query, bank, cfg):
-    """Both directions of the bank scan must equal the per-pair functions exactly."""
+def assert_scan_matches_per_pair(queries, bank, cfg):
+    """Entry (i, j) of both directions of the bank scan must equal the per-pair functions exactly."""
     for symmetric, fn in ((False, tcc_distance), (True, tcc_distance_symmetric)):
-        got = tcc_scan(query, bank, cfg, symmetric)
-        assert got.tolist() == [fn(query, b, cfg) for b in bank]
+        got = tcc_scan(queries, bank, cfg, symmetric)
+        assert got.shape == (len(queries), len(bank))
+        assert got.tolist() == [[fn(query, b, cfg) for b in bank] for query in queries]
 
 
 class TestTccScan:
     @pytest.mark.parametrize("cfg", CONFIGS)
     def test_ragged_bank(self, rng, cfg):
         bank = [rng.normal(size=(n, 6)) for n in (4, 10, 16, 4, 7, 16, 10, 4)]
-        assert_scan_matches_per_pair(rng.normal(size=(12, 6)), bank, cfg)
+        queries = [rng.normal(size=(m, 6)) for m in (12, 3, 12, 16, 1)]
+        assert_scan_matches_per_pair(queries, bank, cfg)
 
     def test_bucket_larger_than_one_batch(self, rng):
         m, n = 16, 16
         per_batch = _SCAN_BATCH_CELLS // (m * n)
         bank = [rng.normal(size=(n, 5)) for _ in range(2 * per_batch + 3)]
-        assert_scan_matches_per_pair(rng.normal(size=(m, 5)), bank, TccConfig())
+        assert_scan_matches_per_pair([rng.normal(size=(m, 5)) for _ in range(3)], bank, TccConfig())
 
     def test_pair_larger_than_batch_cap(self, rng):
         m = _SCAN_BATCH_CELLS // 32 + 1
         bank = [rng.normal(size=(32, 3)) for _ in range(3)] + [rng.normal(size=(2, 3))]
-        assert_scan_matches_per_pair(rng.normal(size=(m, 3)), bank, TccConfig())
+        assert_scan_matches_per_pair([rng.normal(size=(m, 3)), rng.normal(size=(2, 3))], bank, TccConfig())
 
     @pytest.mark.parametrize("cfg", CONFIGS)
     def test_length_one_queries_and_snippets(self, rng, cfg):
         bank = [rng.normal(size=(n, 4)) for n in (1, 1, 3, 1, 8)]
-        assert_scan_matches_per_pair(rng.normal(size=(1, 4)), bank, cfg)
-        assert_scan_matches_per_pair(rng.normal(size=(6, 4)), bank, cfg)
+        assert_scan_matches_per_pair([rng.normal(size=(1, 4)), rng.normal(size=(1, 4))], bank, cfg)
+        assert_scan_matches_per_pair([rng.normal(size=(6, 4)), rng.normal(size=(1, 4))], bank, cfg)
 
     def test_sequences_and_arrays_mixed(self, rng):
         bank = [EmbeddingSequence(rng.normal(size=(5, 3))), rng.normal(size=(2, 3))]
-        assert_scan_matches_per_pair(EmbeddingSequence(rng.normal(size=(4, 3))), bank, TccConfig())
+        queries = [EmbeddingSequence(rng.normal(size=(4, 3))), rng.normal(size=(2, 3))]
+        assert_scan_matches_per_pair(queries, bank, TccConfig())
 
     def test_empty_bank(self, rng):
-        assert tcc_scan(rng.normal(size=(3, 2)), []).shape == (0,)
-        assert tcc_scan(rng.normal(size=(3, 2)), [], symmetric=True).shape == (0,)
+        queries = [rng.normal(size=(3, 2)), rng.normal(size=(5, 2))]
+        assert tcc_scan(queries, []).shape == (2, 0)
+        assert tcc_scan(queries, [], symmetric=True).shape == (2, 0)
+
+    def test_no_queries(self, rng):
+        bank = [rng.normal(size=(3, 2))] * 4
+        assert tcc_scan([], bank).shape == (0, 4)
+        assert tcc_scan([], bank, symmetric=True).shape == (0, 4)
 
     def test_dimension_mismatch_rejected(self):
         with pytest.raises(ValueError, match="dimension"):
-            tcc_scan([[1.0, 0.0]], [np.array([[1.0, 0.0]]), np.array([[1.0, 0.0, 0.0]])])
+            tcc_scan([[[1.0, 0.0]]], [np.array([[1.0, 0.0]]), np.array([[1.0, 0.0, 0.0]])])
+        with pytest.raises(ValueError, match="^dimension mismatch: 3 vs 2$"):
+            tcc_scan([[[1.0, 0.0]], [[1.0, 0.0, 0.0]]], [np.array([[1.0, 0.0]])])
 
     @given(
-        m=st.integers(1, 9),
+        query_lengths=st.lists(st.integers(1, 9), min_size=1, max_size=4),
         lengths=st.lists(st.integers(1, 9), max_size=12),
         temperature=st.sampled_from([0.01, 0.1, 1.0, 3.0]),
         squared=st.booleans(),
         seed=st.integers(0, 2**16),
     )
-    def test_random_banks(self, m, lengths, temperature, squared, seed):
+    def test_random_banks(self, query_lengths, lengths, temperature, squared, seed):
         r = np.random.default_rng(seed)
         bank = [r.normal(size=(n, 3)) for n in lengths]
-        assert_scan_matches_per_pair(r.normal(size=(m, 3)), bank, TccConfig(temperature, squared))
+        queries = [r.normal(size=(m, 3)) for m in query_lengths]
+        assert_scan_matches_per_pair(queries, bank, TccConfig(temperature, squared))
