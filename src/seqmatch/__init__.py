@@ -5,85 +5,130 @@ The library measures how similar two sequences of frame embeddings are
 and composes short demonstrator snippets to imagine a demonstration for
 a robot trajectory, and generates seeded synthetic benchmarks with a
 controllable execution-mismatch ladder for evaluating both.
+
+Submodules load on first use: ``import seqmatch`` imports none of them,
+and so not numpy either. The first access to an exported name (an
+attribute or a ``from seqmatch import ...``) imports the submodule that
+defines it. So a program that imports ``seqmatch.cli`` runs that
+module's body before numpy loads, whether it starts as
+``python -m seqmatch.cli`` or through the ``seqmatch`` console script.
 """
 
-from .data import (
-    BlobError,
-    DatasetError,
-    Embodiment,
-    EmbeddingSequence,
-    FrameLabel,
-    LabeledSequence,
-    ManifestError,
-    SnippetDatabase,
-    dataset_content_hash,
-    quantize_frames_f32,
-    read_dataset,
-    write_dataset,
-)
-from .losses import (
-    LossWeights,
-    TimeContrastiveConfig,
-    combined_loss,
-    swav_assignment_loss,
-    swav_two_view_loss,
-    task_alignment_loss,
-    task_alignment_loss_from_distances,
-    time_contrastive_loss,
-    time_contrastive_loss_from_similarity,
-)
-from .ot import (
-    COSINE,
-    SQEUCLIDEAN,
-    CostMatrix,
-    ScanResult,
-    SinkhornConfig,
-    TransportPlan,
-    cost_matrix,
-    exact_ot_small,
-    ot_distance,
-    sinkhorn,
-    sinkhorn_scan,
-    sinkhorn_top2,
-    swav_code_plan,
-    swav_codes,
-)
-from .retrieval import (
-    EvalReport,
-    ImaginedDemo,
-    OtSequenceDistance,
-    PairedDataset,
-    PairedEntry,
-    RetrievalConfig,
-    RetrievalError,
-    SegmentRecord,
-    TccSequenceDistance,
-    TrajectoryEval,
-    build_paired_dataset,
-    evaluate,
-    imagine_demo,
-    paired_from_json_dict,
-    paired_to_json_dict,
-    segment,
-)
-from .synthgen import (
-    GenConfig,
-    MismatchLevel,
-    MismatchSpec,
-    TaskAnchors,
-    gen_anchors,
-    gen_benchmark,
-    gen_demo_snippets,
-    gen_robot_trajectory,
-)
-from .tcc import (
-    CycleTrace,
-    TccConfig,
-    soft_nearest_neighbor,
-    tcc_distance,
-    tcc_distance_symmetric,
-    tcc_frame_loss,
-    tcc_scan,
-)
+import importlib
 
 __version__ = "0.1.0"
+
+# Exported name -> the submodule that defines it.
+_EXPORTS = {
+    **dict.fromkeys(
+        (
+            "BlobError",
+            "DatasetError",
+            "Embodiment",
+            "EmbeddingSequence",
+            "FrameLabel",
+            "LabeledSequence",
+            "ManifestError",
+            "SnippetDatabase",
+            "dataset_content_hash",
+            "quantize_frames_f32",
+            "read_dataset",
+            "write_dataset",
+        ),
+        "data",
+    ),
+    **dict.fromkeys(
+        (
+            "LossWeights",
+            "TimeContrastiveConfig",
+            "combined_loss",
+            "swav_assignment_loss",
+            "swav_two_view_loss",
+            "task_alignment_loss",
+            "task_alignment_loss_from_distances",
+            "time_contrastive_loss",
+            "time_contrastive_loss_from_similarity",
+        ),
+        "losses",
+    ),
+    **dict.fromkeys(
+        (
+            "COSINE",
+            "SQEUCLIDEAN",
+            "CostMatrix",
+            "ScanResult",
+            "SinkhornConfig",
+            "TransportPlan",
+            "cost_matrix",
+            "exact_ot_small",
+            "ot_distance",
+            "sinkhorn",
+            "sinkhorn_scan",
+            "sinkhorn_top2",
+            "swav_code_plan",
+            "swav_codes",
+        ),
+        "ot",
+    ),
+    **dict.fromkeys(
+        (
+            "EvalReport",
+            "ImaginedDemo",
+            "OtSequenceDistance",
+            "PairedDataset",
+            "PairedEntry",
+            "RetrievalConfig",
+            "RetrievalError",
+            "SegmentRecord",
+            "TccSequenceDistance",
+            "TrajectoryEval",
+            "build_paired_dataset",
+            "evaluate",
+            "imagine_demo",
+            "paired_from_json_dict",
+            "paired_to_json_dict",
+            "segment",
+        ),
+        "retrieval",
+    ),
+    **dict.fromkeys(
+        (
+            "GenConfig",
+            "MismatchLevel",
+            "MismatchSpec",
+            "TaskAnchors",
+            "gen_anchors",
+            "gen_benchmark",
+            "gen_demo_snippets",
+            "gen_robot_trajectory",
+        ),
+        "synthgen",
+    ),
+    **dict.fromkeys(
+        (
+            "CycleTrace",
+            "TccConfig",
+            "soft_nearest_neighbor",
+            "tcc_distance",
+            "tcc_distance_symmetric",
+            "tcc_frame_loss",
+            "tcc_scan",
+        ),
+        "tcc",
+    ),
+}
+
+__all__ = list(_EXPORTS)
+
+
+def __getattr__(name: str):
+    module = _EXPORTS.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{module}", __name__), name)
+    globals()[name] = value  # later lookups skip this hook
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *_EXPORTS})

@@ -13,6 +13,15 @@ K' for ``ablate``. The method and ``gen`` flags take their defaults from
 the config dataclasses. Every command runs in one thread: ``--threads``
 is still accepted but has no effect.
 
+Importing this module pins OpenBLAS to one thread
+(``OPENBLAS_NUM_THREADS=1``) before numpy loads, unless the variable is
+already set, in which case the user's value stands. numpy's OpenBLAS
+otherwise starts a pool of worker threads when it loads, in every
+command, and no matrix a command multiplies is large enough for OpenBLAS
+to use the pool: starting it costs 40-80 ms of each command's start-up
+on a 2-vCPU host. The pin lives here, not in the package, so that
+importing ``seqmatch`` as a library changes no environment variable.
+
 ``main`` pauses Python's cyclic garbage collector while a command runs
 and restores the caller's setting when it returns, however it returns.
 A command keeps hundreds of thousands of small containers alive (a
@@ -56,6 +65,9 @@ import sys
 import time
 from pathlib import Path
 from typing import NamedTuple
+
+# Before numpy loads: a pool OpenBLAS never uses costs start-up (see above).
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 import numpy as np
 

@@ -71,7 +71,8 @@ _BOUND_RTOL = 1e-9
 
 @dataclass(frozen=True)
 class SinkhornConfig:
-    """Solver knobs. ``epsilon`` is the entropic regularization strength."""
+    """Solver knobs. ``epsilon`` is the entropic regularization strength.
+    ``max_iters`` is an ``int`` (a bool is not one)."""
 
     epsilon: float = 0.05
     max_iters: int = 1000
@@ -80,6 +81,8 @@ class SinkhornConfig:
     def __post_init__(self):
         if not np.isfinite(self.epsilon) or self.epsilon <= 0:
             raise ValueError(f"epsilon must be finite and > 0, got {self.epsilon}")
+        if not isinstance(self.max_iters, int) or isinstance(self.max_iters, bool):
+            raise ValueError(f"max_iters must be an int, got {self.max_iters!r}")
         if self.max_iters < 1:
             raise ValueError(f"max_iters must be >= 1, got {self.max_iters}")
         if not np.isfinite(self.tol_marginal) or self.tol_marginal <= 0:

@@ -116,9 +116,10 @@ class RetrievalConfig:
 
     Exactly one of ``segment_len`` (K frames per segment) or
     ``segment_count`` (K', giving K = max(1, floor(T / K')) per sequence)
-    must be set. The default keeps the trailing remainder as a short
-    final segment; ``overlap_final=True`` instead slides the last window
-    back so it ends flush at T (overlapping its predecessor).
+    must be set, as an ``int`` (a bool is not one). The default keeps the
+    trailing remainder as a short final segment; ``overlap_final=True``
+    instead slides the last window back so it ends flush at T
+    (overlapping its predecessor).
     """
 
     distance: SequenceDistance | None
@@ -131,7 +132,11 @@ class RetrievalConfig:
             raise ValueError("set exactly one of segment_len or segment_count")
         for name in ("segment_len", "segment_count"):
             value = getattr(self, name)
-            if value is not None and value < 1:
+            if value is None:
+                continue
+            if not isinstance(value, int) or isinstance(value, bool):
+                raise ValueError(f"{name} must be an int, got {value!r}")
+            if value < 1:
                 raise ValueError(f"{name} must be >= 1, got {value}")
 
     def describe(self) -> dict:
@@ -139,7 +144,7 @@ class RetrievalConfig:
             "segment_len": self.segment_len,
             "segment_count": self.segment_count,
             "overlap_final": self.overlap_final,
-            "distance": self.distance.describe(),
+            "distance": None if self.distance is None else self.distance.describe(),
         }
 
 

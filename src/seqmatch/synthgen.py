@@ -49,7 +49,9 @@ class MismatchLevel(str, Enum):
 
 @dataclass(frozen=True)
 class GenConfig:
-    """Desk-scale defaults: small enough for exhaustive retrieval checks in CI."""
+    """Desk-scale defaults: small enough for exhaustive retrieval checks in CI.
+
+    Every field but ``noise_sigma`` is an ``int`` (a bool is not one)."""
 
     n_tasks: int = 7
     dim: int = 32
@@ -61,16 +63,20 @@ class GenConfig:
     seed: int = 0
 
     def __post_init__(self):
-        for name in (
-            "n_tasks",
-            "dim",
-            "frames_per_task",
-            "n_trajectories",
-            "tasks_per_trajectory",
-            "snippets_per_task",
+        for name, low in (
+            ("n_tasks", 1),
+            ("dim", 1),
+            ("frames_per_task", 1),
+            ("n_trajectories", 1),
+            ("tasks_per_trajectory", 1),
+            ("snippets_per_task", 1),
+            ("seed", 0),
         ):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
+            value = getattr(self, name)
+            if not isinstance(value, int) or isinstance(value, bool):
+                raise ValueError(f"{name} must be an int, got {value!r}")
+            if value < low:
+                raise ValueError(f"{name} must be >= {low}, got {value}")
         if not np.isfinite(self.noise_sigma) or self.noise_sigma < 0:
             raise ValueError(f"noise_sigma must be finite and >= 0, got {self.noise_sigma}")
         if self.tasks_per_trajectory > self.n_tasks:

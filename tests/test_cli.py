@@ -629,6 +629,11 @@ class TestExitCodes:
         assert main([*argv, "--out", "out"]) == 2
         assert not (tmp_path / "out").exists()
 
+    def test_negative_seed_names_the_field(self, tmp_path, capsys):
+        assert main(["gen", "--level", "easy", "--seed", "-1", "--out", str(tmp_path / "out")]) == 2
+        assert "error: seed must be >= 0, got -1" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     @pytest.fixture(params=["dimension mismatch", "zero-norm frame", "zero-norm robot frame"])
     def bad_bench(self, request, tmp_path):
         anchors = gen_anchors(GenConfig(n_tasks=3, dim=8, tasks_per_trajectory=1, seed=0))

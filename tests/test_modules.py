@@ -1,6 +1,10 @@
 """Module boundaries of the ``seqmatch`` package."""
 
 import ast
+import os
+import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -48,3 +52,100 @@ def test_no_module_imports_a_private_name_of_a_sibling():
     assert len(modules) >= 8
     found = {path.name: private_sibling_imports(path.read_text()) for path in modules}
     assert {name: names for name, names in found.items() if names} == {}
+
+
+def run_fresh(*args: str, **env: str) -> subprocess.CompletedProcess:
+    """Run a new interpreter on this checkout's ``src`` with ``args``;
+    ``OPENBLAS_NUM_THREADS`` is unset unless ``env`` sets it."""
+    child_env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    path = os.pathsep.join(filter(None, (str(PACKAGE.parent), os.environ.get("PYTHONPATH"))))
+    child_env.update(env, PYTHONPATH=path)
+    proc = subprocess.run([sys.executable, *args], env=child_env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    return proc
+
+
+def test_import_package_loads_no_submodule_nor_numpy_and_keeps_environ():
+    code = """
+import os, sys
+before = dict(os.environ)
+import seqmatch
+assert "numpy" not in sys.modules, "numpy"
+assert not [m for m in sys.modules if m.startswith("seqmatch.")], sorted(sys.modules)
+assert dict(os.environ) == before
+"""
+    run_fresh("-c", code)
+
+
+def test_every_export_is_its_defining_module_attribute():
+    code = """
+import importlib, seqmatch
+assert seqmatch.__all__ and len(set(seqmatch.__all__)) == len(seqmatch.__all__)
+for name in seqmatch.__all__:
+    module = importlib.import_module("seqmatch." + seqmatch._EXPORTS[name])
+    value = getattr(seqmatch, name)
+    assert value is getattr(module, name), name
+    assert getattr(value, "__module__", module.__name__) == module.__name__, name
+assert set(seqmatch.__all__) <= set(dir(seqmatch))
+"""
+    run_fresh("-c", code)
+
+
+def test_star_import_binds_exactly_all():
+    code = """
+import seqmatch
+namespace = {}
+exec("from seqmatch import *", namespace)
+del namespace["__builtins__"]
+assert sorted(namespace) == sorted(seqmatch.__all__), set(namespace) ^ set(seqmatch.__all__)
+"""
+    run_fresh("-c", code)
+
+
+def test_unknown_attribute_raises_attribute_error():
+    code = """
+import seqmatch
+try:
+    seqmatch.no_such_name
+except AttributeError as exc:
+    assert "no_such_name" in str(exc)
+else:
+    raise SystemExit("no AttributeError")
+"""
+    run_fresh("-c", code)
+
+
+@pytest.mark.parametrize("entry", ["import", "run-module"])
+@pytest.mark.parametrize("given, want", [(None, "1"), ("3", "3")], ids=["unset", "user-value"])
+def test_cli_pins_openblas_threads_before_numpy_unless_set(entry, given, want):
+    """The value numpy sees when it is first imported, through ``import
+    seqmatch.cli`` and through ``python -m seqmatch.cli`` (``runpy``)."""
+    code = f"""
+import os, runpy, sys
+seen = []
+
+class Spy:
+    def find_spec(self, name, path=None, target=None):
+        if name == "numpy":
+            seen.append(os.environ.get("OPENBLAS_NUM_THREADS"))
+
+sys.meta_path.insert(0, Spy())
+if {entry!r} == "import":
+    import seqmatch.cli
+else:
+    sys.argv = ["seqmatch", "--version"]
+    try:
+        runpy.run_module("seqmatch.cli", run_name="__main__", alter_sys=True)
+    except SystemExit as exc:
+        assert exc.code == 0, exc.code
+print(seen, os.environ["OPENBLAS_NUM_THREADS"])
+"""
+    env = {} if given is None else {"OPENBLAS_NUM_THREADS": given}
+    assert run_fresh("-c", code, **env).stdout.splitlines()[-1] == f"[{want!r}] {want}"
+
+
+def test_cli_version_matches_pyproject():
+    pyproject = (PACKAGE.parents[1] / "pyproject.toml").read_text()
+    (version,) = re.findall(r'(?m)^version = "([^"]+)"$', pyproject)
+    proc = run_fresh("-m", "seqmatch.cli", "--version")
+    assert (proc.stdout, proc.stderr) == (f"seqmatch {version}\n", "")

@@ -130,6 +130,11 @@ class TestSinkhorn:
         assert not plan.converged
         assert plan.iterations_used == 1
 
+    @pytest.mark.parametrize("value", [2.5, 2.0, True, "3", None], ids=["fraction", "float", "bool", "str", "none"])
+    def test_non_int_max_iters_rejected(self, value):
+        with pytest.raises(ValueError, match=f"^max_iters must be an int, got {value!r}$"):
+            SinkhornConfig(max_iters=value)
+
     def test_nonfinite_cost_rejected(self):
         with pytest.raises(ValueError, match="finite"):
             sinkhorn(np.array([[np.nan, 1.0], [1.0, 0.0]]))

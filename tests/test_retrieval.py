@@ -171,6 +171,19 @@ class TestSegment:
         with pytest.raises(ValueError, match="exactly one"):
             RetrievalConfig(distance=OtSequenceDistance(), segment_len=2, segment_count=2)
 
+    @pytest.mark.parametrize("field", ["segment_len", "segment_count"])
+    @pytest.mark.parametrize("value", [2.5, 2.0, True, "2"], ids=["fraction", "float", "bool", "str"])
+    def test_non_int_segmentation_rejected(self, field, value):
+        with pytest.raises(ValueError, match=f"^{field} must be an int, got {value!r}$"):
+            RetrievalConfig(distance=OtSequenceDistance(), **{field: value})
+
+    def test_describe_without_distance(self):
+        cfg = RetrievalConfig(distance=None, segment_count=2)
+        assert cfg.describe() == {
+            "segment_len": None, "segment_count": 2, "overlap_final": False, "distance": None
+        }
+        assert segment(7, cfg) == [(0, 3), (3, 6), (6, 7)]
+
 
 class TestImagineDemo:
     def test_identity_retrieval(self):

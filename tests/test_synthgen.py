@@ -46,6 +46,25 @@ def mean_cross_embodiment_distance(robot_set, db):
     return float(np.mean(per_task))
 
 
+INT_FIELDS = (
+    "n_tasks", "dim", "frames_per_task", "n_trajectories", "tasks_per_trajectory", "snippets_per_task", "seed"
+)
+
+
+class TestGenConfig:
+    @pytest.mark.parametrize("field", INT_FIELDS)
+    @pytest.mark.parametrize("value", [2.5, 2.0, True, "2"], ids=["fraction", "float", "bool", "str"])
+    def test_non_int_field_rejected(self, field, value):
+        with pytest.raises(ValueError, match=f"^{field} must be an int, got {value!r}$"):
+            GenConfig(**{field: value})
+
+    @pytest.mark.parametrize("field", INT_FIELDS)
+    def test_out_of_range_field_rejected(self, field):
+        low = 0 if field == "seed" else 1
+        with pytest.raises(ValueError, match=f"^{field} must be >= {low}, got {low - 1}$"):
+            GenConfig(**{field: low - 1})
+
+
 class TestAnchors:
     def test_orthonormal_and_deterministic(self):
         cfg = small_cfg(n_tasks=2, dim=2, seed=0)
