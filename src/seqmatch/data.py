@@ -1,4 +1,4 @@
-"""Embedding-sequence domain types and the on-disk dataset format.
+"""Embedding-sequence domain types, the on-disk dataset format and the config-field rules.
 
 A dataset is a directory holding one ``manifest.json`` plus one raw
 ``<id>.f32`` blob per sequence: row-major frames, little-endian IEEE-754
@@ -21,12 +21,14 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import os
 import re
 import stat
 from dataclasses import dataclass, field
 from enum import Enum
 from itertools import chain
+from numbers import Real
 from operator import attrgetter
 from pathlib import Path
 from typing import Iterable, Mapping
@@ -58,6 +60,32 @@ class ManifestError(DatasetError):
 
 class BlobError(DatasetError):
     """A referenced ``.f32`` blob is missing, has the wrong size, or holds bad values."""
+
+
+def check_int(name: str, value, low: int) -> None:
+    """The int rule: an ``int``, not a bool, ``>= low``; else ``ValueError`` naming ``name``."""
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise ValueError(f"{name} must be an int, got {value!r}")
+    if value < low:
+        raise ValueError(f"{name} must be >= {low}, got {value}")
+
+
+def is_finite_real(value) -> bool:
+    """A real number, not a bool, that is neither NaN nor infinite."""
+    return isinstance(value, Real) and not isinstance(value, bool) and math.isfinite(value)
+
+
+def check_finite(name: str, value, gt: float | None = None, ge: float | None = None) -> None:
+    """The finite-real rule: ``is_finite_real``, ``> gt``/``>= ge`` if given; else ``ValueError``."""
+    if not (is_finite_real(value) and (gt is None or value > gt) and (ge is None or value >= ge)):
+        bound = f" and > {gt}" if gt is not None else "" if ge is None else f" and >= {ge}"
+        raise ValueError(f"{name} must be finite{bound}, got {value}")
+
+
+def check_bool(name: str, value) -> None:
+    """The flag rule: ``True`` or ``False``, not just truthy; else ``ValueError`` naming ``name``."""
+    if not isinstance(value, bool):
+        raise ValueError(f"{name} must be a bool, got {value!r}")
 
 
 class Embodiment(str, Enum):

@@ -14,7 +14,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .data import EmbeddingSequence
+from .data import EmbeddingSequence, check_bool, check_finite, check_int
 from .ot import COSINE, SinkhornConfig, frame_matrix, sinkhorn_scan
 
 
@@ -28,9 +28,7 @@ class LossWeights:
 
     def __post_init__(self):
         for name in ("lambda_vis", "lambda_temp", "lambda_task"):
-            v = getattr(self, name)
-            if not np.isfinite(v) or v < 0:
-                raise ValueError(f"{name} must be finite and >= 0, got {v}")
+            check_finite(name, getattr(self, name), ge=0)
 
 
 @dataclass(frozen=True)
@@ -40,10 +38,9 @@ class TimeContrastiveConfig:
     log_form: bool = False
 
     def __post_init__(self):
-        if self.window < 1:
-            raise ValueError(f"window must be >= 1, got {self.window}")
-        if not np.isfinite(self.temperature) or self.temperature <= 0:
-            raise ValueError(f"temperature must be finite and > 0, got {self.temperature}")
+        check_int("window", self.window, 1)
+        check_finite("temperature", self.temperature, gt=0)
+        check_bool("log_form", self.log_form)
 
 
 def _softplus(x: float) -> float:
@@ -188,8 +185,7 @@ def swav_assignment_loss(
     if not np.isfinite(S).all():
         raise ValueError("scores contain NaN or Inf")
     _check_code_rows(Q)
-    if not np.isfinite(temperature) or temperature <= 0:
-        raise ValueError(f"temperature must be finite and > 0, got {temperature}")
+    check_finite("temperature", temperature, gt=0)
     logp = _log_softmax_rows(S / temperature)
     return float(np.mean(-(Q * logp).sum(axis=1)))
 

@@ -46,7 +46,7 @@ from typing import Iterator, NamedTuple, Sequence
 
 import numpy as np
 
-from .data import EmbeddingSequence
+from .data import EmbeddingSequence, check_finite, check_int
 
 COSINE = "cosine"
 SQEUCLIDEAN = "squared_euclidean"
@@ -71,22 +71,16 @@ _BOUND_RTOL = 1e-9
 
 @dataclass(frozen=True)
 class SinkhornConfig:
-    """Solver knobs. ``epsilon`` is the entropic regularization strength.
-    ``max_iters`` is an ``int`` (a bool is not one)."""
+    """Solver knobs. ``epsilon`` is the entropic regularization strength."""
 
     epsilon: float = 0.05
     max_iters: int = 1000
     tol_marginal: float = 1e-6
 
     def __post_init__(self):
-        if not np.isfinite(self.epsilon) or self.epsilon <= 0:
-            raise ValueError(f"epsilon must be finite and > 0, got {self.epsilon}")
-        if not isinstance(self.max_iters, int) or isinstance(self.max_iters, bool):
-            raise ValueError(f"max_iters must be an int, got {self.max_iters!r}")
-        if self.max_iters < 1:
-            raise ValueError(f"max_iters must be >= 1, got {self.max_iters}")
-        if not np.isfinite(self.tol_marginal) or self.tol_marginal <= 0:
-            raise ValueError(f"tol_marginal must be finite and > 0, got {self.tol_marginal}")
+        check_finite("epsilon", self.epsilon, gt=0)
+        check_int("max_iters", self.max_iters, 1)
+        check_finite("tol_marginal", self.tol_marginal, gt=0)
 
 
 @dataclass(frozen=True, eq=False)

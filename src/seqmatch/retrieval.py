@@ -32,6 +32,8 @@ from .data import (
     EmbeddingSequence,
     LabeledSequence,
     SnippetDatabase,
+    check_bool,
+    check_int,
     dataset_content_hash,
     label_tasks,
 )
@@ -67,14 +69,14 @@ class OtSequenceDistance:
         self.metric = metric
 
     def scan(
-        self, queries: Sequence[EmbeddingSequence], bank: Sequence[EmbeddingSequence]
+        self, queries: Sequence[EmbeddingSequence | np.ndarray], bank: Sequence[EmbeddingSequence]
     ) -> tuple[np.ndarray, np.ndarray]:
         """``grid``'s entries where ``sinkhorn_top2`` solved; ``inf`` where it pruned."""
         result = sinkhorn_top2(queries, bank, self.cfg, self.metric)
         return result.costs, result.converged
 
     def grid(
-        self, queries: Sequence[EmbeddingSequence], bank: Sequence[EmbeddingSequence]
+        self, queries: Sequence[EmbeddingSequence | np.ndarray], bank: Sequence[EmbeddingSequence]
     ) -> tuple[np.ndarray, np.ndarray]:
         """Entry (i, j): ``sinkhorn(cost_matrix(queries[i], bank[j], metric), cfg)``'s
         cost and converged flag."""
@@ -91,11 +93,12 @@ class TccSequenceDistance:
     name = "tcc"
 
     def __init__(self, cfg: TccConfig | None = None, symmetric: bool = False):
+        check_bool("symmetric", symmetric)
         self.cfg = cfg or TccConfig()
         self.symmetric = symmetric
 
     def scan(
-        self, queries: Sequence[EmbeddingSequence], bank: Sequence[EmbeddingSequence]
+        self, queries: Sequence[EmbeddingSequence | np.ndarray], bank: Sequence[EmbeddingSequence]
     ) -> tuple[np.ndarray, np.ndarray]:
         """Entry (i, j): ``tcc_distance(queries[i], bank[j], cfg)`` (or symmetric) and True."""
         values = tcc_scan(queries, bank, self.cfg, self.symmetric)
@@ -116,10 +119,9 @@ class RetrievalConfig:
 
     Exactly one of ``segment_len`` (K frames per segment) or
     ``segment_count`` (K', giving K = max(1, floor(T / K')) per sequence)
-    must be set, as an ``int`` (a bool is not one). The default keeps the
-    trailing remainder as a short final segment; ``overlap_final=True``
-    instead slides the last window back so it ends flush at T
-    (overlapping its predecessor).
+    must be set. The default keeps the trailing remainder as a short final
+    segment; ``overlap_final=True`` instead slides the last window back so
+    it ends flush at T (overlapping its predecessor).
     """
 
     distance: SequenceDistance | None
@@ -130,14 +132,9 @@ class RetrievalConfig:
     def __post_init__(self):
         if (self.segment_len is None) == (self.segment_count is None):
             raise ValueError("set exactly one of segment_len or segment_count")
-        for name in ("segment_len", "segment_count"):
-            value = getattr(self, name)
-            if value is None:
-                continue
-            if not isinstance(value, int) or isinstance(value, bool):
-                raise ValueError(f"{name} must be an int, got {value!r}")
-            if value < 1:
-                raise ValueError(f"{name} must be >= 1, got {value}")
+        name = "segment_len" if self.segment_count is None else "segment_count"
+        check_int(name, getattr(self, name), 1)
+        check_bool("overlap_final", self.overlap_final)
 
     def describe(self) -> dict:
         return {
@@ -314,11 +311,7 @@ def _imagine_demos(
         if db.dim != z.dim:
             raise ValueError(f"dimension mismatch: sequence d={z.dim}, database d={db.dim}")
     segments = [segment(z, cfg) for z in sequences]
-    subs = [
-        EmbeddingSequence(z.frames[start:end])
-        for z, ranges in zip(sequences, segments)
-        for start, end in ranges
-    ]
+    subs = [z.frames[start:end] for z, ranges in zip(sequences, segments) for start, end in ranges]
     values, converged = cfg.distance.scan(subs, [s.sequence for s in db.snippets])
     rows = zip(values, converged)
     demos = []

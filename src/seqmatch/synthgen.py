@@ -34,6 +34,9 @@ from .data import (
     FrameLabel,
     LabeledSequence,
     SnippetDatabase,
+    check_finite,
+    check_int,
+    is_finite_real,
     quantize_frames_f32,
 )
 
@@ -49,9 +52,7 @@ class MismatchLevel(str, Enum):
 
 @dataclass(frozen=True)
 class GenConfig:
-    """Desk-scale defaults: small enough for exhaustive retrieval checks in CI.
-
-    Every field but ``noise_sigma`` is an ``int`` (a bool is not one)."""
+    """Desk-scale defaults: small enough for exhaustive retrieval checks in CI."""
 
     n_tasks: int = 7
     dim: int = 32
@@ -63,22 +64,11 @@ class GenConfig:
     seed: int = 0
 
     def __post_init__(self):
-        for name, low in (
-            ("n_tasks", 1),
-            ("dim", 1),
-            ("frames_per_task", 1),
-            ("n_trajectories", 1),
-            ("tasks_per_trajectory", 1),
-            ("snippets_per_task", 1),
-            ("seed", 0),
-        ):
-            value = getattr(self, name)
-            if not isinstance(value, int) or isinstance(value, bool):
-                raise ValueError(f"{name} must be an int, got {value!r}")
-            if value < low:
-                raise ValueError(f"{name} must be >= {low}, got {value}")
-        if not np.isfinite(self.noise_sigma) or self.noise_sigma < 0:
-            raise ValueError(f"noise_sigma must be finite and >= 0, got {self.noise_sigma}")
+        for name in ("n_tasks", "dim", "frames_per_task", "n_trajectories", "tasks_per_trajectory",
+                     "snippets_per_task"):
+            check_int(name, getattr(self, name), 1)
+        check_int("seed", self.seed, 0)
+        check_finite("noise_sigma", self.noise_sigma, ge=0)
         if self.tasks_per_trajectory > self.n_tasks:
             raise ValueError("tasks_per_trajectory cannot exceed n_tasks")
 
@@ -97,19 +87,18 @@ class MismatchSpec:
 
     def __post_init__(self):
         object.__setattr__(self, "level", MismatchLevel(self.level))
-        object.__setattr__(
-            self, "merge_pairs", tuple(tuple(int(t) for t in p) for p in self.merge_pairs)
-        )
-        object.__setattr__(self, "speed_factors", tuple(float(s) for s in self.speed_factors))
-        if not np.isfinite(self.noise_sigma) or self.noise_sigma < 0:
-            raise ValueError(f"noise_sigma must be finite and >= 0, got {self.noise_sigma}")
-        for name in ("offset_magnitude", "rotation_angle_deg"):
-            if not np.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
-        if not self.speed_factors or not all(np.isfinite(s) and s > 0 for s in self.speed_factors):
+        object.__setattr__(self, "merge_pairs", tuple(tuple(p) for p in self.merge_pairs))
+        object.__setattr__(self, "speed_factors", tuple(self.speed_factors))
+        check_finite("noise_sigma", self.noise_sigma, ge=0)
+        check_finite("offset_magnitude", self.offset_magnitude)
+        check_finite("rotation_angle_deg", self.rotation_angle_deg)
+        check_int("seed", self.seed, 0)
+        if not self.speed_factors or not all(is_finite_real(s) and s > 0 for s in self.speed_factors):
             raise ValueError(f"speed factors must be finite and positive, got {self.speed_factors}")
         for pair in self.merge_pairs:
-            if len(pair) != 2 or pair[0] == pair[1] or min(pair) < 0:
+            for t in pair:
+                check_int("merge pair task id", t, 0)
+            if len(pair) != 2 or pair[0] == pair[1]:
                 raise ValueError(f"bad merge pair {pair}")
 
     @classmethod

@@ -20,7 +20,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .data import EmbeddingSequence
+from .data import EmbeddingSequence, check_bool, check_finite
 from .ot import frame_matrix, pair_stacks, pairwise_sq_dists
 
 
@@ -30,8 +30,8 @@ class TccConfig:
     squared: bool = True
 
     def __post_init__(self):
-        if not np.isfinite(self.temperature) or self.temperature <= 0:
-            raise ValueError(f"temperature must be finite and > 0, got {self.temperature}")
+        check_finite("temperature", self.temperature, gt=0)
+        check_bool("squared", self.squared)
 
 
 @dataclass(frozen=True, eq=False)

@@ -5,6 +5,9 @@ import hashlib
 import importlib
 import importlib.util
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -30,6 +33,11 @@ from seqmatch.synthgen import GenConfig, gen_anchors
 from seqmatch.tcc import TccConfig, tcc_distance, tcc_distance_symmetric
 
 VOLATILE = ("run_manifest.json",)
+SRC = Path(__file__).resolve().parents[1] / "src"
+# numpy 2.4's dispatch targets above its x86-64-v2 baseline: disabling them
+# all leaves numpy on its baseline kernels, as on a host without AVX2.
+DISPATCH_TARGETS = ("X86_V3", "X86_V4", "AVX512_ICL", "AVX512_SPR")
+PORTABLE_KERNELS = {"OPENBLAS_CORETYPE": "Prescott", "NPY_DISABLE_CPU_FEATURES": " ".join(DISPATCH_TARGETS)}
 
 
 def tree_digest(root: Path, exclude=VOLATILE) -> dict:
@@ -730,6 +738,72 @@ class TestPipelineReproducibility:
             main(["eval", "--paired", "run", "--out", "eval"])
             digests.append(tree_digest(root))
         assert digests[0] == digests[1]
+
+    def test_portable_kernels_keep_picks_and_report(self, tmp_path):
+        """Across CPUs, picks and reports are equal and distances agree to a few ulp:
+        ``imagine`` under numpy's baseline kernels and OpenBLAS's Prescott kernels
+        against the same command under this host's defaults."""
+        reason = portable_kernels_unavailable()
+        if reason:
+            pytest.skip(reason)
+        run_cli(tmp_path, "gen", "--level", "medium", "--seed", "3", "--out", "bench")
+        imagine = ("imagine", "--robot", "bench/robot", "--play", "bench/play", "--segment-k", "8")
+        run_cli(tmp_path, *imagine, "--out", "native")
+        run_cli(tmp_path, *imagine, "--out", "portable", **PORTABLE_KERNELS)
+        native, portable = tmp_path / "native", tmp_path / "portable"
+        assert (native / "report.json").read_bytes() == (portable / "report.json").read_bytes()
+        assert tree_digest(native / "imagined") == tree_digest(portable / "imagined")
+        want = json.loads((native / "paired.json").read_text())
+        got = json.loads((portable / "paired.json").read_text())
+        assert got["provenance"] == want["provenance"]
+        assert [e["robot_id"] for e in got["entries"]] == [e["robot_id"] for e in want["entries"]]
+        close = ("distance", "margin")
+        for g_entry, w_entry in zip(got["entries"], want["entries"]):
+            assert len(g_entry["segments"]) == len(w_entry["segments"])
+            for g, w in zip(g_entry["segments"], w_entry["segments"]):
+                assert {k: v for k, v in g.items() if k not in close} == {
+                    k: v for k, v in w.items() if k not in close
+                }
+                for key in close:
+                    assert abs(g[key] - w[key]) <= 1e-15, (w_entry["robot_id"], g["start"], key)
+
+
+def cli_env(**extra: str) -> dict:
+    """This environment without the kernel-selection variables, plus ``extra``."""
+    env = {k: v for k, v in os.environ.items() if k not in PORTABLE_KERNELS}
+    path = os.pathsep.join(filter(None, (str(SRC), os.environ.get("PYTHONPATH"))))
+    return {**env, **extra, "PYTHONPATH": path}
+
+
+def run_cli(cwd: Path, *args: str, **env: str) -> None:
+    """``python -m seqmatch.cli *args`` in a child process in ``cwd``."""
+    proc = subprocess.run(
+        [sys.executable, "-m", "seqmatch.cli", *args], cwd=cwd, env=cli_env(**env),
+        capture_output=True, text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+
+
+def portable_kernels_unavailable() -> str | None:
+    """Why ``PORTABLE_KERNELS`` would change nothing here, or None."""
+    probe = (
+        "import sys\n"
+        "try:\n"
+        "    from numpy._core._multiarray_umath import __cpu_features__\n"
+        "except Exception as exc:\n"
+        "    sys.exit(' '.join(str(exc).split()))\n"
+        "print(' '.join(n for n in sys.argv[1:] if __cpu_features__.get(n)))\n"
+    )
+    command = [sys.executable, "-W", "error::ImportWarning", "-c", probe, *DISPATCH_TARGETS]
+    native = subprocess.run(command, env=cli_env(), capture_output=True, text=True)
+    if native.returncode != 0:
+        return f"numpy does not report its CPU features: {native.stderr.strip()}"
+    if not native.stdout.split():
+        return f"this host has none of numpy's dispatch targets {' '.join(DISPATCH_TARGETS)}"
+    portable = subprocess.run(command, env=cli_env(**PORTABLE_KERNELS), capture_output=True, text=True)
+    if portable.returncode != 0:
+        return f"numpy rejects NPY_DISABLE_CPU_FEATURES: {portable.stderr.strip()}"
+    return None
 
 
 def test_benchmark_trace_layers_resolve():

@@ -1,7 +1,10 @@
 import hashlib
 import json
+import math
 import os
+import re
 import tempfile
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -18,6 +21,9 @@ from seqmatch.data import (
     LabeledSequence,
     ManifestError,
     SnippetDatabase,
+    check_bool,
+    check_finite,
+    check_int,
     dataset_content_hash,
     quantize_frames_f32,
     read_dataset,
@@ -176,6 +182,59 @@ class TestDatabaseInvariants:
         a = make_sequence("a", np.zeros((1, 2)), tasks=[7])
         with pytest.raises(ValueError, match="undeclared"):
             SnippetDatabase((a,), task_names={0: "t"})
+
+
+class TestConfigRules:
+    @pytest.mark.parametrize("value", [1, 7, 10**20])
+    def test_int_accepted(self, value):
+        check_int("n", value, 1)
+
+    @pytest.mark.parametrize(
+        "value", [2.0, True, "2", None, np.int64(2)], ids=["float", "bool", "str", "none", "numpy-int"]
+    )
+    def test_non_int_rejected(self, value):
+        with pytest.raises(ValueError, match=f"^n must be an int, got {re.escape(repr(value))}$"):
+            check_int("n", value, 1)
+
+    def test_int_below_low_rejected(self):
+        with pytest.raises(ValueError, match="^n must be >= 1, got 0$"):
+            check_int("n", 0, 1)
+
+    @pytest.mark.parametrize("value", [0.5, 1, np.float64(2.0), np.float32(0.5), np.int64(3), Fraction(1, 3)])
+    def test_finite_real_accepted(self, value):
+        check_finite("x", value)
+        check_finite("x", value, gt=0)
+        check_finite("x", value, ge=0)
+
+    @pytest.mark.parametrize(
+        "value",
+        [math.nan, math.inf, -math.inf, True, False, "1", None, np.bool_(True)],
+        ids=["nan", "inf", "-inf", "true", "false", "str", "none", "numpy-bool"],
+    )
+    @pytest.mark.parametrize("bound", [{}, {"gt": 0}, {"ge": 0}], ids=["any", "gt", "ge"])
+    def test_not_finite_real_rejected(self, value, bound):
+        text = " and > 0" if "gt" in bound else " and >= 0" if "ge" in bound else ""
+        with pytest.raises(ValueError, match=f"^x must be finite{text}, got {re.escape(str(value))}$"):
+            check_finite("x", value, **bound)
+
+    def test_finite_bounds(self):
+        check_finite("x", 0.0, ge=0)
+        check_finite("x", -2.0)
+        with pytest.raises(ValueError, match="^x must be finite and > 0, got 0.0$"):
+            check_finite("x", 0.0, gt=0)
+        with pytest.raises(ValueError, match="^x must be finite and >= 0, got -1e-300$"):
+            check_finite("x", -1e-300, ge=0)
+
+    def test_bool_accepted(self):
+        check_bool("flag", True)
+        check_bool("flag", False)
+
+    @pytest.mark.parametrize(
+        "value", [1, 0, "no", None, np.bool_(True)], ids=["one", "zero", "str", "none", "numpy-bool"]
+    )
+    def test_non_bool_rejected(self, value):
+        with pytest.raises(ValueError, match=f"^flag must be a bool, got {re.escape(repr(value))}$"):
+            check_bool("flag", value)
 
 
 class TestRoundTrip:

@@ -81,11 +81,21 @@ class TestTimeContrastive:
         cfg = TimeContrastiveConfig(window=2)  # no frame is ever outside the window
         assert time_contrastive_loss(z, cfg) == pytest.approx(-6.0)  # 1 per positive pair
 
-    @pytest.mark.parametrize("temperature", [0.0, -0.1, math.inf, -math.inf, math.nan])
+    @pytest.mark.parametrize("temperature", [0.0, -0.1, math.inf, -math.inf, math.nan, True])
     def test_bad_temperature_rejected(self, temperature):
         # an infinite temperature flattens every logit to 0: the loss no longer sees the scores
         with pytest.raises(ValueError, match="^temperature must be finite and > 0"):
             TimeContrastiveConfig(temperature=temperature)
+
+    @pytest.mark.parametrize("window", [1.5, True, math.inf], ids=["fraction", "bool", "inf"])
+    def test_non_int_window_rejected(self, window):
+        with pytest.raises(ValueError, match=f"^window must be an int, got {window!r}$"):
+            TimeContrastiveConfig(window=window)
+
+    @pytest.mark.parametrize("log_form", ["yes", 1, None], ids=["str", "int", "none"])
+    def test_non_bool_log_form_rejected(self, log_form):
+        with pytest.raises(ValueError, match=f"^log_form must be a bool, got {log_form!r}$"):
+            TimeContrastiveConfig(log_form=log_form)
 
     def test_needs_two_frames(self):
         with pytest.raises(ValueError, match="T >= 2"):
@@ -222,7 +232,7 @@ class TestSwavLoss:
             swav_assignment_loss(s1, q2) + swav_assignment_loss(s2, q1), abs=1e-12
         )
 
-    @pytest.mark.parametrize("temperature", [0.0, -1.0, math.inf, -math.inf, math.nan])
+    @pytest.mark.parametrize("temperature", [0.0, -1.0, math.inf, -math.inf, math.nan, True])
     def test_bad_temperature_rejected(self, temperature):
         codes = np.full((2, 3), 1.0 / 3.0)
         with pytest.raises(ValueError, match="^temperature must be finite and > 0"):
@@ -267,6 +277,11 @@ class TestCombined:
     def test_negative_weights_rejected(self):
         with pytest.raises(ValueError, match=">= 0"):
             LossWeights(lambda_vis=-0.1)
+
+    @pytest.mark.parametrize("field", ["lambda_vis", "lambda_temp", "lambda_task"])
+    def test_bool_weight_rejected(self, field):
+        with pytest.raises(ValueError, match=f"^{field} must be finite and >= 0, got True$"):
+            LossWeights(**{field: True})
 
     def test_nonfinite_component_rejected(self):
         with pytest.raises(ValueError, match="finite"):

@@ -135,6 +135,12 @@ class TestSinkhorn:
         with pytest.raises(ValueError, match=f"^max_iters must be an int, got {value!r}$"):
             SinkhornConfig(max_iters=value)
 
+    @pytest.mark.parametrize("field", ["epsilon", "tol_marginal"])
+    @pytest.mark.parametrize("value", [True, "0.05", None], ids=["bool", "str", "none"])
+    def test_non_real_field_rejected(self, field, value):
+        with pytest.raises(ValueError, match=f"^{field} must be finite and > 0, got {value}$"):
+            SinkhornConfig(**{field: value})
+
     def test_nonfinite_cost_rejected(self):
         with pytest.raises(ValueError, match="finite"):
             sinkhorn(np.array([[np.nan, 1.0], [1.0, 0.0]]))

@@ -115,7 +115,7 @@ class NanDistance(OtSequenceDistance):
 
 
 class NanForQueryDistance(OtSequenceDistance):
-    """OT with every distance of one query sequence turned into NaN."""
+    """OT with every distance of one query frame matrix turned into NaN."""
 
     def __init__(self, nan_query):
         super().__init__()
@@ -123,7 +123,7 @@ class NanForQueryDistance(OtSequenceDistance):
 
     def scan(self, queries, bank):
         values, converged = super().scan(queries, bank)
-        values[[q == self.nan_query for q in queries]] = np.nan
+        values[[np.array_equal(q, self.nan_query) for q in queries]] = np.nan
         return values, converged
 
 
@@ -176,6 +176,19 @@ class TestSegment:
     def test_non_int_segmentation_rejected(self, field, value):
         with pytest.raises(ValueError, match=f"^{field} must be an int, got {value!r}$"):
             RetrievalConfig(distance=OtSequenceDistance(), **{field: value})
+
+    @pytest.mark.parametrize(
+        "field, make",
+        [
+            ("overlap_final", lambda v: RetrievalConfig(distance=None, segment_len=2, overlap_final=v)),
+            ("symmetric", lambda v: TccSequenceDistance(symmetric=v)),
+        ],
+        ids=["overlap_final", "symmetric"],
+    )
+    @pytest.mark.parametrize("value", ["no", 1, None], ids=["str", "int", "none"])
+    def test_non_bool_flag_rejected(self, field, make, value):
+        with pytest.raises(ValueError, match=f"^{field} must be a bool, got {value!r}$"):
+            make(value)
 
     def test_describe_without_distance(self):
         cfg = RetrievalConfig(distance=None, segment_count=2)
@@ -468,7 +481,7 @@ class TestBuildPairedDataset:
         second = robot_set.snippets[1].sequence
         cfg = RetrievalConfig(distance=None, segment_len=5)
         (start, end) = segment(second, cfg)[1]
-        distance = NanForQueryDistance(EmbeddingSequence(second.frames[start:end]))
+        distance = NanForQueryDistance(second.frames[start:end])
         cfg = RetrievalConfig(distance=distance, segment_len=5)
         with pytest.raises(RetrievalError, match="^segment 1: all snippet distances are NaN$") as exc:
             build_paired_dataset(robot_set, db, cfg)

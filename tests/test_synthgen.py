@@ -64,6 +64,10 @@ class TestGenConfig:
         with pytest.raises(ValueError, match=f"^{field} must be >= {low}, got {low - 1}$"):
             GenConfig(**{field: low - 1})
 
+    def test_bool_noise_sigma_rejected(self):
+        with pytest.raises(ValueError, match="^noise_sigma must be finite and >= 0, got True$"):
+            GenConfig(noise_sigma=True)
+
 
 class TestAnchors:
     def test_orthonormal_and_deterministic(self):
@@ -195,8 +199,17 @@ class TestDemoSnippets:
             ("speed_factors", (float("nan"),), "speed factors must be finite"),
             ("speed_factors", (float("inf"),), "speed factors must be finite"),
             ("speed_factors", (1.0, 0.0), "speed factors must be finite and positive"),
+            ("noise_sigma", True, "noise_sigma must be finite and >= 0, got True"),
+            ("seed", -1, "seed must be >= 0, got -1"),
+            ("seed", 1.5, "seed must be an int, got 1.5"),
+            ("merge_pairs", [(0.7, 2)], r"merge pair task id must be an int, got 0\.7"),
+            ("merge_pairs", [(True, 2)], "merge pair task id must be an int, got True"),
+            ("speed_factors", ("2",), "speed factors must be finite and positive"),
+            ("speed_factors", (True,), "speed factors must be finite and positive"),
         ],
-        ids=["noise-nan", "noise-negative", "offset-inf", "rotation-nan", "speed-nan", "speed-inf", "speed-zero"],
+        ids=["noise-nan", "noise-negative", "offset-inf", "rotation-nan", "speed-nan", "speed-inf", "speed-zero",
+             "noise-bool", "seed-negative", "seed-fraction", "merge-fraction", "merge-bool", "speed-str",
+             "speed-bool"],
     )
     def test_invalid_spec_rejected(self, field, value, message):
         with pytest.raises(ValueError, match=message):

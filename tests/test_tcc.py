@@ -193,6 +193,16 @@ class TestTccDistance:
         with pytest.raises(ValueError, match="temperature"):
             TccConfig(temperature=0.0)
 
+    @pytest.mark.parametrize("value", [True, "0.1"], ids=["bool", "str"])
+    def test_non_real_temperature_rejected(self, value):
+        with pytest.raises(ValueError, match=f"^temperature must be finite and > 0, got {value}$"):
+            TccConfig(temperature=value)
+
+    @pytest.mark.parametrize("value", ["no", 1, None], ids=["str", "int", "none"])
+    def test_non_bool_squared_rejected(self, value):
+        with pytest.raises(ValueError, match=f"^squared must be a bool, got {value!r}$"):
+            TccConfig(squared=value)
+
 
 CONFIGS = [
     TccConfig(),
