@@ -50,7 +50,7 @@ from .data import EmbeddingSequence, check_finite, check_int
 
 COSINE = "cosine"
 SQEUCLIDEAN = "squared_euclidean"
-_METRICS = (COSINE, SQEUCLIDEAN)
+METRICS = (COSINE, SQEUCLIDEAN)
 
 _EXACT_MAX_CELLS = 16
 # Cost cells (pairs x m x n) in one batch of a bank scan. Larger batches
@@ -96,7 +96,7 @@ class CostMatrix:
             raise ValueError(f"cost matrix must be 2-D and non-empty, got {arr.shape}")
         if not np.isfinite(arr).all():
             raise ValueError("cost matrix contains NaN or Inf")
-        if self.metric not in _METRICS:
+        if self.metric not in METRICS:
             raise ValueError(f"unknown metric {self.metric!r}")
         if self.metric == COSINE and (arr.min() < 0.0 or arr.max() > 2.0):
             raise ValueError("cosine costs must lie in [0, 2]")

@@ -39,7 +39,7 @@ from .data import (
 )
 # cost_matrix, sinkhorn and tcc_distance go unused: perfbench/tracing.py wraps them here.
 from .ot import (  # noqa: F401
-    COSINE, SinkhornConfig, cost_matrix, sinkhorn, sinkhorn_scan, sinkhorn_top2,
+    COSINE, METRICS, SinkhornConfig, cost_matrix, sinkhorn, sinkhorn_scan, sinkhorn_top2,
 )
 from .tcc import TccConfig, tcc_distance, tcc_scan  # noqa: F401
 
@@ -65,6 +65,8 @@ class OtSequenceDistance:
     name = "ot"
 
     def __init__(self, cfg: SinkhornConfig | None = None, metric: str = COSINE):
+        if metric not in METRICS:
+            raise ValueError(f"unknown metric {metric!r}")
         self.cfg = cfg or SinkhornConfig()
         self.metric = metric
 
@@ -152,9 +154,11 @@ def segment(z: EmbeddingSequence | int, cfg: RetrievalConfig) -> list[tuple[int,
     remainder (at least one frame) when K does not divide T. K larger
     than T yields the single range [0, T).
     """
-    T = z.n_frames if isinstance(z, EmbeddingSequence) else int(z)
-    if T < 1:
-        raise ValueError(f"need T >= 1, got {T}")
+    if isinstance(z, EmbeddingSequence):
+        T = z.n_frames
+    else:
+        check_int("T", z, 1)
+        T = z
     if cfg.segment_len is not None:
         K = cfg.segment_len
     else:

@@ -205,9 +205,10 @@ def gen_robot_trajectory(
     seq_id: str = "robot-000",
 ) -> LabeledSequence:
     """One long-horizon robot trajectory: unit frames near each task anchor in turn."""
-    task_seq = tuple(int(t) for t in task_seq)
+    task_seq = tuple(task_seq)
     for t in task_seq:
-        if not 0 <= t < anchors.n_tasks:
+        check_int("task id", t, 0)
+        if t >= anchors.n_tasks:
             raise ValueError(f"invalid task id {t} (n_tasks={anchors.n_tasks})")
     blocks = []
     labels: list[FrameLabel] = []

@@ -691,7 +691,8 @@ class TestExitCodes:
 
 
 class TestGarbageCollector:
-    """``main`` pauses the cyclic collector for the command and restores the caller's setting."""
+    """``main`` pauses the cyclic collector for the command, restores the caller's
+    setting and freezes nothing."""
 
     @pytest.fixture(params=[True, False], ids=["gc-on", "gc-off"])
     def gc_before(self, request):
@@ -711,8 +712,10 @@ class TestGarbageCollector:
         ids=["success", "data-error", "config-error", "parse-error"],
     )
     def test_state_restored(self, gc_before, tmp_path, argv, code):
+        frozen = gc.get_freeze_count()
         assert main([*argv, "--out", str(tmp_path / "out")]) == code
         assert gc.isenabled() is gc_before
+        assert gc.get_freeze_count() == frozen
 
     def test_paused_during_command(self, gc_before, tmp_path, monkeypatch):
         seen = []

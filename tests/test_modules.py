@@ -144,6 +144,61 @@ print(seen, os.environ["OPENBLAS_NUM_THREADS"])
     assert run_fresh("-c", code, **env).stdout.splitlines()[-1] == f"[{want!r}] {want}"
 
 
+@pytest.mark.parametrize("entry", ["import", "run-module"])
+def test_cli_turns_gc_off_before_numpy_only_as_main(entry):
+    """Through ``python -m seqmatch.cli`` (``runpy``) numpy loads with the
+    collector off, and the process exits with it off and objects frozen;
+    ``import seqmatch.cli`` leaves both as it found them."""
+    code = f"""
+import gc, runpy, sys
+seen = []
+
+class Spy:
+    def find_spec(self, name, path=None, target=None):
+        if name == "numpy":
+            seen.append(gc.isenabled())
+
+sys.meta_path.insert(0, Spy())
+if {entry!r} == "import":
+    import seqmatch.cli
+else:
+    sys.argv = ["seqmatch", "--version"]
+    try:
+        runpy.run_module("seqmatch.cli", run_name="__main__", alter_sys=True)
+    except SystemExit as exc:
+        assert exc.code == 0, exc.code
+print(seen, gc.isenabled(), gc.get_freeze_count() > 0)
+"""
+    want = "[True] True False" if entry == "import" else "[False] False True"
+    assert run_fresh("-c", code).stdout.splitlines()[-1] == want
+
+
+@pytest.mark.parametrize(
+    "argv, want",
+    [
+        (["gen", "--level", "easy", "--trajectories", "2", "--snippets-per-task", "1"], 0),
+        (["gen", "--level", "insane"], 2),
+        (["gen", "--level", "easy", "--d", "4", "--n-tasks", "7"], 2),
+        (["eval", "--paired", "void"], 3),
+    ],
+    ids=["success", "parse-error", "config-error", "data-error"],
+)
+def test_cli_run_returns_main_code_and_freezes(tmp_path, argv, want):
+    code = f"""
+import gc
+import seqmatch.cli
+assert gc.isenabled() and gc.get_freeze_count() == 0
+code = seqmatch.cli.run({[*argv, "--out", str(tmp_path / "out")]!r})
+print(code, gc.isenabled(), gc.get_freeze_count() > 0)
+"""
+    assert run_fresh("-c", code).stdout.splitlines()[-1] == f"{want} False True"
+
+
+def test_console_script_enters_through_run():
+    pyproject = (PACKAGE.parents[1] / "pyproject.toml").read_text()
+    assert re.findall(r'(?m)^seqmatch = "([^"]+)"$', pyproject) == ["seqmatch.cli:run"]
+
+
 def test_cli_version_matches_pyproject():
     pyproject = (PACKAGE.parents[1] / "pyproject.toml").read_text()
     (version,) = re.findall(r'(?m)^version = "([^"]+)"$', pyproject)

@@ -14,7 +14,7 @@ from seqmatch.data import (
     SnippetDatabase,
     quantize_frames_f32,
 )
-from seqmatch.ot import SinkhornConfig, cost_matrix, sinkhorn
+from seqmatch.ot import SQEUCLIDEAN, SinkhornConfig, cost_matrix, sinkhorn
 from seqmatch.retrieval import (
     ImaginedDemo,
     OtSequenceDistance,
@@ -164,6 +164,20 @@ class TestSegment:
             distance=OtSequenceDistance(), segment_len=3, overlap_final=True
         )
         assert segment(7, cfg) == [(0, 3), (3, 6), (4, 7)]
+
+    @pytest.mark.parametrize("T", [7.9, True, "7"], ids=["fraction", "bool", "str"])
+    def test_non_int_frame_count_rejected(self, T):
+        with pytest.raises(ValueError, match=f"^T must be an int, got {T!r}$"):
+            segment(T, ot_config(segment_len=3))
+
+    def test_zero_frame_count_rejected(self):
+        with pytest.raises(ValueError, match="^T must be >= 1, got 0$"):
+            segment(0, ot_config(segment_len=3))
+
+    def test_unknown_metric_rejected(self):
+        with pytest.raises(ValueError, match="^unknown metric 'euclid'$"):
+            OtSequenceDistance(metric="euclid")
+        assert OtSequenceDistance(metric=SQEUCLIDEAN).describe()["metric"] == SQEUCLIDEAN
 
     def test_exactly_one_segmentation_mode(self):
         with pytest.raises(ValueError, match="exactly one"):

@@ -119,6 +119,14 @@ class TestRobotTrajectory:
         anchors = gen_anchors(cfg)
         with pytest.raises(ValueError, match="invalid task id"):
             gen_robot_trajectory([2], anchors, cfg, robot_rng(cfg))
+        with pytest.raises(ValueError, match="^task id must be >= 0, got -1$"):
+            gen_robot_trajectory([-1], anchors, cfg, robot_rng(cfg))
+
+    @pytest.mark.parametrize("tasks", [[0.7, "1"], ["1"], [True], [1.0]], ids=["fraction", "str", "bool", "float"])
+    def test_non_int_task_id_rejected(self, tasks):
+        cfg = small_cfg(n_tasks=2, dim=4)
+        with pytest.raises(ValueError, match=f"^task id must be an int, got {tasks[0]!r}$"):
+            gen_robot_trajectory(tasks, gen_anchors(cfg), cfg, robot_rng(cfg))
 
     def test_frames_are_float32_clean_and_unit(self):
         cfg = small_cfg(n_tasks=3, dim=8, seed=1)
