@@ -64,7 +64,8 @@ frame under the cosine cost) and is a data error.
 
 Exit codes: 0 success, 2 usage/config error, 3 data error, 4 numerical
 failure (OT non-convergence under --strict). Set SEQMATCH_LOG=debug for
-verbose logging.
+verbose logging; while it is unset, no command but ``ablate`` imports
+``logging`` (8-12 ms of start-up).
 """
 
 from __future__ import annotations
@@ -73,7 +74,6 @@ import argparse
 import csv
 import gc
 import itertools
-import logging
 import os
 import sys
 import time
@@ -114,8 +114,6 @@ from .retrieval import (
 from .synthgen import GenConfig, gen_benchmark
 from .tcc import TccConfig
 
-log = logging.getLogger("seqmatch")
-
 
 class RunOutput(NamedTuple):
     """A run step's result. ``files`` are written in order: a ``SnippetDatabase``
@@ -130,8 +128,15 @@ class RunOutput(NamedTuple):
 
 
 def _configure_logging() -> None:
-    level_name = os.environ.get("SEQMATCH_LOG", "warning").upper()
-    level = getattr(logging, level_name, None)
+    """Configure ``logging`` at the level ``SEQMATCH_LOG`` names (an unknown name
+    means warning). Unset, ``logging`` is not even imported: only ``ablate``
+    logs, and it takes its logger itself."""
+    level_name = os.environ.get("SEQMATCH_LOG")
+    if level_name is None:
+        return
+    import logging
+
+    level = getattr(logging, level_name.upper(), None)
     if not isinstance(level, int):
         level = logging.WARNING
     logging.basicConfig(level=level, format="%(levelname)s %(name)s: %(message)s")
@@ -332,6 +337,9 @@ def _cmd_eval(args, config: None) -> RunOutput:
 
 
 def _cmd_ablate(args, configs: list[RetrievalConfig]) -> RunOutput:
+    import logging
+
+    log = logging.getLogger("seqmatch")
     robot_db = _read_required(args.robot, "robot")
     play_db = _read_required(args.play, "play")
     rows = []

@@ -4,12 +4,13 @@ import math
 import os
 import re
 import tempfile
+from enum import Enum
 from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from seqmatch.data import (
@@ -21,6 +22,7 @@ from seqmatch.data import (
     LabeledSequence,
     ManifestError,
     SnippetDatabase,
+    canonical_json,
     check_bool,
     check_finite,
     check_int,
@@ -266,6 +268,14 @@ class TestRoundTrip:
         write_dataset(db, tmp_path / "a")
         write_dataset(read_dataset(tmp_path / "a"), tmp_path / "b")
         assert tree_digest(tmp_path / "a") == tree_digest(tmp_path / "b")
+
+    def test_rewrite_replaces_longer_blobs(self, tmp_path):
+        long = SnippetDatabase((make_sequence("s", np.ones((4, 3))),), task_names={0: "t"})
+        short = SnippetDatabase((make_sequence("s", np.zeros((1, 3))),), task_names={0: "t"})
+        write_dataset(long, tmp_path / "ds")
+        write_dataset(short, tmp_path / "ds")
+        assert (tmp_path / "ds" / "s.f32").stat().st_size == 1 * 3 * 4
+        assert read_dataset(tmp_path / "ds") == short
 
     def test_blob_is_exactly_t_d_4_bytes(self, tmp_path):
         db = SnippetDatabase(
@@ -578,6 +588,89 @@ class TestContentHash:
     def test_matches_json_dumps_definition(self, rng):
         for db in (pinned_db(), random_db(rng, n_snips=30, two_label_every=3)):
             assert dataset_content_hash(db) == json_dumps_content_hash(db)
+
+
+class Color(str, Enum):
+    RED = "r\u00e9d"
+
+
+def json_dumps_indent(doc) -> str:
+    """``canonical_json`` as first defined: json's own indented encoder."""
+    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+
+
+# Scalars as json writes them: escapes and non-ASCII text, big and negative
+# ints, -0.0, 1e16 and the non-finite floats, a str Enum and np.float64.
+json_scalars = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(),
+    st.integers(-(10**40), 10**40),
+    st.floats(),
+    st.sampled_from([-0.0, 1e16, math.nan, math.inf, -math.inf]),
+    st.floats().map(np.float64),
+    st.text(),
+    st.sampled_from(["\n\t\"\\/", "\u00e9\U0001f600", "\x00\x1f\x7f"]),
+    st.just(Color.RED),
+)
+# Rows of 1, True and 1.0, which hash equal but render differently, as lists and tuples.
+int_rows = st.lists(st.sampled_from([0, 1, True, 1.0, 2, -3]), max_size=3)
+json_rows = st.lists(st.one_of(int_rows, int_rows.map(tuple)), max_size=5)
+# Keys of one dict must sort against each other: all text, all numbers
+# (ints, floats and bools) or None.
+json_docs = st.recursive(
+    st.one_of(json_scalars, json_rows),
+    lambda children: st.one_of(
+        st.lists(children, max_size=4),
+        st.lists(children, max_size=4).map(tuple),
+        st.dictionaries(st.text(max_size=3), children, max_size=4),
+        st.dictionaries(st.one_of(st.integers(-3, 3), st.floats(), st.booleans()), children, max_size=4),
+        st.dictionaries(st.none(), children, max_size=1),
+    ),
+    max_leaves=30,
+)
+
+
+def _circular_dict():
+    doc = {"a": [1, {}]}
+    doc["a"][1]["back"] = doc
+    return doc
+
+
+def _circular_list():
+    doc = [[1], []]
+    doc[1].append(doc)
+    return doc
+
+
+class TestCanonicalJson:
+    @settings(max_examples=300)
+    @given(json_docs)
+    def test_matches_json_dumps(self, doc):
+        assert canonical_json(doc) == json_dumps_indent(doc)
+
+    @pytest.mark.parametrize(
+        "doc",
+        [np.int64(1), {1, 2}, [[1], [np.int64(2)]], {"a": (1, {2})}, {(1,): 1}, {1: 1, "1": 2}],
+        ids=["np-int64", "set", "np-int64-in-row", "nested-set", "tuple-key", "mixed-keys"],
+    )
+    def test_rejects_what_json_rejects(self, doc):
+        with pytest.raises(TypeError) as want:
+            json_dumps_indent(doc)
+        with pytest.raises(TypeError) as got:
+            canonical_json(doc)
+        assert str(got.value) == str(want.value)
+
+    @pytest.mark.parametrize("make", [_circular_dict, _circular_list])
+    def test_circular_document_raises_value_error(self, make):
+        with pytest.raises(ValueError, match="Circular reference detected"):
+            canonical_json(make())
+
+    def test_nests_as_deep_as_json_dumps(self):
+        doc = 0
+        for _ in range(400):
+            doc = [{"k": doc}]
+        assert canonical_json(doc) == json_dumps_indent(doc)
 
 
 # One- and two-task labels, both embodiments, ids with '.', '_' and '-',

@@ -56,8 +56,8 @@ def test_no_module_imports_a_private_name_of_a_sibling():
 
 def run_fresh(*args: str, **env: str) -> subprocess.CompletedProcess:
     """Run a new interpreter on this checkout's ``src`` with ``args``;
-    ``OPENBLAS_NUM_THREADS`` is unset unless ``env`` sets it."""
-    child_env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    ``OPENBLAS_NUM_THREADS`` and ``SEQMATCH_LOG`` are unset unless ``env`` sets them."""
+    child_env = {k: v for k, v in os.environ.items() if k not in ("OPENBLAS_NUM_THREADS", "SEQMATCH_LOG")}
     path = os.pathsep.join(filter(None, (str(PACKAGE.parent), os.environ.get("PYTHONPATH"))))
     child_env.update(env, PYTHONPATH=path)
     proc = subprocess.run([sys.executable, *args], env=child_env, capture_output=True, text=True)
@@ -192,6 +192,26 @@ code = seqmatch.cli.run({[*argv, "--out", str(tmp_path / "out")]!r})
 print(code, gc.isenabled(), gc.get_freeze_count() > 0)
 """
     assert run_fresh("-c", code).stdout.splitlines()[-1] == f"{want} False True"
+
+
+def test_logging_loads_only_when_seqmatch_log_is_set(tmp_path):
+    """``eval`` with ``SEQMATCH_LOG`` unset never imports ``logging``; ``ablate``
+    under ``SEQMATCH_LOG=info`` still logs one ``kprime=`` line per K'."""
+    bench, run = tmp_path / "bench", tmp_path / "run"
+    robot_play = ["--robot", str(bench / "robot"), "--play", str(bench / "play")]
+    run_fresh("-m", "seqmatch.cli", "gen", "--level", "easy", "--trajectories", "2", "--out", str(bench))
+    run_fresh("-m", "seqmatch.cli", "imagine", *robot_play, "--out", str(run))
+    code = f"""
+import sys
+import seqmatch.cli
+code = seqmatch.cli.run(["eval", "--paired", {str(run)!r}, "--out", {str(tmp_path / "scores")!r}])
+print(code, "logging" in sys.modules)
+"""
+    assert run_fresh("-c", code).stdout.splitlines()[-1] == "0 False"
+    ablate = ["-m", "seqmatch.cli", "ablate", *robot_play, "--kprime", "1", "2", "--out", str(tmp_path / "ablate")]
+    proc = run_fresh(*ablate, SEQMATCH_LOG="info")
+    assert re.findall(r"(?m)^INFO seqmatch: kprime=(\d+) recall=", proc.stderr) == ["1", "2"]
+    assert "kprime=" not in run_fresh(*ablate).stderr
 
 
 def test_console_script_enters_through_run():

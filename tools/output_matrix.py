@@ -12,6 +12,14 @@ file except ``run_manifest.json`` (the one output that records wall clock),
 and ``exit N  path`` for every command, sorted by path. All paths are
 relative to WORK_DIR, so the listings of two checkouts compare with one
 ``diff``.
+
+Then it reruns the easy seed-0 ``gen``, ``imagine`` (K=8, OT) and ``eval``
+as child processes, ``python -m seqmatch.cli`` as users and the benchmark
+run it, under WORK_DIR/process. That path also runs ``cli.py``'s
+module-level start-up and ``run()``, which ``main`` skips. The script exits
+1, naming each difference on stderr, if a child exits non-zero or any of
+its outputs other than ``run_manifest.json`` differs from the in-process
+bytes. The listing on stdout is the same either way.
 """
 
 from __future__ import annotations
@@ -20,10 +28,12 @@ import contextlib
 import hashlib
 import io
 import os
+import subprocess
 import sys
 from pathlib import Path
 
-sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
+SRC = Path(__file__).resolve().parents[1] / "src"
+sys.path.insert(0, str(SRC))
 
 from seqmatch.cli import main  # noqa: E402
 
@@ -41,6 +51,14 @@ CONFIGS = {
     "tcc-symmetric": ["--method", "tcc", "--tcc-symmetric"],
     "ot-max-iters3": ["--max-iters", "3", "--strict"],
 }
+
+
+# The in-process runs that are repeated as child processes: (argv, --out).
+PROCESS_RUNS = [
+    (["gen", *BENCHES["easy-seed0"]], "bench/easy-seed0"),
+    (["imagine", "--robot", "bench/easy-seed0/robot", "--play", "bench/easy-seed0/play"], "runs/easy-seed0/ot/imagine-k8"),
+    (["eval", "--paired", "runs/easy-seed0/ot/imagine-k8"], "runs/easy-seed0/ot/eval-k8"),
+]
 
 
 def run(argv: list[str], out: str) -> str:
@@ -81,7 +99,30 @@ def run_matrix(work: Path) -> list[str]:
     return sorted([*lines, *listing(Path("."))], key=lambda line: line.split("  ", 1)[1])
 
 
+def process_mismatches(work: Path) -> list[str]:
+    """Run ``PROCESS_RUNS`` as ``python -m seqmatch.cli`` children under
+    ``work/process`` and name each exit code or output that differs from
+    the in-process run's under ``work``."""
+    root = work / "process"
+    root.mkdir(parents=True, exist_ok=True)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (str(SRC), os.environ.get("PYTHONPATH")))))
+    mismatches = []
+    for argv, out in PROCESS_RUNS:
+        cmd = [sys.executable, "-m", "seqmatch.cli", *argv, "--out", out]
+        proc = subprocess.run(cmd, cwd=root, env=env, capture_output=True, text=True)
+        if proc.returncode != 0:
+            mismatches.append(f"exit {proc.returncode}  process/{out}: {proc.stderr.strip()}")
+        differing = set(listing(root / out)) ^ set(listing(work / out))
+        mismatches += sorted({f"differs  process/{out}/{line.split('  ', 1)[1]}" for line in differing})
+    return mismatches
+
+
 if __name__ == "__main__":
     if len(sys.argv) != 2:
         sys.exit(__doc__)
-    print("\n".join(run_matrix(Path(sys.argv[1]))))
+    work = Path(sys.argv[1]).resolve()
+    print("\n".join(run_matrix(work)), flush=True)
+    mismatches = process_mismatches(work)
+    if mismatches:
+        print("process path differs from in-process main:", *mismatches, sep="\n", file=sys.stderr)
+        sys.exit(1)
