@@ -5,6 +5,11 @@ benchmarks confirm that aligned pairings score better than shuffled
 ones. The contrastive losses implement the softmax-ratio form literally
 (a sum of ratios, no log); pass ``log_form=True`` for the conventional
 log variant. Reports should state which form produced a number.
+
+Frame similarities use `ot.cosine_similarity`, the rule behind the
+transport costs. Each loss is a few numpy reductions over its whole
+matrix (log-sum-exps by ``np.logaddexp.reduce``), with no loop over
+frames or rows.
 """
 
 from __future__ import annotations
@@ -15,7 +20,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .data import EmbeddingSequence, check_bool, check_finite, check_int
-from .ot import COSINE, SinkhornConfig, frame_matrix, sinkhorn_scan
+from .ot import COSINE, SinkhornConfig, cosine_similarity, frame_matrix, sinkhorn_scan
 
 
 @dataclass(frozen=True)
@@ -43,19 +48,6 @@ class TimeContrastiveConfig:
         check_bool("log_form", self.log_form)
 
 
-def _softplus(x: float) -> float:
-    if x > 30.0:
-        return x
-    return float(np.log1p(np.exp(x)))
-
-
-def _cosine_similarity_matrix(frames: np.ndarray) -> np.ndarray:
-    norms = np.linalg.norm(frames, axis=1)
-    if (norms == 0.0).any():
-        raise ValueError("zero-norm frame: cosine similarity undefined")
-    return (frames @ frames.T) / np.outer(norms, norms)
-
-
 def time_contrastive_loss_from_similarity(
     sims: np.ndarray, cfg: TimeContrastiveConfig
 ) -> float:
@@ -68,31 +60,25 @@ def time_contrastive_loss_from_similarity(
     negative set makes each ratio exactly 1.
     """
     S = np.asarray(sims, dtype=np.float64)
-    T = S.shape[0]
-    if S.shape != (T, T):
+    if S.ndim != 2 or S.shape[0] != S.shape[1]:
         raise ValueError(f"similarity matrix must be square, got {S.shape}")
-    if T < 2:
+    if S.shape[0] < 2:
         raise ValueError("need at least 2 frames")
-    idx = np.arange(T)
-    total = 0.0
-    for t in range(T):
-        gap = np.abs(idx - t)
-        pos = idx[(gap <= cfg.window) & (gap > 0)]
-        neg = idx[gap > cfg.window]
-        if pos.size == 0:
-            continue
-        logits = S[t] / cfg.temperature
-        for p in pos:
-            if neg.size == 0:
-                total += 0.0 if cfg.log_form else -1.0
-                continue
-            if cfg.log_form:
-                m = logits[neg].max()
-                lse_neg = m + np.log(np.exp(logits[neg] - m).sum())
-                total += _softplus(float(lse_neg - logits[p]))
-            else:
-                total += -1.0 / (1.0 + np.exp(logits[neg] - logits[p]).sum())
-    return float(total)
+    if not np.isfinite(S).all():
+        raise ValueError("similarities contain NaN or Inf")
+    idx = np.arange(S.shape[0])
+    gap = np.abs(idx[:, None] - idx)
+    logits = S / cfg.temperature
+    # log of each anchor's negative sum; -inf for an anchor with none
+    lse_neg = np.logaddexp.reduce(
+        np.where(gap > cfg.window, logits, -np.inf), axis=1, keepdims=True
+    )
+    # x = log(negative sum / exp(positive logit)), one per positive cell
+    x = (lse_neg - logits)[(gap > 0) & (gap <= cfg.window)]
+    if cfg.log_form:
+        return float(np.logaddexp(0.0, x).sum())
+    with np.errstate(over="ignore"):  # exp(x) = inf gives the ratio's limit 0
+        return float((-1.0 / (1.0 + np.exp(x))).sum())
 
 
 def time_contrastive_loss(
@@ -103,7 +89,7 @@ def time_contrastive_loss(
     frames = frame_matrix(z)
     if frames.shape[0] < 2:
         raise ValueError("need a T x d sequence with T >= 2")
-    return time_contrastive_loss_from_similarity(_cosine_similarity_matrix(frames), cfg)
+    return time_contrastive_loss_from_similarity(cosine_similarity(frames, frames), cfg)
 
 
 def task_alignment_loss_from_distances(
@@ -117,20 +103,14 @@ def task_alignment_loss_from_distances(
     and returns exactly 1/N when a row is constant.
     """
     D = np.asarray(distances, dtype=np.float64)
-    n = D.shape[0]
-    if D.shape != (n, n) or n < 2:
+    if D.ndim != 2 or D.shape[0] != D.shape[1] or D.shape[0] < 2:
         raise ValueError(f"need a square distance matrix with N >= 2, got {D.shape}")
     if not np.isfinite(D).all():
         raise ValueError("distances contain NaN or Inf")
-    total = 0.0
-    for i in range(n):
-        shifted = D[i, i] - D[i]
-        if log_form:
-            m = shifted.max()
-            total += float(m + np.log(np.exp(shifted - m).sum()))
-        else:
-            total += -1.0 / float(np.exp(shifted).sum())
-    return float(total)
+    shifted = np.diag(D)[:, None] - D
+    if log_form:
+        return float(np.logaddexp.reduce(shifted, axis=1).sum())
+    return float((-1.0 / np.exp(shifted).sum(axis=1)).sum())
 
 
 def task_alignment_loss(
@@ -154,11 +134,6 @@ def task_alignment_loss(
         raise ValueError("need at least 2 clip pairs")
     D = sinkhorn_scan(robot_clips, demo_clips, ot_cfg, metric).costs
     return task_alignment_loss_from_distances(D, log_form=log_form)
-
-
-def _log_softmax_rows(x: np.ndarray) -> np.ndarray:
-    shifted = x - x.max(axis=1, keepdims=True)
-    return shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
 
 
 def _check_code_rows(codes: np.ndarray) -> None:
@@ -186,7 +161,8 @@ def swav_assignment_loss(
         raise ValueError("scores contain NaN or Inf")
     _check_code_rows(Q)
     check_finite("temperature", temperature, gt=0)
-    logp = _log_softmax_rows(S / temperature)
+    logits = S / temperature
+    logp = logits - np.logaddexp.reduce(logits, axis=1, keepdims=True)
     return float(np.mean(-(Q * logp).sum(axis=1)))
 
 

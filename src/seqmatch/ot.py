@@ -163,17 +163,25 @@ def pairwise_sq_dists(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.clip(sq, 0.0, None)
 
 
+def cosine_similarity(A: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """Cosine similarities between the rows of ``A`` and of ``B``.
+
+    Either side is one matrix or a stack, as for `pairwise_sq_dists`.
+    Zero-norm frames are rejected rather than silently perturbed.
+    """
+    na = np.linalg.norm(A, axis=-1)
+    nb = np.linalg.norm(B, axis=-1)
+    if (na == 0.0).any() or (nb == 0.0).any():
+        raise ValueError("zero-norm frame: cosine distance undefined")
+    return (A @ B.swapaxes(-1, -2)) / (na[..., :, None] * nb[..., None, :])
+
+
 def _costs(A: np.ndarray, B: np.ndarray, metric: str) -> np.ndarray:
     """Frame costs of A (m x d) against B (n x d); either side may be a stack
     (k x m x d, k x n x d), giving one m x n block per pair, each computed
     exactly as for that pair alone."""
     if metric == COSINE:
-        na = np.linalg.norm(A, axis=-1)
-        nb = np.linalg.norm(B, axis=-1)
-        if (na == 0.0).any() or (nb == 0.0).any():
-            raise ValueError("zero-norm frame: cosine distance undefined")
-        sim = (A @ B.swapaxes(-1, -2)) / (na[..., :, None] * nb[..., None, :])
-        return np.clip(1.0 - sim, 0.0, 2.0)
+        return np.clip(1.0 - cosine_similarity(A, B), 0.0, 2.0)
     if metric == SQEUCLIDEAN:
         return pairwise_sq_dists(A, B)
     raise ValueError(f"unknown metric {metric!r}")

@@ -206,17 +206,17 @@ def gen_robot_trajectory(
 ) -> LabeledSequence:
     """One long-horizon robot trajectory: unit frames near each task anchor in turn."""
     task_seq = tuple(task_seq)
+    if not task_seq:
+        raise ValueError("empty task sequence: a robot trajectory needs at least one task")
+    labels: list[FrameLabel] = []
     for t in task_seq:
         check_int("task id", t, 0)
         if t >= anchors.n_tasks:
             raise ValueError(f"invalid task id {t} (n_tasks={anchors.n_tasks})")
-    blocks = []
-    labels: list[FrameLabel] = []
-    for t in task_seq:
-        noise = rng.normal(0.0, cfg.noise_sigma, size=(cfg.frames_per_task, anchors.dim))
-        blocks.append(_unit_rows(anchors.vectors[t] + noise))
         labels.extend([FrameLabel((t,))] * cfg.frames_per_task)
-    frames = quantize_frames_f32(np.vstack(blocks))
+    tasks = np.repeat(task_seq, cfg.frames_per_task)
+    noise = rng.normal(0.0, cfg.noise_sigma, size=(tasks.size, anchors.dim))
+    frames = quantize_frames_f32(_unit_rows(anchors.vectors[tasks] + noise))
     return LabeledSequence(
         seq_id=seq_id,
         sequence=EmbeddingSequence(frames),

@@ -81,6 +81,38 @@ class TestTimeContrastive:
         cfg = TimeContrastiveConfig(window=2)  # no frame is ever outside the window
         assert time_contrastive_loss(z, cfg) == pytest.approx(-6.0)  # 1 per positive pair
 
+    def test_negative_free_log_form_is_exactly_zero(self):
+        z = EmbeddingSequence(np.tile([1.0, 0.0], (3, 1)))
+        cfg = TimeContrastiveConfig(window=2, log_form=True)
+        assert time_contrastive_loss(z, cfg) == 0.0  # log 1 per positive pair
+
+    def test_zero_norm_frame_rejected(self):
+        frames = np.array([[1.0, 0.0], [0.0, 0.0], [0.0, 1.0]])
+        with pytest.raises(ValueError, match="^zero-norm frame: cosine distance undefined$"):
+            time_contrastive_loss(frames)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("log_form", [False, True], ids=["ratio", "log"])
+    def test_tiny_temperature_stays_finite(self, rng, log_form):
+        # logits up to 1e3: exp(x) overflows to inf where the negatives lie far
+        # above a positive, and the ratio's limit 0 is taken without a warning
+        frames = rng.normal(size=(8, 5))
+        cfg = TimeContrastiveConfig(window=2, temperature=1e-3, log_form=log_form)
+        loss = time_contrastive_loss(frames, cfg)
+        assert math.isfinite(loss)
+        n_positive = sum(min(t, 2) + min(7 - t, 2) for t in range(8))
+        if not log_form:
+            assert -n_positive <= loss <= 0.0
+        else:
+            assert loss >= 0.0
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_nonfinite_similarity_rejected(self, bad):
+        S = np.eye(4)
+        S[1, 3] = bad
+        with pytest.raises(ValueError, match="^similarities contain NaN or Inf$"):
+            time_contrastive_loss_from_similarity(S, TimeContrastiveConfig())
+
     @pytest.mark.parametrize("temperature", [0.0, -0.1, math.inf, -math.inf, math.nan, True])
     def test_bad_temperature_rejected(self, temperature):
         # an infinite temperature flattens every logit to 0: the loss no longer sees the scores
@@ -184,6 +216,19 @@ class TestTaskAlignment:
         a = [EmbeddingSequence([[1.0, 0.0]])]
         with pytest.raises(ValueError, match="pair"):
             task_alignment_loss(a, a * 2)
+
+
+@pytest.mark.parametrize(
+    "shape, message",
+    [((), "square"), ((3,), "square"), ((2, 3), "square"), ((2, 2, 2), "square"), ((1, 1), "2")],
+    ids=["0d", "1d", "non-square", "3d", "1x1"],
+)
+def test_malformed_matrix_rejected(shape, message):
+    M = np.full(shape, 0.5)
+    with pytest.raises(ValueError, match=message):
+        time_contrastive_loss_from_similarity(M, TimeContrastiveConfig())
+    with pytest.raises(ValueError, match=message):
+        task_alignment_loss_from_distances(M)
 
 
 class TestSwavLoss:

@@ -12,6 +12,7 @@ from seqmatch.ot import (
     SQEUCLIDEAN,
     CostMatrix,
     SinkhornConfig,
+    cosine_similarity,
     cost_matrix,
     exact_ot_small,
     ot_distance,
@@ -179,6 +180,23 @@ class TestPairwiseSqDists:
         for i in range(4):
             want = pairwise_sq_dists(a[i] if left else a, b[i] if right else b)
             assert got[i].tobytes() == want.tobytes()
+
+
+class TestCosineSimilarity:
+    @pytest.mark.parametrize("left, right", [(True, False), (False, True), (True, True)])
+    def test_stack_equals_each_slice(self, rng, left, right):
+        a = rng.normal(size=(4, 7, 3) if left else (7, 3))
+        b = rng.normal(size=(4, 5, 3) if right else (5, 3))
+        got = cosine_similarity(a, b)
+        assert got.shape == (4, 7, 5)
+        for i in range(4):
+            want = cosine_similarity(a[i] if left else a, b[i] if right else b)
+            assert got[i].tobytes() == want.tobytes()
+
+    def test_cosine_costs_are_its_clipped_complement(self, rng):
+        a, b = rng.normal(size=(6, 4)), rng.normal(size=(3, 4))
+        want = np.clip(1.0 - cosine_similarity(a, b), 0.0, 2.0)
+        assert cost_matrix(a, b).entries.tobytes() == want.tobytes()
 
 
 class TestSinkhornScan:

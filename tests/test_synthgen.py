@@ -128,6 +128,21 @@ class TestRobotTrajectory:
         with pytest.raises(ValueError, match=f"^task id must be an int, got {tasks[0]!r}$"):
             gen_robot_trajectory(tasks, gen_anchors(cfg), cfg, robot_rng(cfg))
 
+    def test_empty_task_sequence_rejected(self):
+        cfg = small_cfg(n_tasks=2, dim=4)
+        with pytest.raises(ValueError, match="^empty task sequence"):
+            gen_robot_trajectory([], gen_anchors(cfg), cfg, robot_rng(cfg))
+
+    def test_frames_follow_one_noise_block_per_task_in_order(self):
+        # the noise stream is the one drawn block by block, task by task
+        cfg = small_cfg(n_tasks=3, dim=6, frames_per_task=4, noise_sigma=0.3, seed=2)
+        anchors = gen_anchors(cfg)
+        traj = gen_robot_trajectory([2, 0, 2], anchors, cfg, robot_rng(cfg))
+        rng = robot_rng(cfg)
+        blocks = [anchors.vectors[t] + rng.normal(0.0, 0.3, size=(4, 6)) for t in (2, 0, 2)]
+        want = np.vstack([b / np.linalg.norm(b, axis=1, keepdims=True) for b in blocks])
+        np.testing.assert_array_equal(traj.sequence.frames, want.astype(np.float32).astype(np.float64))
+
     def test_frames_are_float32_clean_and_unit(self):
         cfg = small_cfg(n_tasks=3, dim=8, seed=1)
         anchors = gen_anchors(cfg)
