@@ -51,19 +51,22 @@ the flags into what the command runs on (a distance, retrieval configs
 or, for ``gen``, the generated datasets) and reads and writes nothing.
 The run step (``run``) reads the inputs, computes and returns a
 ``RunOutput``; it writes nothing either, and it reads no method flag
-(``--method``, ``--epsilon``, ``--kprime``, ...), only the configs. The
-write step, in ``main`` alone, creates ``--out``, writes the files and
-``run_manifest.json`` and prints the summary. So nothing is written
-unless the run step returns, and under ``--strict`` the outputs are
-written before the exit code 4. ``main`` alone maps exceptions to exit
-codes. A ``ValueError`` from the config step is a usage error, so a bad
-flag is reported before any input is read. Every config is validated
-before the run step starts, so a ``ValueError`` there can only come from
-the inputs (a robot set and bank of different dimension, a zero-norm
-frame under the cosine cost) and is a data error.
+(``--method``, ``--epsilon``, ``--kprime``, ...), only the configs and
+``--strict``. The write step, in ``main`` alone, creates ``--out``,
+writes the files and ``run_manifest.json`` and prints the summary. So
+nothing is written unless the run step returns, and under ``--strict``
+the outputs are written before the exit code 4. ``main`` alone maps
+exceptions to exit codes. A ``ValueError`` from the config step is a
+usage error, so a bad flag is reported before any input is read. Every
+config is validated before the run step starts, so a ``ValueError``
+there can only come from the inputs (a robot set and bank of different
+dimension, a zero-norm frame under the cosine cost) and is a data error.
 
 Exit codes: 0 success, 2 usage/config error, 3 data error, 4 numerical
-failure (OT non-convergence under --strict). Set SEQMATCH_LOG=debug for
+failure (OT non-convergence under --strict: ``imagine`` and ``ablate`` then
+solve every pair, as ``dist`` does, and write the same bytes but for
+``run_manifest.json``, whose ``solver`` block, one per K' for ``ablate``,
+counts the pairs, solved and non-converged). Set SEQMATCH_LOG=debug for
 verbose logging; while it is unset, no command but ``ablate`` imports
 ``logging`` (8-12 ms of start-up).
 """
@@ -125,6 +128,7 @@ class RunOutput(NamedTuple):
     summary: str
     seed: int | None = None
     nonconverged: str | None = None  # the message --strict fails on
+    solver: dict | list | None = None  # the scans' counts, for run_manifest.json
 
 
 def _configure_logging() -> None:
@@ -155,10 +159,6 @@ def _input_hashes(robot_db: SnippetDatabase, play_db: SnippetDatabase) -> dict:
 
 def _fmt(x: float) -> str:
     return repr(float(x))
-
-
-def _nonconverged_solves(paired) -> int:
-    return sum(r.n_nonconverged for e in paired.entries for r in e.demo.segments)
 
 
 def _nonconverged_message(count: int) -> str | None:
@@ -270,6 +270,7 @@ def _cmd_imagine(args, cfg: RetrievalConfig) -> RunOutput:
             "robot_dataset": str(args.robot),
             "play_dataset": str(args.play),
         },
+        full_grid=args.strict,
     )
     imagined = [
         LabeledSequence(
@@ -304,7 +305,8 @@ def _cmd_imagine(args, cfg: RetrievalConfig) -> RunOutput:
             f"imagined {len(paired)} demos; recall={report.task_recall:.4f} "
             f"imprecision={report.task_imprecision:.4f} top1={report.top1_accuracy:.4f}"
         ),
-        nonconverged=_nonconverged_message(_nonconverged_solves(paired)),
+        nonconverged=_nonconverged_message(paired.solver["nonconverged"]),
+        solver=paired.solver,
     )
 
 
@@ -342,14 +344,13 @@ def _cmd_ablate(args, configs: list[RetrievalConfig]) -> RunOutput:
     log = logging.getLogger("seqmatch")
     robot_db = _read_required(args.robot, "robot")
     play_db = _read_required(args.play, "play")
-    rows = []
-    nonconverged = 0
+    rows, solver = [], []
     for cfg in configs:
         kprime = cfg.segment_count
-        paired = build_paired_dataset(robot_db, play_db, cfg)
+        paired = build_paired_dataset(robot_db, play_db, cfg, full_grid=args.strict)
         if not rows:  # build_paired_dataset has hashed both inputs
             provenance = paired.provenance
-        nonconverged += _nonconverged_solves(paired)
+        solver.append(paired.solver)
         report = evaluate(paired, play_db)
         rows.append(
             {
@@ -376,7 +377,8 @@ def _cmd_ablate(args, configs: list[RetrievalConfig]) -> RunOutput:
             f"imprecision={row['imprecision']:.4f} top1={row['top1_accuracy']:.4f}"
             for row in rows
         ),
-        nonconverged=_nonconverged_message(nonconverged),
+        nonconverged=_nonconverged_message(sum(block["nonconverged"] for block in solver)),
+        solver=solver,
     )
 
 
@@ -398,6 +400,8 @@ def _write_outputs(out: Path, command: str, result: RunOutput, t0: float) -> Non
         command=command, config=result.config, input_hashes=result.input_hashes,
         tool_version=__version__, seed=result.seed, wall_clock_sec=time.perf_counter() - t0,
     )
+    if result.solver is not None:
+        manifest["solver"] = result.solver
     (out / "run_manifest.json").write_text(canonical_json(manifest), encoding="utf-8")
 
 

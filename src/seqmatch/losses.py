@@ -110,7 +110,8 @@ def task_alignment_loss_from_distances(
     shifted = np.diag(D)[:, None] - D
     if log_form:
         return float(np.logaddexp.reduce(shifted, axis=1).sum())
-    return float((-1.0 / np.exp(shifted).sum(axis=1)).sum())
+    with np.errstate(over="ignore"):  # a sum of inf gives the ratio's limit 0
+        return float((-1.0 / np.exp(shifted).sum(axis=1)).sum())
 
 
 def task_alignment_loss(
@@ -136,14 +137,6 @@ def task_alignment_loss(
     return task_alignment_loss_from_distances(D, log_form=log_form)
 
 
-def _check_code_rows(codes: np.ndarray) -> None:
-    if codes.min() < -1e-12:
-        raise ValueError("code rows must be non-negative")
-    sums = codes.sum(axis=1)
-    if np.abs(sums - 1.0).max() > 1e-6:
-        raise ValueError("code rows must each sum to 1")
-
-
 def swav_assignment_loss(
     scores: np.ndarray, codes: np.ndarray, temperature: float = 1.0
 ) -> float:
@@ -159,7 +152,12 @@ def swav_assignment_loss(
         raise ValueError(f"scores {S.shape} and codes {Q.shape} must be equal 2-D shapes")
     if not np.isfinite(S).all():
         raise ValueError("scores contain NaN or Inf")
-    _check_code_rows(Q)
+    if not np.isfinite(Q).all():
+        raise ValueError("codes contain NaN or Inf")
+    if Q.min() < -1e-12:
+        raise ValueError("code rows must be non-negative")
+    if np.abs(Q.sum(axis=1) - 1.0).max() > 1e-6:
+        raise ValueError("code rows must each sum to 1")
     check_finite("temperature", temperature, gt=0)
     logits = S / temperature
     logp = logits - np.logaddexp.reduce(logits, axis=1, keepdims=True)

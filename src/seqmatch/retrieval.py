@@ -11,11 +11,13 @@ lower bound cannot rule out as a segment's best or second-best match
 the rest as ``inf``. The bound holds for every pair whose solve
 converges, and a segment's first solve that does not turns its pruning
 off, so the pick, its distance, margin and converged flag are those of
-the full per-pair scan. Ties on distance go to the
-lexicographically smallest snippet id. Evaluation metrics are computed
-at retrieval level: they ask whether the imagined demo names the right
-tasks, not whether a downstream policy would have completed them, and
-every report carries a note saying so.
+the full per-pair scan (``full_grid=True`` solves every pair instead).
+A record holds the decision alone: how much of the bank was solved is
+``PairedDataset.solver``, never written to ``paired.json``. Ties on
+distance go to the lexicographically smallest snippet id. Evaluation
+metrics are computed at retrieval level: they ask whether the imagined
+demo names the right tasks, not whether a downstream policy would have
+completed them, and every report carries a note saying so.
 
 The robot set and the play bank are both ``SnippetDatabase``s; a paired
 dataset's provenance records each one's ``dataset_content_hash``.
@@ -23,7 +25,7 @@ dataset's provenance records each one's ``dataset_content_hash``.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 from typing import Sequence
 
 import numpy as np
@@ -173,11 +175,7 @@ def segment(z: EmbeddingSequence | int, cfg: RetrievalConfig) -> list[tuple[int,
 
 @dataclass(frozen=True)
 class SegmentRecord:
-    """One retrieval decision: the robot frame range and what it fetched.
-
-    ``n_pruned`` (candidates not solved) counts work, not the decision:
-    it takes no part in equality and is written to JSON only when not 0.
-    """
+    """One retrieval decision: the robot frame range and what it fetched."""
 
     start: int
     end: int
@@ -186,11 +184,9 @@ class SegmentRecord:
     distance: float
     margin: float | None
     converged: bool
-    n_nonconverged: int = 0
-    n_pruned: int = field(default=0, compare=False)
 
     def to_json_dict(self) -> dict:
-        doc = {
+        return {
             "start": self.start,
             "end": self.end,
             "snippet_index": self.snippet_index,
@@ -198,28 +194,23 @@ class SegmentRecord:
             "distance": self.distance,
             "margin": self.margin,
             "converged": self.converged,
-            "n_nonconverged": self.n_nonconverged,
         }
-        if self.n_pruned:
-            doc["n_pruned"] = self.n_pruned
-        return doc
 
     @classmethod
     def from_json_dict(cls, doc: dict) -> "SegmentRecord":
         """Parse a record of ``to_json_dict``; a field not of its ``_JSON_FIELD_TYPES``
-        (bool is no number here) raises ``TypeError`` instead of being coerced."""
+        (bool is no number here) raises ``TypeError`` instead of being coerced. Other
+        keys, such as the solver counts older files carry, are ignored."""
         required = ("start", "end", "snippet_index", "snippet_id", "distance", "converged")
         fields = {name: doc[name] for name in required}
-        fields.update(
-            margin=doc.get("margin"), n_nonconverged=doc.get("n_nonconverged", 0), n_pruned=doc.get("n_pruned", 0)
-        )
+        fields["margin"] = doc.get("margin")
         for name, value in fields.items():
             if type(value) not in _JSON_FIELD_TYPES[name]:
                 raise TypeError(f"segment field {name!r} has type {type(value).__name__}")
         return cls(**fields)
 
 
-_JSON_FIELD_TYPES = dict.fromkeys(("start", "end", "snippet_index", "n_nonconverged", "n_pruned"), (int,)) | {
+_JSON_FIELD_TYPES = dict.fromkeys(("start", "end", "snippet_index"), (int,)) | {
     "snippet_id": (str,), "distance": (int, float), "margin": (int, float, type(None)), "converged": (bool,)
 }
 
@@ -253,6 +244,7 @@ class PairedDataset:
 
     entries: tuple[PairedEntry, ...]
     provenance: dict
+    solver: dict | None = None  # the scan's {"pairs", "solved", "nonconverged"}; not in JSON
 
     def __post_init__(self):
         object.__setattr__(self, "entries", tuple(self.entries))
@@ -275,7 +267,6 @@ def _segment_record(
 ) -> SegmentRecord:
     """The pick of one segment from its scan row over ``db``."""
     start, end = bounds
-    pruned = np.isposinf(values)
     finite = np.isfinite(values)
     if not finite.any():
         raise RetrievalError("all snippet distances are NaN", segment_index=seg_index)
@@ -292,8 +283,6 @@ def _segment_record(
         distance=float(values[best]),
         margin=margin,
         converged=bool(converged[best]),
-        n_nonconverged=int((~converged & ~pruned).sum()),
-        n_pruned=int(pruned.sum()),
     )
 
 
@@ -302,8 +291,10 @@ def _imagine_demos(
     source_ids: Sequence[str | None],
     db: SnippetDatabase,
     cfg: RetrievalConfig,
-) -> list[ImaginedDemo]:
-    """The imagined demo of each sequence, in order, from one ``scan`` of every segment.
+    full_grid: bool = False,
+) -> tuple[list[ImaginedDemo], dict]:
+    """The imagined demo of each sequence, in order, from one ``scan`` (or ``grid``)
+    of every segment, and the counts of that scan (a pruned pair is ``inf``).
 
     Records are built sequence by sequence and segment by segment, so a
     segment whose distances are all NaN is reported with its index in
@@ -316,7 +307,10 @@ def _imagine_demos(
             raise ValueError(f"dimension mismatch: sequence d={z.dim}, database d={db.dim}")
     segments = [segment(z, cfg) for z in sequences]
     subs = [z.frames[start:end] for z, ranges in zip(sequences, segments) for start, end in ranges]
-    values, converged = cfg.distance.scan(subs, [s.sequence for s in db.snippets])
+    rank = cfg.distance.grid if full_grid else cfg.distance.scan
+    values, converged = rank(subs, [s.sequence for s in db.snippets])
+    solved = ~np.isposinf(values)
+    solver = dict(pairs=values.size, solved=int(solved.sum()), nonconverged=int((solved & ~converged).sum()))
     rows = zip(values, converged)
     demos = []
     for source_id, ranges in zip(source_ids, segments):
@@ -325,7 +319,7 @@ def _imagine_demos(
             np.vstack([db.snippets[r.snippet_index].sequence.frames for r in records])
         )
         demos.append(ImaginedDemo(source_id=source_id, segments=tuple(records), composed=composed))
-    return demos
+    return demos, solver
 
 
 def imagine_demo(
@@ -335,7 +329,7 @@ def imagine_demo(
     source_id: str | None = None,
 ) -> ImaginedDemo:
     """Retrieve the closest snippet per segment and concatenate the results."""
-    return _imagine_demos([z], [source_id], db, cfg)[0]
+    return _imagine_demos([z], [source_id], db, cfg)[0][0]
 
 
 def build_paired_dataset(
@@ -343,9 +337,10 @@ def build_paired_dataset(
     db: SnippetDatabase,
     cfg: RetrievalConfig,
     extra_provenance: dict | None = None,
+    full_grid: bool = False,
 ) -> PairedDataset:
     """One imagined demo per robot trajectory, from one ``scan`` of every segment
-    of every trajectory.
+    of every trajectory, or one ``grid`` (every pair solved) with ``full_grid``.
 
     Each entry keeps both the robot embeddings and the imagined demo so
     downstream consumers can condition on either side of the pairing.
@@ -355,7 +350,7 @@ def build_paired_dataset(
     if not robot_db.snippets:
         raise RetrievalError("robot set is empty")
     robots = robot_db.snippets
-    demos = _imagine_demos([ls.sequence for ls in robots], [ls.seq_id for ls in robots], db, cfg)
+    demos, solver = _imagine_demos([ls.sequence for ls in robots], [ls.seq_id for ls in robots], db, cfg, full_grid)
     entries = [PairedEntry(robot=ls, demo=demo) for ls, demo in zip(robots, demos)]
     provenance = {
         "retrieval": cfg.describe(),
@@ -364,7 +359,7 @@ def build_paired_dataset(
     }
     if extra_provenance:
         provenance.update(extra_provenance)
-    return PairedDataset(entries=tuple(entries), provenance=provenance)
+    return PairedDataset(entries=tuple(entries), provenance=provenance, solver=solver)
 
 
 @dataclass(frozen=True)

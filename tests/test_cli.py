@@ -16,6 +16,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import seqmatch.cli
+from seqmatch import ot
 from seqmatch.cli import main
 from seqmatch.data import (
     Embodiment,
@@ -28,7 +29,7 @@ from seqmatch.data import (
     write_dataset,
 )
 from seqmatch.ot import SinkhornConfig, cost_matrix, sinkhorn
-from seqmatch.retrieval import OtSequenceDistance, RetrievalConfig, TccSequenceDistance
+from seqmatch.retrieval import OtSequenceDistance, RetrievalConfig, TccSequenceDistance, segment
 from seqmatch.synthgen import GenConfig, gen_anchors
 from seqmatch.tcc import TccConfig, tcc_distance, tcc_distance_symmetric
 
@@ -46,6 +47,17 @@ def tree_digest(root: Path, exclude=VOLATILE) -> dict:
         if p.is_file() and p.name not in exclude:
             out[str(p.relative_to(root))] = hashlib.sha256(p.read_bytes()).hexdigest()
     return out
+
+
+def solver_block(run: Path):
+    """The ``solver`` counts of a run's ``run_manifest.json``."""
+    return json.loads((run / "run_manifest.json").read_text())["solver"]
+
+
+def segment_frames(robot_db: SnippetDatabase, segment_count: int) -> list[np.ndarray]:
+    """The frames of every K' segment of every robot sequence, in retrieval order."""
+    cfg = RetrievalConfig(distance=None, segment_count=segment_count)
+    return [r.sequence.frames[a:b] for r in robot_db.snippets for a, b in segment(r.sequence, cfg)]
 
 
 def read_csv(path: Path) -> list[list[str]]:
@@ -325,26 +337,76 @@ class TestImagine:
         return code, [s for e in doc["entries"] for s in e["segments"]]
 
     def test_strict_flags_nonconvergence(self, hard_bench, tmp_path):
-        code, segments = self.imagine_segments(
-            hard_bench, tmp_path / "run", ["--max-iters", "1", "--tol", "1e-12", "--strict"]
-        )
+        flags = ["--max-iters", "1", "--tol", "1e-12"]
+        code, segments = self.imagine_segments(hard_bench, tmp_path / "run", [*flags, "--strict"])
         assert code == 4
         # every output is written before the exit code
         for name in ("imagined/manifest.json", "report.json", "report.csv", "run_manifest.json"):
             assert (tmp_path / "run" / name).is_file(), name
-        # the first non-converged solve turns pruning off: every pair is solved
-        bank = len(read_dataset(hard_bench / "play"))
-        assert [(s.get("n_pruned", 0), s["n_nonconverged"]) for s in segments] == [(0, bank)] * len(segments)
+        # --strict solves the full grid; without it, the first non-converged solve
+        # turns pruning off, so every pair is solved (and fails) there too
+        code, loose = self.imagine_segments(hard_bench, tmp_path / "loose", flags)
+        assert code == 0 and loose == segments
+        pairs = len(segments) * len(read_dataset(hard_bench / "play"))
+        for run in ("run", "loose"):
+            assert solver_block(tmp_path / run) == {"pairs": pairs, "solved": pairs, "nonconverged": pairs}
 
     def test_strict_default_solver_prunes(self, hard_bench, tmp_path):
-        code, segments = self.imagine_segments(hard_bench, tmp_path / "run", ["--strict"])
+        """The default solver converges on every pair: ``--strict`` passes on the full
+        grid, and the run without it prunes in every segment's scan row."""
+        code, segments = self.imagine_segments(hard_bench, tmp_path / "strict", ["--strict"])
         assert code == 0
-        assert all(s["n_pruned"] > 0 and s["n_nonconverged"] == 0 for s in segments)
+        code, loose = self.imagine_segments(hard_bench, tmp_path / "loose", [])
+        assert code == 0 and loose == segments
+        subs = segment_frames(read_dataset(hard_bench / "robot"), 2)
+        values, converged = OtSequenceDistance().scan(subs, [s.sequence for s in read_dataset(hard_bench / "play")])
+        solved, pairs = ~np.isposinf(values), values.size
+        assert (~solved).any(axis=1).all() and converged[solved].all()
+        assert solver_block(tmp_path / "strict") == {"pairs": pairs, "solved": pairs, "nonconverged": 0}
+        assert solver_block(tmp_path / "loose") == {"pairs": pairs, "solved": int(solved.sum()), "nonconverged": 0}
+
+    @pytest.mark.parametrize("level, flags", [("easy", []), ("hard", ["--segment-kprime", "2"])], ids=["easy", "hard"])
+    def test_prune_round_changes_only_the_manifest(self, tmp_path, monkeypatch, level, flags):
+        """How much of the bank the pruned scan solves moves with its round size;
+        only ``run_manifest.json``'s ``solver`` counts may show it."""
+        bench = tmp_path / "bench"
+        assert main(["gen", "--level", level, "--seed", "0", "--out", str(bench)]) == 0
+        digests, solved = [], set()
+        for round_size in (4, 8, 16):
+            monkeypatch.setattr(ot, "_PRUNE_ROUND", round_size)
+            out = tmp_path / f"round{round_size}"
+            assert main(["imagine", "--robot", str(bench / "robot"), "--play", str(bench / "play"),
+                         *flags, "--out", str(out)]) == 0
+            digests.append(tree_digest(out))
+            solved.add(solver_block(out)["solved"])
+        assert "paired.json" in digests[0]
+        assert digests[1] == digests[0] and digests[2] == digests[0]
+        assert len(solved) >= 2
+
+    def test_strict_judges_the_full_grid(self, tmp_path, capsys):
+        """On the hard desk bench at ``--max-iters 12`` the pruned scan solves no pair
+        that fails to converge, but the grid holds some: ``--strict`` counts them all
+        and changes no output but ``run_manifest.json``."""
+        bench = tmp_path / "bench"
+        assert main(["gen", "--level", "hard", "--seed", "0", "--out", str(bench)]) == 0
+        argv = ["imagine", "--robot", str(bench / "robot"), "--play", str(bench / "play"),
+                "--segment-kprime", "2", "--max-iters", "12"]
+        assert main([*argv, "--out", str(tmp_path / "loose")]) == 0
+        capsys.readouterr()
+        assert main([*argv, "--strict", "--out", str(tmp_path / "strict")]) == 4
+        subs = segment_frames(read_dataset(bench / "robot"), 2)
+        bank = [s.sequence for s in read_dataset(bench / "play")]
+        _, converged = OtSequenceDistance(SinkhornConfig(max_iters=12)).grid(subs, bank)
+        count = int((~converged).sum())
+        assert count > solver_block(tmp_path / "loose")["nonconverged"] == 0
+        assert solver_block(tmp_path / "strict") == {"pairs": converged.size, "solved": converged.size,
+                                                      "nonconverged": count}
+        assert capsys.readouterr().err == f"error: {count} candidate distances did not converge\n"
+        assert tree_digest(tmp_path / "strict") == tree_digest(tmp_path / "loose")
 
 
 SEGMENT_FIELDS = (
-    "start", "end", "snippet_index", "snippet_id", "distance", "margin", "converged", "n_nonconverged",
-    "n_pruned",
+    "start", "end", "snippet_index", "snippet_id", "distance", "margin", "converged",
 )
 json_values = st.one_of(
     st.none(),
@@ -456,15 +518,12 @@ class TestEval:
             ("start", 0.0),
             ("end", "16"),
             ("snippet_index", True),
-            ("n_nonconverged", 0.0),
             ("distance", "0.5"),
             ("distance", False),
             ("margin", True),
             ("converged", 1),
             ("snippet_id", 3),
             ("robot_id", ["robot-000"]),
-            ("n_pruned", 0.0),
-            ("n_pruned", True),
         ],
     )
     def test_mistyped_segment_field_is_data_error(self, tmp_path, capsys, field, value):
@@ -481,6 +540,26 @@ class TestEval:
         (run / "paired.json").write_text(json.dumps(doc))
         assert main(["eval", "--paired", str(run), "--out", str(tmp_path / "e")]) == 3
         assert field in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "counts", [{"n_nonconverged": 0, "n_pruned": 33}, {"n_nonconverged": 0.5, "n_pruned": True}],
+        ids=["typed", "mistyped"],
+    )
+    def test_solver_counts_of_older_paired_json_are_ignored(self, paired_run, tmp_path, counts):
+        """A ``paired.json`` whose records still carry the solver counts that older
+        versions wrote, well typed or not, evaluates to the same report bytes."""
+        run, text = paired_run
+        doc = json.loads(text)
+        for entry in doc["entries"]:
+            for seg in entry["segments"]:
+                assert not seg.keys() & counts.keys()
+                seg.update(counts)
+        old = tmp_path / "old"
+        old.mkdir()
+        (old / "paired.json").write_text(json.dumps(doc))
+        assert main(["eval", "--paired", str(old), "--out", str(tmp_path / "e")]) == 0
+        for name in ("report.json", "report.csv"):
+            assert (tmp_path / "e" / name).read_bytes() == (run / name).read_bytes()
 
     def test_non_object_paired_json_is_data_error(self, tmp_path, capsys):
         run = tmp_path / "run"
@@ -584,7 +663,12 @@ class TestAblate:
         # every output is written before the exit code, and matches the run without --strict
         for name in ("ablation.csv", "ablation.json"):
             assert (out / name).read_bytes() == (tmp_path / "loose" / name).read_bytes()
-        assert (out / "run_manifest.json").is_file()
+        # one solver block per K': every pair solved and none converged, with --strict
+        # (the full grid) and without (the first non-converged solve stops pruning)
+        robot_db, bank = read_dataset(bench / "robot"), len(read_dataset(bench / "play"))
+        pairs = [len(segment_frames(robot_db, kprime)) * bank for kprime in (1, 2)]
+        for run in (out, tmp_path / "loose"):
+            assert solver_block(run) == [{"pairs": n, "solved": n, "nonconverged": n} for n in pairs]
 
     def test_missing_kprime_values_usage_error(self, tmp_path):
         assert main(["ablate", "--robot", "x", "--play", "y", "--kprime", "--out", "z"]) == 2

@@ -181,6 +181,12 @@ class TestTaskAlignment:
         np.fill_diagonal(D, 0.0)
         assert task_alignment_loss_from_distances(D) == pytest.approx(-4.0, abs=1e-12)
 
+    @pytest.mark.filterwarnings("error")
+    def test_overflowing_ratio_is_its_limit(self):
+        # row 0's matched distance exceeds the other by 800: exp overflows to inf
+        D = np.array([[800.0, 0.0], [0.0, 0.0]])
+        assert task_alignment_loss_from_distances(D) == -0.5
+
     def test_two_pair_value(self):
         D = np.array([[0.0, 1.0], [1.0, 0.0]])
         want = -2.0 / (1.0 + math.exp(-1.0))
@@ -290,6 +296,13 @@ class TestSwavLoss:
             swav_assignment_loss(np.zeros((1, 2)), np.array([[0.9, 0.5]]))
         with pytest.raises(ValueError, match="non-negative"):
             swav_assignment_loss(np.zeros((1, 2)), np.array([[1.5, -0.5]]))
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_codes_rejected(self, bad):
+        with pytest.raises(ValueError, match="^codes contain NaN or Inf$"):
+            swav_assignment_loss(np.zeros((1, 2)), np.array([[bad, bad]]))
+        with pytest.raises(ValueError, match="^codes contain NaN or Inf$"):
+            swav_assignment_loss(np.zeros((1, 2)), np.array([[1.0, bad]]))
 
 
 class TestCombined:

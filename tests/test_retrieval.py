@@ -316,16 +316,14 @@ class TestImagineDemo:
     @staticmethod
     def assert_scan_matches_per_pair_loop(distance):
         """Retrieval with the bank scan equals retrieval with the per-pair reference;
-        returns the number of non-converged solves seen."""
+        returns the number of non-converged solves the scan of the whole set counts."""
         robot_set, db = gen_benchmark("hard", GenConfig(n_trajectories=3, seed=4))
         scanned = RetrievalConfig(distance=distance, segment_count=2)
         looped = RetrievalConfig(distance=PerPairDistance(distance), segment_count=2)
-        nonconverged = 0
         for robot in robot_set:
             got = imagine_demo(robot.sequence, db, scanned).segments
             assert got == imagine_demo(robot.sequence, db, looped).segments
-            nonconverged += sum(r.n_nonconverged for r in got)
-        return nonconverged
+        return build_paired_dataset(robot_set, db, scanned).solver["nonconverged"]
 
     @pytest.mark.parametrize("solver", [SinkhornConfig(), SinkhornConfig(epsilon=0.01, max_iters=4)])
     def test_bank_scan_matches_per_pair_loop(self, solver):
@@ -355,30 +353,37 @@ class TestImagineDemo:
         assert d1.composed.frames.tobytes() == d2.composed.frames.tobytes()
 
 
-def decision(record):
-    """A segment record's JSON fields without its two solver counts."""
-    return {**record.to_json_dict(), "n_pruned": None, "n_nonconverged": None}
-
-
 def assert_pruned_matches_grid(robot_set, db, solver, **segmentation):
-    """Retrieval with the pruned transport scan equals retrieval with the full grid
-    field by field, apart from the counts: ``n_nonconverged`` counts solved pairs only,
-    so it is the grid's less any pruned pairs that do not converge. Returns each
-    segment's (n_pruned, n_nonconverged)."""
+    """Retrieval with the pruned transport scan equals retrieval with the full grid,
+    and so does ``build_paired_dataset(full_grid=True)``. Row by row, the scan's
+    solved entries are the grid's, and its count of non-converged solves is the
+    grid's less any pruned pairs that do not converge. Returns each segment's
+    (pruned, non-converged solved) counts from its scan row."""
     distance = OtSequenceDistance(solver)
     pruned = RetrievalConfig(distance=distance, **segmentation)
     full = RetrievalConfig(distance=GridDistance(distance), **segmentation)
-    counts = []
     for robot in robot_set:
-        got = imagine_demo(robot.sequence, db, pruned).segments
-        want = imagine_demo(robot.sequence, db, full).segments
-        assert [decision(r) for r in got] == [decision(r) for r in want]
-        for g, w in zip(got, want):
-            assert w.n_pruned == 0
-            assert w.n_nonconverged - g.n_pruned <= g.n_nonconverged <= w.n_nonconverged
-            assert g.n_pruned > 0 or g.n_nonconverged == w.n_nonconverged
-        counts += [(r.n_pruned, r.n_nonconverged) for r in got]
-    return counts
+        assert imagine_demo(robot.sequence, db, pruned).segments == imagine_demo(robot.sequence, db, full).segments
+    robots = SnippetDatabase(tuple(robot_set), db.task_names)
+    scanned = build_paired_dataset(robots, db, pruned)
+    gridded = build_paired_dataset(robots, db, pruned, full_grid=True)
+    assert [e.demo.segments for e in gridded.entries] == [e.demo.segments for e in scanned.entries]
+    subs = [r.sequence.frames[a:b] for r in robot_set for a, b in segment(r.sequence, pruned)]
+    bank = [s.sequence for s in db.snippets]
+    values, converged = distance.scan(subs, bank)
+    grid, grid_converged = distance.grid(subs, bank)
+    skipped = np.isposinf(values)
+    assert not np.isposinf(grid).any()
+    assert values[~skipped].tolist() == grid[~skipped].tolist()
+    assert converged[~skipped].tolist() == grid_converged[~skipped].tolist()
+    n_pruned, n_nonconverged = skipped.sum(axis=1), (~converged & ~skipped).sum(axis=1)
+    grid_nonconverged = (~grid_converged).sum(axis=1)
+    assert (grid_nonconverged - n_pruned <= n_nonconverged).all() and (n_nonconverged <= grid_nonconverged).all()
+    assert ((n_pruned > 0) | (n_nonconverged == grid_nonconverged)).all()
+    solved = int((~skipped).sum())
+    assert scanned.solver == {"pairs": values.size, "solved": solved, "nonconverged": int(n_nonconverged.sum())}
+    assert gridded.solver == {"pairs": grid.size, "solved": grid.size, "nonconverged": int(grid_nonconverged.sum())}
+    return list(zip(n_pruned.tolist(), n_nonconverged.tolist()))
 
 
 class TestPrunedRetrieval:
@@ -478,7 +483,6 @@ class TestBuildPairedDataset:
         robot_set, db = gen_benchmark("hard", GenConfig(n_trajectories=4, seed=9))
         cfg = RetrievalConfig(distance=distance, **segmentation)
         paired = build_paired_dataset(robot_set, db, cfg)
-        counts = []
         for robot, entry in zip(robot_set, paired.entries):
             demo = imagine_demo(robot.sequence, db, cfg, source_id=robot.seq_id)
             assert entry.demo.source_id == demo.source_id == robot.seq_id
@@ -486,9 +490,10 @@ class TestBuildPairedDataset:
                 dataclasses.astuple(r) for r in demo.segments
             ]
             assert entry.demo.composed == demo.composed
-            counts += [(r.n_pruned, r.n_nonconverged) for r in demo.segments]
-        assert any(n_pruned for n_pruned, _ in counts) == pruned
-        assert any(n_nonconverged for _, n_nonconverged in counts) == nonconverged
+        n_segments = sum(e.demo.n_segments for e in paired.entries)
+        assert paired.solver["pairs"] == n_segments * len(db)
+        assert (paired.solver["solved"] < paired.solver["pairs"]) == pruned
+        assert (paired.solver["nonconverged"] > 0) == nonconverged
 
     def test_all_nan_segment_of_second_trajectory_keeps_its_index(self):
         robot_set, db = gen_benchmark("hard", GenConfig(n_trajectories=3, seed=9))
@@ -617,7 +622,11 @@ class TestPairedJson:
         back = paired_from_json_dict(doc, robot_db, db)
         assert evaluate(back, db).to_json_dict() == evaluate(paired, db).to_json_dict()
         assert paired_to_json_dict(back) == doc
-        assert any(s["n_pruned"] > 0 for e in doc["entries"] for s in e["segments"])
+        # the scan pruned, and its counts stay out of the document
+        assert paired.solver["solved"] < paired.solver["pairs"] and back.solver is None
+        assert {key for e in doc["entries"] for s in e["segments"] for key in s} == {
+            f.name for f in dataclasses.fields(SegmentRecord)
+        }
 
     def test_missing_robot_sequence_rejected(self):
         robot_set, db = gen_benchmark("easy", GenConfig(n_trajectories=2, seed=4))
