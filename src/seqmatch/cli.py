@@ -326,6 +326,7 @@ def _cmd_eval(args, config: None) -> RunOutput:
     robot_db = _read_required(robot_path, "robot")
     play_db = _read_required(play_path, "play")
     paired = paired_from_json_dict(doc, robot_db, play_db)
+    del doc, provenance  # the records are built: free the parsed document before evaluating
     report = evaluate(paired, play_db)
     return RunOutput(
         files=_report_files(report),

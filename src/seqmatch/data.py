@@ -5,7 +5,10 @@ A dataset is a directory holding one ``manifest.json`` plus one raw
 binary32, exactly ``T * d * 4`` bytes, no header. Embeddings are float64
 in memory and float32 on disk; writers require frames to sit exactly on
 the float32 grid (generators quantize on output) so a write/read round
-trip is bit-exact.
+trip is bit-exact. A sequence that ``read_dataset`` returns keeps its
+blob's float32 bytes and decodes its float64 frames on first use, so a
+caller that needs only labels, frame counts and content hashes (``eval``)
+never decodes a frame.
 
 ``SnippetDatabase`` is the one in-memory dataset type: robot sets, play
 banks and imagined demos alike. It carries its own declared task table
@@ -14,7 +17,8 @@ and provenance, which is exactly what ``write_dataset`` records and
 and its on-disk copy the same hash.
 
 All types are immutable after construction and safe to share across
-threads. Writing is single-writer per directory.
+threads: threads that race on a sequence's first decode all get the one
+cached array. Writing is single-writer per directory.
 """
 
 from __future__ import annotations
@@ -105,7 +109,17 @@ def quantize_frames_f32(frames: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class EmbeddingSequence:
-    """A T x d matrix of frame embeddings: float64, finite, immutable."""
+    """A T x d matrix of frame embeddings: float64, finite, immutable.
+
+    ``EmbeddingSequence(frames)`` copies ``frames`` into a read-only,
+    C-contiguous float64 array. ``read_dataset`` instead builds each
+    sequence around its blob's float32 bytes, already checked finite: the
+    float64 ``frames`` are decoded on first access and cached, and the
+    bytes are then dropped. ``n_frames``, ``dim`` and
+    ``dataset_content_hash`` read the shape and bytes, so they decode
+    nothing. Threads that race on the first access may each decode, but
+    every one of them gets the one cached array.
+    """
 
     frames: np.ndarray
 
@@ -119,22 +133,48 @@ class EmbeddingSequence:
             raise ValueError("frames contain NaN or Inf")
         arr.setflags(write=False)
         object.__setattr__(self, "frames", arr)
+        object.__setattr__(self, "_shape", arr.shape)
+
+    @classmethod
+    def _from_f32(cls, data: bytes, shape: tuple[int, int]) -> "EmbeddingSequence":
+        """An undecoded sequence over ``data``: finite little-endian float32
+        frames of ``shape`` (T, d), both already checked by the caller."""
+        seq = object.__new__(cls)
+        seq.__dict__.update(_shape=shape, _f32=data)
+        return seq
+
+    def __getattr__(self, name: str):
+        # Reached only while ``frames`` is not in the instance dict. The
+        # array is published with ``setdefault`` before the bytes are
+        # dropped, so a racing thread that finds no bytes finds the array.
+        state = self.__dict__
+        if name != "frames" or "_shape" not in state:
+            raise AttributeError(f"'{type(self).__name__}' object has no attribute '{name}'")
+        data = state.get("_f32")
+        if data is not None:
+            arr = np.frombuffer(data, dtype="<f4").reshape(state["_shape"]).astype(np.float64)
+            arr.setflags(write=False)
+            state.setdefault("frames", arr)
+            state.pop("_f32", None)
+        return state["frames"]
+
+    def _f32_bytes(self) -> bytes:
+        """The frames as row-major little-endian float32: an undecoded sequence's own bytes."""
+        data = self.__dict__.get("_f32")
+        return data if data is not None else self.frames.astype("<f4").tobytes(order="C")
 
     @property
     def n_frames(self) -> int:
-        return self.frames.shape[0]
+        return self._shape[0]
 
     @property
     def dim(self) -> int:
-        return self.frames.shape[1]
+        return self._shape[1]
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, EmbeddingSequence):
             return NotImplemented
-        return (
-            self.frames.shape == other.frames.shape
-            and self.frames.tobytes() == other.frames.tobytes()
-        )
+        return self._shape == other._shape and self.frames.tobytes() == other.frames.tobytes()
 
     def __repr__(self) -> str:
         return f"EmbeddingSequence(T={self.n_frames}, d={self.dim})"
@@ -621,9 +661,12 @@ def read_dataset(path: str | Path) -> SnippetDatabase:
     string, a ``blob`` that is not a bare file name), a ``BlobError`` for a
     blob that is missing, not a regular file (a directory, say), of the
     wrong size or not finite, and a plain ``DatasetError`` for bad ids,
-    labels, frame counts and undeclared task ids. Each blob is opened and
-    read once. Labels are checked a sequence at a time in C-level passes,
-    and sequences share one ``FrameLabel`` per distinct entry.
+    labels, frame counts and undeclared task ids. A ``provenance`` that is
+    neither an object nor null is a ``ManifestError``. Each blob is opened
+    and read once, and its float32 values are checked there; each sequence
+    decodes its float64 frames on first use (see ``EmbeddingSequence``).
+    Labels are checked a sequence at a time in C-level passes, and
+    sequences share one ``FrameLabel`` per distinct entry.
     """
     root = os.fspath(path)
     doc = read_json_object(Path(root, MANIFEST_NAME), ManifestError)
@@ -650,6 +693,9 @@ def read_dataset(path: str | Path) -> SnippetDatabase:
     seq_docs = doc.get("sequences")
     if not isinstance(seq_docs, list):
         raise ManifestError("manifest 'sequences' must be a list")
+    provenance = doc.get("provenance")
+    if provenance is not None and not isinstance(provenance, dict):
+        raise ManifestError(f"manifest 'provenance' must be an object or null, got {provenance!r}")
 
     snippets, interned = [], {}
     for rec in seq_docs:
@@ -679,14 +725,12 @@ def read_dataset(path: str | Path) -> SnippetDatabase:
         if type(blob_name) is not str or "/" in blob_name or "\0" in blob_name or blob_name in ("", ".", ".."):
             raise ManifestError(f"bad blob reference {blob_name!r}")
         data = _read_blob(root, blob_name, n_frames * dim * 4, seq_id)
-        try:
-            # Converts to float64 in its one copy. The shape is valid, so only
-            # a NaN or Inf frame is left to reject.
-            sequence = EmbeddingSequence(np.frombuffer(data, dtype="<f4").reshape(n_frames, dim))
-        except ValueError:
+        # A float32 value is finite exactly when its float64 decode is.
+        if not np.isfinite(np.frombuffer(data, dtype="<f4")).all():
             raise BlobError(
                 f"blob '{blob_name}' contains NaN or Inf", sequence_id=seq_id
             )
+        sequence = EmbeddingSequence._from_f32(data, (n_frames, dim))
         labels = _parse_labels(rec.get("labels"), n_frames, seq_id, interned)
         snippets.append(
             LabeledSequence(
@@ -698,7 +742,7 @@ def read_dataset(path: str | Path) -> SnippetDatabase:
             )
         )
     try:
-        return SnippetDatabase(tuple(snippets), task_names, doc.get("provenance"))
+        return SnippetDatabase(tuple(snippets), task_names, provenance)
     except ValueError as exc:
         raise DatasetError(str(exc))
 
@@ -717,9 +761,15 @@ def dataset_content_hash(database: SnippetDatabase) -> str:
     Provenance is excluded so regenerated datasets with identical content
     hash identically. Each sequence contributes the bytes of
     ``json.dumps({"id", "embodiment", "labels"}, sort_keys=True)`` and then
-    its float32 frames; the JSON is assembled from one rendering per
-    distinct label, and ids match ``_ID_RE``, so they need no escaping.
+    its float32 frames (a read sequence's own bytes, undecoded); the JSON
+    is assembled from one rendering per distinct label, and ids match
+    ``_ID_RE``, so they need no escaping. The digest is cached on the
+    immutable database, so a command that hashes one input from several
+    places computes it once.
     """
+    digest = database.__dict__.get("_content_hash")
+    if digest is not None:
+        return digest
     h = hashlib.sha256()
     h.update(
         json.dumps(
@@ -733,5 +783,7 @@ def dataset_content_hash(database: SnippetDatabase) -> str:
         h.update(
             f'{{"embodiment": "{s.embodiment.value}", "id": "{s.seq_id}", "labels": [{labels}]}}'.encode()
         )
-        h.update(s.sequence.frames.astype("<f4").tobytes(order="C"))
-    return h.hexdigest()
+        h.update(s.sequence._f32_bytes())
+    digest = h.hexdigest()
+    object.__setattr__(database, "_content_hash", digest)
+    return digest

@@ -9,6 +9,7 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import seqmatch.cli
+import seqmatch.data
 from seqmatch import ot
 from seqmatch.cli import main
 from seqmatch.data import (
@@ -24,12 +26,20 @@ from seqmatch.data import (
     FrameLabel,
     LabeledSequence,
     SnippetDatabase,
+    dataset_content_hash,
     quantize_frames_f32,
     read_dataset,
     write_dataset,
 )
 from seqmatch.ot import SinkhornConfig, cost_matrix, sinkhorn
-from seqmatch.retrieval import OtSequenceDistance, RetrievalConfig, TccSequenceDistance, segment
+from seqmatch.retrieval import (
+    OtSequenceDistance,
+    RetrievalConfig,
+    TccSequenceDistance,
+    evaluate,
+    paired_from_json_dict,
+    segment,
+)
 from seqmatch.synthgen import GenConfig, gen_anchors
 from seqmatch.tcc import TccConfig, tcc_distance, tcc_distance_symmetric
 
@@ -404,6 +414,15 @@ class TestImagine:
         assert capsys.readouterr().err == f"error: {count} candidate distances did not converge\n"
         assert tree_digest(tmp_path / "strict") == tree_digest(tmp_path / "loose")
 
+    def test_non_object_dataset_provenance_is_data_error(self, paired_run, tmp_path, capsys):
+        recorded, robot = json.loads(paired_run[1])["provenance"], tmp_path / "robot"
+        write_dataset(read_dataset(recorded["robot_dataset"]), robot)
+        doc = json.loads((robot / "manifest.json").read_text())
+        (robot / "manifest.json").write_text(json.dumps({**doc, "provenance": 5}))
+        assert main(["imagine", "--robot", str(robot), "--play", recorded["play_dataset"],
+                     "--out", str(tmp_path / "i")]) == 3
+        assert "'provenance' must be an object or null" in capsys.readouterr().err
+
 
 SEGMENT_FIELDS = (
     "start", "end", "snippet_index", "snippet_id", "distance", "margin", "converged",
@@ -594,6 +613,29 @@ class TestEval:
         hashes.add(json.loads((run / "paired.json").read_text())["provenance"]["robot_hash"])
         assert len(hashes) == 1
 
+    def test_library_path_decodes_no_frame(self, paired_run):
+        doc = json.loads(paired_run[1])
+        recorded = doc["provenance"]
+        robot_db, play_db = read_dataset(recorded["robot_dataset"]), read_dataset(recorded["play_dataset"])
+        evaluate(paired_from_json_dict(doc, robot_db, play_db), play_db)
+        assert dataset_content_hash(robot_db) == recorded["robot_hash"]
+        assert dataset_content_hash(play_db) == recorded["play_hash"]
+        assert not any("frames" in vars(s.sequence) for db in (robot_db, play_db) for s in db)
+
+    def test_command_decodes_no_frame(self, paired_run, tmp_path, monkeypatch):
+        read = []
+
+        def recording_read(path):
+            read.append(read_dataset(path))
+            return read[-1]
+
+        monkeypatch.setattr(seqmatch.cli, "read_dataset", recording_read)
+        out = tmp_path / "e"
+        assert main(["eval", "--paired", str(paired_run[0]), "--out", str(out)]) == 0
+        assert (out / "report.json").read_bytes() == (paired_run[0] / "report.json").read_bytes()
+        assert len(read) == 2
+        assert not any("frames" in vars(s.sequence) for db in read for s in db)
+
     def test_missing_paired_run(self, tmp_path):
         assert main(["eval", "--paired", str(tmp_path / "void"), "--out", str(tmp_path / "e")]) == 3
 
@@ -648,6 +690,24 @@ class TestAblate:
         assert recalls[1] == min(recalls.values())
         assert recalls[2] > recalls[1]
         assert set(recalls) == {1, 2, 4, 32}  # kprime = T runs with K clamped to 1
+
+    def test_hashes_each_input_once(self, tmp_path, monkeypatch):
+        bench = tmp_path / "b"
+        main(["gen", "--level", "hard", "--seed", "0", "--trajectories", "2",
+              "--snippets-per-task", "1", "--out", str(bench)])
+        digests = []
+
+        def counting_sha256():
+            digests.append(hashlib.sha256())
+            return digests[-1]
+
+        monkeypatch.setattr(seqmatch.data, "hashlib", SimpleNamespace(sha256=counting_sha256))
+        out = tmp_path / "abl"
+        assert main(["ablate", "--robot", str(bench / "robot"), "--play", str(bench / "play"),
+                     "--kprime", "1", "2", "4", "--out", str(out)]) == 0
+        assert len(digests) == 2
+        recorded = json.loads((out / "run_manifest.json").read_text())["input_hashes"]
+        assert recorded == {"robot": digests[0].hexdigest(), "play": digests[1].hexdigest()}
 
     def test_strict_flags_nonconvergence(self, tmp_path, capsys):
         bench = tmp_path / "b"

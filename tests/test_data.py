@@ -1,9 +1,12 @@
+import dataclasses
 import hashlib
 import json
 import math
 import os
 import re
+import sys
 import tempfile
+import threading
 from enum import Enum
 from fractions import Fraction
 from pathlib import Path
@@ -335,6 +338,84 @@ class TestRoundTrip:
             assert read_dataset(td) == db
 
 
+def is_decoded(seq: EmbeddingSequence) -> bool:
+    return "frames" in vars(seq)
+
+
+class TestDecodeOnFirstUse:
+    """``read_dataset`` keeps each blob's float32 bytes; ``frames`` is decoded on first access."""
+
+    @pytest.fixture
+    def written(self, tmp_path, rng):
+        db = random_db(rng, n_snips=30, two_label_every=3)
+        write_dataset(db, tmp_path / "ds")
+        return db, tmp_path / "ds"
+
+    def test_read_leaves_every_sequence_undecoded(self, written):
+        back = read_dataset(written[1])
+        assert [(s.n_frames, s.dim) for s in back] == [(s.n_frames, s.dim) for s in written[0]]
+        assert repr(back.snippets[0].sequence).startswith("EmbeddingSequence(T=")
+        assert not any(is_decoded(s.sequence) for s in back)
+
+    def test_decoded_array_is_the_eager_one(self, written):
+        _, ds = written
+        for s in read_dataset(ds):
+            blob = (ds / f"{s.seq_id}.f32").read_bytes()
+            eager = EmbeddingSequence(np.frombuffer(blob, dtype="<f4").reshape(s.n_frames, s.dim)).frames
+            frames = s.sequence.frames
+            assert frames.tobytes() == eager.tobytes() and frames.shape == eager.shape
+            assert frames.dtype == np.float64
+            assert frames.flags.c_contiguous and not frames.flags.writeable
+            assert s.sequence.frames is frames
+            assert "_f32" not in vars(s.sequence)  # the bytes are dropped once decoded
+
+    def test_equals_and_hashes_like_the_original(self, written):
+        db, ds = written
+        back = read_dataset(ds)
+        assert dataset_content_hash(back) == dataset_content_hash(db)
+        assert not any(is_decoded(s.sequence) for s in back)
+        assert back == db
+        fresh = read_dataset(ds)
+        for s in fresh:
+            s.sequence.frames
+        assert dataset_content_hash(fresh) == dataset_content_hash(db)
+        assert fresh == db == back
+
+    def test_racing_first_accesses_share_one_array(self, written):
+        n_threads = 4
+        switch = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # switch threads often, so that first accesses interleave
+        try:
+            for s in read_dataset(written[1]):
+                barrier = threading.Barrier(n_threads)
+                got = [None] * n_threads  # a thread that raises leaves its None
+
+                def access(k, seq=s.sequence):
+                    barrier.wait()
+                    got[k] = seq.frames
+
+                threads = [threading.Thread(target=access, args=(k,)) for k in range(n_threads)]
+                for t in threads:
+                    t.start()
+                for t in threads:
+                    t.join()
+                assert all(frames is s.sequence.frames for frames in got)
+        finally:
+            sys.setswitchinterval(switch)
+
+    def test_write_of_undecoded_dataset_round_trips(self, written, tmp_path):
+        _, ds = written
+        write_dataset(read_dataset(ds), tmp_path / "again")
+        assert tree_digest(tmp_path / "again") == tree_digest(ds)
+
+    def test_in_memory_sequences_stay_eager(self):
+        frames = np.array([[1.0, 2.0], [3.0, 4.0]])
+        seq = EmbeddingSequence(frames=frames)
+        assert is_decoded(seq) and seq.frames is not frames
+        assert [f.name for f in dataclasses.fields(seq)] == ["frames"]
+        assert repr(seq) == "EmbeddingSequence(T=2, d=2)"
+
+
 class TestMalformedInputs:
     @pytest.fixture
     def ds(self, tmp_path, rng):
@@ -461,6 +542,14 @@ class TestMalformedInputs:
         doc["sequences"][0]["blob"] = name
         (ds / "manifest.json").write_text(json.dumps(doc))
         with pytest.raises(ManifestError, match="bad blob reference"):
+            read_dataset(ds)
+
+    @pytest.mark.parametrize("provenance", [5, "robot", [["a", 1]], True], ids=["number", "string", "list", "bool"])
+    def test_provenance_not_an_object(self, ds, provenance):
+        doc = json.loads((ds / "manifest.json").read_text())
+        doc["provenance"] = provenance
+        (ds / "manifest.json").write_text(json.dumps(doc))
+        with pytest.raises(ManifestError, match="'provenance' must be an object or null"):
             read_dataset(ds)
 
     def test_seed_record_not_an_object(self, ds):
