@@ -9,9 +9,13 @@ controllable execution-mismatch ladder for evaluating both.
 Submodules load on first use: ``import seqmatch`` imports none of them,
 and so not numpy either. The first access to an exported name (an
 attribute or a ``from seqmatch import ...``) imports the submodule that
-defines it. So a program that imports ``seqmatch.cli`` runs that
-module's body before numpy loads, whether it starts as
-``python -m seqmatch.cli`` or through the ``seqmatch`` console script.
+defines it. Two submodules never import numpy: ``data`` (types, the
+on-disk format, content hashes) and ``pairing`` (paired records and
+``evaluate``); the others import it when they load, and ``data`` when it
+builds, decodes or writes frames. So a program that imports
+``seqmatch.cli`` runs that module's body before numpy loads, whether it
+starts as ``python -m seqmatch.cli`` or through the ``seqmatch`` console
+script, and a command that computes nothing numeric never loads it.
 """
 
 import importlib
@@ -74,19 +78,24 @@ _EXPORTS = {
         (
             "EvalReport",
             "ImaginedDemo",
-            "OtSequenceDistance",
             "PairedDataset",
             "PairedEntry",
-            "RetrievalConfig",
             "RetrievalError",
             "SegmentRecord",
-            "TccSequenceDistance",
             "TrajectoryEval",
-            "build_paired_dataset",
             "evaluate",
-            "imagine_demo",
             "paired_from_json_dict",
             "paired_to_json_dict",
+        ),
+        "pairing",
+    ),
+    **dict.fromkeys(
+        (
+            "OtSequenceDistance",
+            "RetrievalConfig",
+            "TccSequenceDistance",
+            "build_paired_dataset",
+            "imagine_demo",
             "segment",
         ),
         "retrieval",

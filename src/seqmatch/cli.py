@@ -9,30 +9,43 @@ that file is the only non-deterministic output, everything else is
 byte-stable for fixed flags and inputs. A manifest's config is the
 config's own ``describe()``: the distance's for ``dist``, the
 ``RetrievalConfig``'s for ``imagine`` (as in ``paired.json``) and one per
-K' for ``ablate``. The method and ``gen`` flags take their defaults from
-the config dataclasses. Every command runs in one thread: ``--threads``
+K' for ``ablate``. The method and ``gen`` flags default to ``None`` and
+each config is built from the flags given, so the config dataclasses
+hold the only defaults. Every command runs in one thread: ``--threads``
 is still accepted but has no effect.
 
+Each command imports only the modules it runs. This module loads
+``seqmatch.data`` and ``seqmatch.pairing``, neither of which imports
+numpy, and the config step of ``gen``, ``dist``, ``imagine`` and
+``ablate`` imports the generator or the distances it needs. So ``eval``
+and ``--version`` never load numpy or compile the numeric modules: at
+desk scale a child process's start-up is most of a command's time. The
+functions a tracer may replace (``gen_benchmark``, ``build_paired_dataset``,
+``evaluate``, ``read_dataset``, ...) stay attributes of this module that
+each command looks up when it runs.
+
 Importing this module pins OpenBLAS to one thread
-(``OPENBLAS_NUM_THREADS=1``) before numpy loads, unless the variable is
-already set, in which case the user's value stands. numpy's OpenBLAS
-otherwise starts a pool of worker threads when it loads, in every
-command, and no matrix a command multiplies is large enough for OpenBLAS
-to use the pool: starting it costs 40-80 ms of each command's start-up
-on a 2-vCPU host. The pin lives here, not in the package, so that
-importing ``seqmatch`` as a library changes no environment variable.
+(``OPENBLAS_NUM_THREADS=1``), unless the variable is already set, in
+which case the user's value stands; numpy loads later, in the commands
+that compute. numpy's OpenBLAS otherwise starts a pool of worker threads
+when it loads, and no matrix a command multiplies is large enough for
+OpenBLAS to use the pool: starting it costs 40-80 ms of a command's
+start-up on a 2-vCPU host. The pin lives here, not in the package, so
+that importing ``seqmatch`` as a library changes no environment variable.
 
 The ``seqmatch`` process runs no cyclic garbage collection from its
 first import to its exit. Run as ``python -m seqmatch.cli``, this module
-turns the collector off before numpy loads (the imports would otherwise
-run 37 collections, 9-16 ms on a 2-vCPU host); ``run()``, the process
-entry, keeps it off through ``main`` and then freezes every live object,
-so the collections of interpreter teardown skip them (teardown takes
-32-36 ms after a ``gen``, ``imagine`` or ``eval``, about 10 ms frozen).
-The collector is never turned back on: that would start a collection
-over everything the imports allocated. The installed ``seqmatch`` script
-imports this module before it calls ``run()``, so on that path only the
-teardown half applies. Skipping the cycle scan is safe because objects
+turns the collector off before its own imports; ``run()``, the process
+entry, keeps it off through ``main``, where a command imports numpy and
+the numeric modules (those imports would otherwise run 37 collections,
+9-16 ms on a 2-vCPU host), and then freezes every live object, so the
+collections of interpreter teardown skip them (teardown takes 32-36 ms
+after a ``gen``, ``imagine`` or ``eval``, about 10 ms frozen). The
+collector is never turned back on: that would start a collection over
+everything the imports allocated. The installed ``seqmatch`` script
+imports this module before it calls ``run()``, so on that path only this
+module's own imports (``data`` and ``pairing``) run with the collector
+on. Skipping the cycle scan is safe because objects
 are still freed by reference counting, every output file is closed by
 its ``with`` block, and stdout is flushed before teardown collects
 anything.
@@ -80,16 +93,15 @@ import itertools
 import os
 import sys
 import time
+from dataclasses import fields
 from pathlib import Path
-from typing import NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
 
-# Before numpy loads: a pool OpenBLAS never uses costs start-up, and so do
-# collections in a process that will not run the collector (see above).
+# Before any command loads numpy: a pool OpenBLAS never uses costs start-up,
+# and so do collections in a process that will not run the collector (see above).
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 if __name__ == "__main__":
     gc.disable()
-
-import numpy as np
 
 from . import __version__
 from .data import (
@@ -102,20 +114,24 @@ from .data import (
     read_json_object,
     write_dataset,
 )
-from .ot import SinkhornConfig
-from .retrieval import (
-    OtSequenceDistance,
-    RetrievalConfig,
-    RetrievalError,
-    SequenceDistance,
-    TccSequenceDistance,
-    build_paired_dataset,
-    evaluate,
-    paired_from_json_dict,
-    paired_to_json_dict,
-)
-from .synthgen import GenConfig, gen_benchmark
-from .tcc import TccConfig
+from .pairing import RetrievalError, evaluate, paired_from_json_dict, paired_to_json_dict
+
+if TYPE_CHECKING:
+    from .retrieval import RetrievalConfig, SequenceDistance
+    from .synthgen import GenConfig
+
+
+# The numeric modules' entry points, imported on first call (see above).
+def gen_benchmark(level, cfg):
+    from .synthgen import gen_benchmark
+
+    return gen_benchmark(level, cfg)
+
+
+def build_paired_dataset(*args, **kwargs):
+    from .retrieval import build_paired_dataset
+
+    return build_paired_dataset(*args, **kwargs)
 
 
 class RunOutput(NamedTuple):
@@ -180,31 +196,37 @@ def _report_files(report) -> list[tuple[str, object]]:
 # ---------------------------------------------------------------- config step
 
 
+def _given(args, config_class):
+    """``config_class`` built from the flags given: each flag's ``dest`` is a
+    field's name, and a flag left out (``None``) keeps the field's default."""
+    given = {f.name: getattr(args, f.name, None) for f in fields(config_class)}
+    return config_class(**{name: value for name, value in given.items() if value is not None})
+
+
 def _gen_config(args) -> tuple[GenConfig, tuple[SnippetDatabase, SnippetDatabase]]:
     # Generating is part of the config step because the generator is what
     # checks dim >= n_tasks and the hard level's task budget.
-    cfg = GenConfig(
-        n_tasks=args.n_tasks,
-        dim=args.d,
-        frames_per_task=args.frames_per_task,
-        n_trajectories=args.trajectories,
-        tasks_per_trajectory=args.tasks_per_trajectory,
-        snippets_per_task=args.snippets_per_task,
-        noise_sigma=args.noise_sigma,
-        seed=args.seed,
-    )
+    from .synthgen import GenConfig
+
+    cfg = _given(args, GenConfig)
     return cfg, gen_benchmark(args.level, cfg)
 
 
 def _distance_config(args) -> SequenceDistance:
+    from .retrieval import OtSequenceDistance, TccSequenceDistance
+
     if args.method == "ot":
-        return OtSequenceDistance(
-            SinkhornConfig(epsilon=args.epsilon, max_iters=args.max_iters, tol_marginal=args.tol)
-        )
-    return TccSequenceDistance(TccConfig(temperature=args.temperature), symmetric=args.tcc_symmetric)
+        from .ot import SinkhornConfig
+
+        return OtSequenceDistance(_given(args, SinkhornConfig))
+    from .tcc import TccConfig
+
+    return TccSequenceDistance(_given(args, TccConfig), symmetric=args.tcc_symmetric)
 
 
 def _imagine_config(args) -> RetrievalConfig:
+    from .retrieval import RetrievalConfig
+
     return RetrievalConfig(
         distance=_distance_config(args),
         segment_len=args.segment_k if args.segment_kprime is None else None,
@@ -213,6 +235,8 @@ def _imagine_config(args) -> RetrievalConfig:
 
 
 def _ablate_config(args) -> list[RetrievalConfig]:
+    from .retrieval import RetrievalConfig
+
     distance = _distance_config(args)
     return [RetrievalConfig(distance=distance, segment_count=kprime) for kprime in args.kprime]
 
@@ -231,7 +255,7 @@ def _cmd_gen(args, config) -> RunOutput:
         config={"level": args.level, **cfg.__dict__},
         input_hashes=_input_hashes(robot_db, play_db),
         summary=f"wrote {len(robot_db)} robot trajectories and {len(play_db)} snippets under {Path(args.out)}",
-        seed=args.seed,
+        seed=cfg.seed,
     )
 
 
@@ -243,7 +267,7 @@ def _cmd_dist(args, distance: SequenceDistance) -> RunOutput:
     grid, converged = distance.grid(
         [clip.sequence for clip in robot_db.snippets], [s.sequence for s in play_db.snippets]
     )
-    nonconverged = [[robot_ids[i], play_ids[j]] for i, j in zip(*np.nonzero(~converged))]
+    nonconverged = [[robot_ids[i], play_ids[j]] for i, j in zip(*(~converged).nonzero())]
     # Rows are rendered as the writer consumes them, not held as strings.
     rows = itertools.chain(
         [["robot_id", *play_ids]],
@@ -410,11 +434,12 @@ def _write_outputs(out: Path, command: str, result: RunOutput, t0: float) -> Non
 
 
 def _add_method_flags(p: argparse.ArgumentParser) -> None:
+    # Config flags default to None: _given leaves them to the config's defaults.
     p.add_argument("--method", choices=["ot", "tcc"], default="ot")
-    p.add_argument("--epsilon", type=float, default=SinkhornConfig.epsilon, help="entropic regularization")
-    p.add_argument("--max-iters", type=int, default=SinkhornConfig.max_iters)
-    p.add_argument("--tol", type=float, default=SinkhornConfig.tol_marginal, help="marginal tolerance")
-    p.add_argument("--temperature", type=float, default=TccConfig.temperature, help="tcc softmax temperature")
+    p.add_argument("--epsilon", type=float, help="entropic regularization")
+    p.add_argument("--max-iters", type=int)
+    p.add_argument("--tol", type=float, dest="tol_marginal", help="marginal tolerance")
+    p.add_argument("--temperature", type=float, help="tcc softmax temperature")
     p.add_argument("--tcc-symmetric", action="store_true", help="average both tcc directions")
     p.add_argument("--threads", type=int, default=1, help="accepted for compatibility; no effect")
     p.add_argument("--strict", action="store_true", help="fail on OT non-convergence")
@@ -430,14 +455,14 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("gen", help="generate a synthetic benchmark")
     p.add_argument("--level", choices=["easy", "medium", "hard"], required=True)
-    p.add_argument("--seed", type=int, default=GenConfig.seed)
-    p.add_argument("--d", type=int, default=GenConfig.dim, help="embedding dimension")
-    p.add_argument("--n-tasks", type=int, default=GenConfig.n_tasks)
-    p.add_argument("--frames-per-task", type=int, default=GenConfig.frames_per_task)
-    p.add_argument("--trajectories", type=int, default=GenConfig.n_trajectories)
-    p.add_argument("--tasks-per-trajectory", type=int, default=GenConfig.tasks_per_trajectory)
-    p.add_argument("--snippets-per-task", type=int, default=GenConfig.snippets_per_task)
-    p.add_argument("--noise-sigma", type=float, default=GenConfig.noise_sigma)
+    p.add_argument("--seed", type=int)
+    p.add_argument("--d", type=int, dest="dim", help="embedding dimension")
+    p.add_argument("--n-tasks", type=int)
+    p.add_argument("--frames-per-task", type=int)
+    p.add_argument("--trajectories", type=int, dest="n_trajectories")
+    p.add_argument("--tasks-per-trajectory", type=int)
+    p.add_argument("--snippets-per-task", type=int)
+    p.add_argument("--noise-sigma", type=float)
     p.add_argument("--out", required=True)
     p.set_defaults(config=_gen_config, run=_cmd_gen)
 
@@ -510,8 +535,9 @@ def main(argv=None) -> int:
 def run(argv=None) -> int:
     """The process entry: ``main`` with the collector off, then every live
     object frozen so that interpreter teardown does not scan them. The
-    installed script imports this module before calling it, so there the
-    imports still run with the collector on."""
+    installed script imports this module before calling it, so there this
+    module's own imports run with the collector on; a command's numeric
+    imports run inside ``main``, with it off."""
     gc.disable()
     try:
         return main(argv)

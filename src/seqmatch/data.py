@@ -8,7 +8,10 @@ the float32 grid (generators quantize on output) so a write/read round
 trip is bit-exact. A sequence that ``read_dataset`` returns keeps its
 blob's float32 bytes and decodes its float64 frames on first use, so a
 caller that needs only labels, frame counts and content hashes (``eval``)
-never decodes a frame.
+never decodes a frame. numpy is imported only by the code that builds,
+decodes or writes frames (``EmbeddingSequence``'s constructor and first
+decode, ``quantize_frames_f32``, ``write_dataset``): reading a dataset,
+checking its blobs and hashing it load no numpy.
 
 ``SnippetDatabase`` is the one in-memory dataset type: robot sets, play
 banks and imagined demos alike. It carries its own declared task table
@@ -37,8 +40,6 @@ from numbers import Real
 from operator import attrgetter
 from pathlib import Path
 from typing import Iterable, Mapping
-
-import numpy as np
 
 SCHEMA_VERSION = 1
 MANIFEST_NAME = "manifest.json"
@@ -93,6 +94,13 @@ def check_bool(name: str, value) -> None:
         raise ValueError(f"{name} must be a bool, got {value!r}")
 
 
+def check_mapping(name: str, value) -> None:
+    """The mapping rule: a ``Mapping`` or ``None``, never a list of pairs to coerce;
+    else ``ValueError`` naming ``name``."""
+    if value is not None and not isinstance(value, Mapping):
+        raise ValueError(f"{name} must be a mapping or None, got {value!r}")
+
+
 class Embodiment(str, Enum):
     ROBOT = "robot"
     DEMONSTRATOR = "demonstrator"
@@ -104,6 +112,8 @@ def quantize_frames_f32(frames: np.ndarray) -> np.ndarray:
     Generators call this before building sequences so that the float32
     on-disk format loses nothing.
     """
+    import numpy as np
+
     return np.asarray(frames, dtype=np.float64).astype("<f4").astype(np.float64)
 
 
@@ -124,6 +134,8 @@ class EmbeddingSequence:
     frames: np.ndarray
 
     def __post_init__(self):
+        import numpy as np
+
         arr = np.array(self.frames, dtype=np.float64, order="C", copy=True)
         if arr.ndim != 2:
             raise ValueError(f"frames must be 2-D (T, d), got shape {arr.shape}")
@@ -152,6 +164,8 @@ class EmbeddingSequence:
             raise AttributeError(f"'{type(self).__name__}' object has no attribute '{name}'")
         data = state.get("_f32")
         if data is not None:
+            import numpy as np
+
             arr = np.frombuffer(data, dtype="<f4").reshape(state["_shape"]).astype(np.float64)
             arr.setflags(write=False)
             state.setdefault("frames", arr)
@@ -286,6 +300,7 @@ class SnippetDatabase:
             if not isinstance(v, str):
                 raise ValueError(f"task {k} name must be a string, got {v!r}")
         object.__setattr__(self, "task_names", task_names)
+        check_mapping("provenance", self.provenance)
         if self.provenance is not None:
             object.__setattr__(self, "provenance", dict(self.provenance))
         by_id: dict[str, LabeledSequence] = {}
@@ -508,6 +523,8 @@ def write_dataset(database: SnippetDatabase, path: str | Path) -> None:
     """
     if not database.snippets:
         raise DatasetError("refusing to write an empty dataset")
+    import numpy as np
+
     blobs: list[tuple[str, bytes]] = []
     records = []
     for s in database.snippets:
@@ -640,6 +657,27 @@ def _read_blob(root: str, blob_name: str, size: int, seq_id: str) -> bytes:
     return data
 
 
+# Byte 3 of a little-endian float32 -> 0x80 if its low 7 bits (the exponent's
+# top 7) are all ones, else 0.
+_EXPONENT_TOP7_ONES = bytes(0x80 if b & 0x7F == 0x7F else 0 for b in range(256))
+
+
+def _f32_all_finite(data: bytes) -> bool:
+    """Whether every little-endian float32 in ``data`` is finite, from the bytes.
+
+    A float32 is NaN or Inf exactly when its 8 exponent bits are all ones:
+    the low 7 bits of its byte 3 and the high bit of its byte 2. A finite
+    value with byte 3 of 0x7F or 0xFF is at least 2**127 in magnitude, so
+    a blob without such a byte 3 is finite after one scan; otherwise the
+    two bits are matched for every value at once, as two big integers.
+    """
+    high = data[3::4]
+    if b"\x7f" not in high and b"\xff" not in high:
+        return True
+    marked = int.from_bytes(high.translate(_EXPONENT_TOP7_ONES), "little")
+    return not marked & int.from_bytes(data[2::4], "little")
+
+
 def read_json_object(path: Path, error: type[DatasetError]) -> dict:
     """The JSON object stored in ``path``; each failure raises ``error`` naming the file."""
     if not path.is_file():
@@ -726,7 +764,7 @@ def read_dataset(path: str | Path) -> SnippetDatabase:
             raise ManifestError(f"bad blob reference {blob_name!r}")
         data = _read_blob(root, blob_name, n_frames * dim * 4, seq_id)
         # A float32 value is finite exactly when its float64 decode is.
-        if not np.isfinite(np.frombuffer(data, dtype="<f4")).all():
+        if not _f32_all_finite(data):
             raise BlobError(
                 f"blob '{blob_name}' contains NaN or Inf", sequence_id=seq_id
             )

@@ -33,6 +33,7 @@ from seqmatch.data import (
     quantize_frames_f32,
     read_dataset,
     write_dataset,
+    _f32_all_finite,
     _parse_label_entries,
     _parse_labels,
 )
@@ -187,6 +188,20 @@ class TestDatabaseInvariants:
         a = make_sequence("a", np.zeros((1, 2)), tasks=[7])
         with pytest.raises(ValueError, match="undeclared"):
             SnippetDatabase((a,), task_names={0: "t"})
+
+    @pytest.mark.parametrize(
+        "provenance", [5, 0.5, "robot", [["a", 1]], [], True], ids=["int", "float", "string", "list", "empty-list", "bool"]
+    )
+    def test_provenance_not_a_mapping_rejected(self, provenance):
+        a = make_sequence("a", np.zeros((1, 2)))
+        with pytest.raises(ValueError, match="provenance must be a mapping or None"):
+            SnippetDatabase((a,), task_names={0: "t"}, provenance=provenance)
+
+    @pytest.mark.parametrize("provenance, want", [(None, None), ({}, {}), ({"a": [1]}, {"a": [1]})])
+    def test_provenance_object_or_null_kept(self, provenance, want):
+        a = make_sequence("a", np.zeros((1, 2)))
+        db = SnippetDatabase((a,), task_names={0: "t"}, provenance=provenance)
+        assert db.provenance == want and (provenance is None or db.provenance is not provenance)
 
 
 class TestConfigRules:
@@ -416,6 +431,34 @@ class TestDecodeOnFirstUse:
         assert repr(seq) == "EmbeddingSequence(T=2, d=2)"
 
 
+class TestFiniteBytes:
+    """``_f32_all_finite`` reads finiteness off the bytes; ``np.isfinite`` is the reference."""
+
+    @pytest.mark.parametrize("low", [0x0000, 0x0001, 0x8000, 0xFFFF])
+    def test_every_exponent_and_sign_against_isfinite(self, low):
+        # All 2**16 values of bytes 2-3 (sign, exponent, top mantissa bits).
+        data = ((np.arange(1 << 16, dtype="<u4") << 16) | low).astype("<u4").tobytes()
+        want = np.isfinite(np.frombuffer(data, dtype="<f4"))
+        got = np.array([_f32_all_finite(data[i : i + 4]) for i in range(0, len(data), 4)])
+        assert (got == want).all()
+        assert _f32_all_finite(data) is False
+        assert _f32_all_finite(data[: 4 * 0x7F80]) is True  # up to the largest finite positive
+
+    @pytest.mark.parametrize("index", [0, 1, 500, 998, 999])
+    def test_one_bad_value_among_many(self, index):
+        values = np.full(1000, 3.0e38, dtype="<f4")  # byte 3 is 0x7F: the two-integer path
+        assert _f32_all_finite(values.tobytes()) is True
+        for bad in (np.nan, np.inf, -np.inf):
+            values[index] = bad
+            assert _f32_all_finite(values.tobytes()) is False
+            values[index] = -3.0e38
+            assert _f32_all_finite(values.tobytes()) is True
+
+    def test_empty_and_ordinary_blobs(self, rng):
+        assert _f32_all_finite(b"") is True
+        assert _f32_all_finite(rng.normal(size=(40, 32)).astype("<f4").tobytes()) is True
+
+
 class TestMalformedInputs:
     @pytest.fixture
     def ds(self, tmp_path, rng):
@@ -460,6 +503,21 @@ class TestMalformedInputs:
         with pytest.raises(BlobError, match="NaN") as exc:
             read_dataset(ds)
         assert exc.value.sequence_id == "snip-000"
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("where", ["first", "middle", "last"])
+    def test_non_finite_value_anywhere_in_a_blob(self, tmp_path, value, where):
+        frames = np.linspace(-1.0, 1.0, 5 * 3).reshape(5, 3)
+        db = SnippetDatabase((make_sequence("ok", frames), make_sequence("bad", frames)), task_names={0: "t"})
+        write_dataset(db, tmp_path / "ds")
+        blob = tmp_path / "ds" / "bad.f32"
+        values = np.frombuffer(blob.read_bytes(), dtype="<f4").copy()
+        values[{"first": 0, "middle": 7, "last": -1}[where]] = value
+        blob.write_bytes(values.tobytes())
+        with pytest.raises(BlobError) as exc:
+            read_dataset(tmp_path / "ds")
+        assert str(exc.value) == "sequence 'bad': blob 'bad.f32' contains NaN or Inf"
+        assert exc.value.sequence_id == "bad"
 
     def test_label_length_mismatch(self, ds):
         doc = json.loads((ds / "manifest.json").read_text())

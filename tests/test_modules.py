@@ -115,68 +115,110 @@ else:
     run_fresh("-c", code)
 
 
-@pytest.mark.parametrize("entry", ["import", "run-module"])
-@pytest.mark.parametrize("given, want", [(None, "1"), ("3", "3")], ids=["unset", "user-value"])
-def test_cli_pins_openblas_threads_before_numpy_unless_set(entry, given, want):
-    """The value numpy sees when it is first imported, through ``import
-    seqmatch.cli`` and through ``python -m seqmatch.cli`` (``runpy``)."""
-    code = f"""
-import os, runpy, sys
+# A small gen: the first command of a pipeline, and one that loads numpy.
+SMALL_GEN = ["gen", "--level", "easy", "--trajectories", "2", "--snippets-per-task", "1"]
+
+
+def spy_on_numpy(entry: str, record: str, out: Path) -> str:
+    """Code that records ``record`` when numpy is first imported, in a command
+    run through ``entry``: ``import seqmatch.cli`` and then ``main``, or
+    ``python -m seqmatch.cli`` (``runpy``). Importing the module must not load it."""
+    argv = [*SMALL_GEN, "--out", str(out)]
+    return f"""
+import gc, os, runpy, sys
 seen = []
 
 class Spy:
     def find_spec(self, name, path=None, target=None):
         if name == "numpy":
-            seen.append(os.environ.get("OPENBLAS_NUM_THREADS"))
+            seen.append({record})
 
 sys.meta_path.insert(0, Spy())
 if {entry!r} == "import":
     import seqmatch.cli
+    assert not seen and "numpy" not in sys.modules
+    assert seqmatch.cli.main({argv!r}) == 0
 else:
-    sys.argv = ["seqmatch", "--version"]
+    sys.argv = ["seqmatch", *{argv!r}]
     try:
         runpy.run_module("seqmatch.cli", run_name="__main__", alter_sys=True)
     except SystemExit as exc:
         assert exc.code == 0, exc.code
-print(seen, os.environ["OPENBLAS_NUM_THREADS"])
 """
+
+
+@pytest.mark.parametrize("entry", ["import", "run-module"])
+@pytest.mark.parametrize("given, want", [(None, "1"), ("3", "3")], ids=["unset", "user-value"])
+def test_cli_pins_openblas_threads_before_numpy_unless_set(tmp_path, entry, given, want):
+    """The value numpy sees when a command first imports it, through ``import
+    seqmatch.cli`` and through ``python -m seqmatch.cli`` (``runpy``)."""
+    code = spy_on_numpy(entry, 'os.environ.get("OPENBLAS_NUM_THREADS")', tmp_path / "bench")
+    code += 'print(seen, os.environ["OPENBLAS_NUM_THREADS"])\n'
     env = {} if given is None else {"OPENBLAS_NUM_THREADS": given}
     assert run_fresh("-c", code, **env).stdout.splitlines()[-1] == f"[{want!r}] {want}"
 
 
 @pytest.mark.parametrize("entry", ["import", "run-module"])
-def test_cli_turns_gc_off_before_numpy_only_as_main(entry):
-    """Through ``python -m seqmatch.cli`` (``runpy``) numpy loads with the
-    collector off, and the process exits with it off and objects frozen;
-    ``import seqmatch.cli`` leaves both as it found them."""
-    code = f"""
-import gc, runpy, sys
-seen = []
-
-class Spy:
-    def find_spec(self, name, path=None, target=None):
-        if name == "numpy":
-            seen.append(gc.isenabled())
-
-sys.meta_path.insert(0, Spy())
-if {entry!r} == "import":
-    import seqmatch.cli
-else:
-    sys.argv = ["seqmatch", "--version"]
-    try:
-        runpy.run_module("seqmatch.cli", run_name="__main__", alter_sys=True)
-    except SystemExit as exc:
-        assert exc.code == 0, exc.code
-print(seen, gc.isenabled(), gc.get_freeze_count() > 0)
-"""
-    want = "[True] True False" if entry == "import" else "[False] False True"
+def test_cli_turns_gc_off_before_numpy_only_as_main(tmp_path, entry):
+    """numpy loads inside a command with the collector off on both entries:
+    ``main`` pauses it for the command. Through ``python -m seqmatch.cli``
+    (``runpy``) the process exits with it off and objects frozen; ``import
+    seqmatch.cli`` and ``main`` leave both as they found them."""
+    code = spy_on_numpy(entry, "gc.isenabled()", tmp_path / "bench")
+    code += "print(seen, gc.isenabled(), gc.get_freeze_count() > 0)\n"
+    want = "[False] True False" if entry == "import" else "[False] False True"
     assert run_fresh("-c", code).stdout.splitlines()[-1] == want
+
+
+@pytest.fixture(scope="module")
+def easy_run(tmp_path_factory) -> tuple[Path, Path]:
+    """A generated easy bench and an ``imagine`` run on it."""
+    root = tmp_path_factory.mktemp("easy")
+    bench, run = root / "bench", root / "run"
+    run_fresh("-m", "seqmatch.cli", "gen", "--level", "easy", "--trajectories", "2", "--out", str(bench))
+    run_fresh(
+        "-m", "seqmatch.cli", "imagine", "--robot", str(bench / "robot"), "--play", str(bench / "play"),
+        "--out", str(run),
+    )
+    return bench, run
+
+
+NUMERIC = ("numpy", "seqmatch.ot", "seqmatch.tcc", "seqmatch.synthgen", "seqmatch.retrieval")
+
+
+@pytest.mark.parametrize(
+    "command, absent, loaded",
+    [
+        ("--version", NUMERIC, ()),
+        ("eval", NUMERIC, ("seqmatch.pairing",)),
+        ("gen", ("seqmatch.ot", "seqmatch.tcc", "seqmatch.retrieval"), ("numpy", "seqmatch.synthgen")),
+    ],
+)
+def test_command_imports_only_what_it_runs(easy_run, tmp_path, command, absent, loaded):
+    """A fresh ``python -m seqmatch.cli`` process leaves out of ``sys.modules``
+    every module its command does not run."""
+    bench, run = easy_run
+    argv = {
+        "--version": ["--version"],
+        "eval": ["eval", "--paired", str(run), "--out", str(tmp_path / "scores")],
+        "gen": [*SMALL_GEN, "--out", str(tmp_path / "bench")],
+    }[command]
+    code = f"""
+import runpy, sys
+sys.argv = ["seqmatch", *{argv!r}]
+try:
+    runpy.run_module("seqmatch.cli", run_name="__main__", alter_sys=True)
+except SystemExit as exc:
+    assert exc.code == 0, exc.code
+print(sorted(set({absent!r}) & set(sys.modules)), sorted(set({loaded!r}) - set(sys.modules)))
+"""
+    assert run_fresh("-c", code).stdout.splitlines()[-1] == "[] []"
 
 
 @pytest.mark.parametrize(
     "argv, want",
     [
-        (["gen", "--level", "easy", "--trajectories", "2", "--snippets-per-task", "1"], 0),
+        (SMALL_GEN, 0),
         (["gen", "--level", "insane"], 2),
         (["gen", "--level", "easy", "--d", "4", "--n-tasks", "7"], 2),
         (["eval", "--paired", "void"], 3),
@@ -194,13 +236,11 @@ print(code, gc.isenabled(), gc.get_freeze_count() > 0)
     assert run_fresh("-c", code).stdout.splitlines()[-1] == f"{want} False True"
 
 
-def test_logging_loads_only_when_seqmatch_log_is_set(tmp_path):
+def test_logging_loads_only_when_seqmatch_log_is_set(easy_run, tmp_path):
     """``eval`` with ``SEQMATCH_LOG`` unset never imports ``logging``; ``ablate``
     under ``SEQMATCH_LOG=info`` still logs one ``kprime=`` line per K'."""
-    bench, run = tmp_path / "bench", tmp_path / "run"
+    bench, run = easy_run
     robot_play = ["--robot", str(bench / "robot"), "--play", str(bench / "play")]
-    run_fresh("-m", "seqmatch.cli", "gen", "--level", "easy", "--trajectories", "2", "--out", str(bench))
-    run_fresh("-m", "seqmatch.cli", "imagine", *robot_play, "--out", str(run))
     code = f"""
 import sys
 import seqmatch.cli

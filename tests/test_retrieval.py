@@ -15,6 +15,7 @@ from seqmatch.data import (
     quantize_frames_f32,
 )
 from seqmatch.ot import SQEUCLIDEAN, SinkhornConfig, cost_matrix, sinkhorn
+from seqmatch.pairing import _mean
 from seqmatch.retrieval import (
     ImaginedDemo,
     OtSequenceDistance,
@@ -604,6 +605,29 @@ class TestEvaluate:
         assert 0.0 <= report.top1_accuracy <= 1.0
 
 
+class TestMean:
+    """``evaluate``'s averages: ``_mean`` must equal ``float(np.mean(v))`` to the bit."""
+
+    LENGTHS = [*range(1, 301), 3000, 8191, 8192, 8193]
+
+    @pytest.mark.parametrize("kind", ["floats", "fractions"])
+    def test_equals_numpy_mean_bit_for_bit(self, kind):
+        rng = np.random.default_rng(11)
+        for n in self.LENGTHS:
+            if kind == "floats":  # spread over magnitudes, so the summation order shows
+                v = (rng.random(n) * 10.0 ** rng.uniform(-6, 6, n)).tolist()
+            else:  # recall-like: k / m with small m
+                m = rng.integers(1, 8, n)
+                v = (rng.integers(0, m + 1) / m).tolist()
+            want = float(np.mean(v))
+            got = _mean(v)
+            assert got.hex() == want.hex(), (n, got, want)
+
+    def test_constant_and_zero_runs(self):
+        for n in (1, 7, 8, 129, 3000):
+            assert _mean([0.0] * n) == 0.0 and _mean([1 / 3] * n) == float(np.mean([1 / 3] * n))
+
+
 def paired_doc():
     """A one-trajectory paired document, its robot dataset and its play dataset."""
     robot_set, db = gen_benchmark("easy", GenConfig(n_trajectories=1, seed=4))
@@ -663,6 +687,23 @@ class TestPairedJson:
         seg["snippet_index"], seg["snippet_id"] = index, db.snippets[-1].seq_id
         with pytest.raises(RetrievalError, match=f"not at index {index}"):
             paired_from_json_dict(doc, robot_db, db)
+
+    @pytest.mark.parametrize(
+        "provenance", [5, 0.5, "robot", [["a", 1]], True], ids=["int", "float", "string", "list", "bool"]
+    )
+    def test_provenance_not_an_object_rejected(self, provenance):
+        doc, robot_db, db = paired_doc()
+        doc["provenance"] = provenance
+        with pytest.raises(ValueError, match="provenance must be a mapping or None"):
+            paired_from_json_dict(doc, robot_db, db)
+
+    @pytest.mark.parametrize("provenance", [None, {}, {"robot_dataset": "r"}], ids=["null", "empty", "object"])
+    def test_provenance_object_or_null_read(self, provenance):
+        doc, robot_db, db = paired_doc()
+        doc["provenance"] = provenance
+        assert paired_from_json_dict(doc, robot_db, db).provenance == (provenance or {})
+        del doc["provenance"]
+        assert paired_from_json_dict(doc, robot_db, db).provenance == {}
 
     @pytest.mark.parametrize(
         "start, end", [(-1, 4), (5, 5), (6, 2), (0, 33)], ids=["negative", "empty", "reversed", "past_end"]
