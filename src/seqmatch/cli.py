@@ -338,8 +338,10 @@ def _cmd_eval(args, config: None) -> RunOutput:
     run_dir = Path(args.paired)
     paired_path = run_dir / "paired.json"
     doc = read_json_object(paired_path, DatasetError)
-    provenance = doc.get("provenance", {})
-    if not isinstance(provenance, dict):
+    provenance = doc.get("provenance")
+    if provenance is None:  # as paired_from_json_dict reads it
+        provenance = {}
+    elif not isinstance(provenance, dict):
         raise DatasetError(f"{paired_path}: provenance is not a JSON object")
     robot_path = args.robot or provenance.get("robot_dataset")
     play_path = args.play or provenance.get("play_dataset")

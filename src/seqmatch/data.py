@@ -27,7 +27,6 @@ cached array. Writing is single-writer per directory.
 from __future__ import annotations
 
 import hashlib
-import io
 import json
 import math
 import os
@@ -255,6 +254,7 @@ class LabeledSequence:
             )
         object.__setattr__(self, "labels", labels)
         object.__setattr__(self, "embodiment", Embodiment(self.embodiment))
+        check_mapping("seed_record", self.seed_record)
         if self.seed_record is not None:
             object.__setattr__(self, "seed_record", dict(self.seed_record))
 
@@ -347,172 +347,16 @@ class SnippetDatabase:
         )
 
 
-def _float_text(x: float) -> str:
-    """json's text for a float: ``NaN``/``Infinity``/``-Infinity`` or its repr."""
-    if x != x:
-        return "NaN"
-    if x == math.inf:
-        return "Infinity"
-    if x == -math.inf:
-        return "-Infinity"
-    return float.__repr__(x)
-
-
-_encode_str = json.encoder.encode_basestring_ascii
-_int_text = int.__repr__
-# json's text for a scalar of exactly these types; a subclass (a str Enum, an
-# IntEnum, np.float64) takes _scalar_text, which tests in json's order.
-_SCALAR_TEXT = {
-    str: _encode_str,
-    int: _int_text,
-    float: _float_text,
-    bool: {False: "false", True: "true"}.__getitem__,
-    type(None): lambda _: "null",
-}
-
-
-def _scalar_text(value) -> str | None:
-    """json's text for ``value`` if it is a scalar json writes, else ``None``."""
-    if isinstance(value, str):
-        return _encode_str(value)
-    if value is None:
-        return "null"
-    if value is True:
-        return "true"
-    if value is False:
-        return "false"
-    if isinstance(value, int):
-        return _int_text(value)
-    if isinstance(value, float):
-        return _float_text(value)
-    return None
-
-
-def _key_text(key) -> str:
-    """json's quoted text for a dict key; ``TypeError`` for a key json rejects."""
-    if isinstance(key, str):
-        return _encode_str(key)
-    if isinstance(key, float):
-        return _encode_str(_float_text(key))
-    if key is True:
-        return '"true"'
-    if key is False:
-        return '"false"'
-    if key is None:
-        return '"null"'
-    if isinstance(key, int):
-        return _encode_str(_int_text(key))
-    raise TypeError(f"keys must be str, int, float, bool or None, not {key.__class__.__name__}")
-
-
-class _KeyHeads(dict):
-    """``'"key": '`` per str key, rendered on first lookup."""
-
-    def __missing__(self, key: str) -> str:
-        text = self[key] = _encode_str(key) + ": "
-        return text
-
-
-class _IntRows(dict):
-    """Indented text of an all-int row at one depth, keyed by the row as a tuple,
-    rendered on first lookup."""
-
-    def __init__(self, depth: int):
-        super().__init__()
-        self.indent = "\n" + "  " * (depth + 1)
-        self.close = "\n" + "  " * depth + "]"
-
-    def __missing__(self, row: tuple[int, ...]) -> str:
-        text = self[row] = f"[{self.indent}{(',' + self.indent).join(map(_int_text, row))}{self.close}" if row else "[]"
-        return text
-
-
 def canonical_json(doc) -> str:
-    """Deterministic JSON rendering used for manifests and reports: exactly
-    ``json.dumps(doc, indent=2, sort_keys=True) + "\\n"``, errors included.
+    """Deterministic JSON rendering used for manifests and reports:
+    ``json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\\n"``.
 
-    It does not call ``json.dumps``, because with ``indent`` json drops its C
-    encoder for its pure-Python one, which yields every token as its own
-    string and holds them all until one final join: 0.3-0.45 s for the
-    3.9 MB robot manifest of 3000 trajectories on a 2-vCPU host, against
-    0.07 s here. This renderer takes one recursive pass and writes into
-    a ``StringIO``, which copies each piece into one growing buffer and
-    frees it. Scalars get json's own texts
-    (``encode_basestring_ascii``, ``int.__repr__``, ``float.__repr__``,
-    ``NaN``/``Infinity``). A list of exact ints is one ``join``, and a list
-    of rows of exact ints (per-frame labels) renders each distinct row once
-    per call. Only ints are cached: ``True`` and ``1.0`` equal ``1`` but
-    render differently.
+    One line, keys sorted at every depth, no whitespace between tokens.
+    Without ``indent`` json uses its C encoder. Every reader of these
+    files parses them, so whitespace would carry nothing; ``python -m
+    json.tool FILE`` prints one indented.
     """
-    buf = io.StringIO()
-    write = buf.write
-    markers: set[int] = set()
-    heads = _KeyHeads()
-    rows_at: dict[int, _IntRows] = {}
-    indents = ["\n"]  # indents[depth]: a newline and the indent of that depth
-
-    def render(obj, depth: int) -> None:
-        """Write ``obj`` at ``depth``; the loops below write exact scalars themselves."""
-        kind = type(obj)
-        if kind is not dict and kind is not list and kind is not tuple:
-            text = _scalar_text(obj)
-            if text is not None:
-                write(text)
-                return
-            if not isinstance(obj, (list, tuple, dict)):
-                raise TypeError(f"Object of type {kind.__name__} is not JSON serializable")
-        is_dict = isinstance(obj, dict)
-        if not obj:
-            write("{}" if is_dict else "[]")
-            return
-        if len(indents) == depth + 1:
-            indents.append(indents[depth] + "  ")
-        inner = indents[depth + 1]
-        if kind is list or kind is tuple:
-            # Neither fast path needs a circularity marker: an int, or a row
-            # of ints, holds no container that could lead back to ``obj``.
-            types = set(map(type, obj))
-            if types == {int}:
-                write(f"[{inner}{(',' + inner).join(map(_int_text, obj))}{indents[depth]}]")
-                return
-            if types <= {list, tuple} and set(map(type, chain.from_iterable(obj))) <= {int}:
-                rows = rows_at.get(depth + 1)
-                if rows is None:
-                    rows = rows_at[depth + 1] = _IntRows(depth + 1)
-                write(f"[{inner}{(',' + inner).join(map(rows.__getitem__, map(tuple, obj)))}{indents[depth]}]")
-                return
-        marker = id(obj)
-        if marker in markers:
-            raise ValueError("Circular reference detected")
-        markers.add(marker)
-        if is_dict:
-            sep = "{" + inner
-            for key, item in sorted(obj.items()):
-                head = sep + (heads[key] if type(key) is str else _key_text(key) + ": ")
-                text = _SCALAR_TEXT.get(type(item))
-                if text is not None:
-                    write(head + text(item))
-                else:
-                    write(head)
-                    render(item, depth + 1)
-                sep = "," + inner
-            write(indents[depth] + "}")
-        else:
-            sep = "[" + inner
-            for item in obj:
-                text = _SCALAR_TEXT.get(type(item))
-                if text is not None:
-                    write(sep + text(item))
-                else:
-                    write(sep)
-                    render(item, depth + 1)
-                sep = "," + inner
-            write(indents[depth] + "]")
-        markers.discard(marker)
-
-    render(doc, 0)
-    write("\n")
-    return buf.getvalue()
+    return json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"
 
 
 def write_dataset(database: SnippetDatabase, path: str | Path) -> None:

@@ -260,34 +260,25 @@ def gen_demo_snippets(
             frames = _rotate(frames, u, v, spec.rotation_angle_deg)
         return quantize_frames_f32(frames)
 
-    snippets: list[LabeledSequence] = []
-    for t in range(anchors.n_tasks):
-        length = _snippet_length(cfg.frames_per_task, spec.speed_for(t))
-        for s in range(cfg.snippets_per_task):
-            frames = render(anchors.vectors[t], length)
-            snippets.append(
-                LabeledSequence(
-                    seq_id=f"demo-t{t:02d}-s{s:02d}",
-                    sequence=EmbeddingSequence(frames),
-                    labels=tuple([FrameLabel((t,))] * length),
-                    embodiment=Embodiment.DEMONSTRATOR,
-                    seed_record={"task": t, "index": s},
-                )
-            )
+    # Clip kinds: (tasks, center, speed, id stem, seed record). Single-task
+    # kinds come first, so the clips draw their noise in that order.
+    kinds = [((t,), anchors.vectors[t], spec.speed_for(t), f"t{t:02d}", {"task": t}) for t in range(anchors.n_tasks)]
     for ta, tb in spec.merge_pairs:
         merged = anchors.vectors[ta] + anchors.vectors[tb]
-        merged /= np.linalg.norm(merged)
         speed = 0.5 * (spec.speed_for(ta) + spec.speed_for(tb))
+        kinds.append(((ta, tb), merged / np.linalg.norm(merged), speed, f"m{ta:02d}-{tb:02d}", {"tasks": [ta, tb]}))
+    snippets: list[LabeledSequence] = []
+    for tasks, center, speed, stem, record in kinds:
         length = _snippet_length(cfg.frames_per_task, speed)
+        labels = (FrameLabel(tasks),) * length
         for s in range(cfg.snippets_per_task):
-            frames = render(merged, length)
             snippets.append(
                 LabeledSequence(
-                    seq_id=f"demo-m{ta:02d}-{tb:02d}-s{s:02d}",
-                    sequence=EmbeddingSequence(frames),
-                    labels=tuple([FrameLabel((ta, tb))] * length),
+                    seq_id=f"demo-{stem}-s{s:02d}",
+                    sequence=EmbeddingSequence(render(center, length)),
+                    labels=labels,
                     embodiment=Embodiment.DEMONSTRATOR,
-                    seed_record={"tasks": [ta, tb], "index": s},
+                    seed_record={**record, "index": s},
                 )
             )
     return SnippetDatabase(

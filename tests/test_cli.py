@@ -594,6 +594,22 @@ class TestEval:
         assert main(["eval", "--paired", str(run), "--out", str(tmp_path / "e")]) == 3
         assert "provenance" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("drop", [False, True], ids=["null", "missing"])
+    def test_null_or_missing_provenance_reads_as_empty(self, paired_run, tmp_path, capsys, drop):
+        run, text = paired_run
+        doc = json.loads(text)
+        recorded = doc.pop("provenance")
+        if not drop:
+            doc["provenance"] = None
+        bare = tmp_path / "bare"
+        bare.mkdir()
+        (bare / "paired.json").write_text(json.dumps(doc))
+        assert main(["eval", "--paired", str(bare), "--robot", recorded["robot_dataset"],
+                     "--play", recorded["play_dataset"], "--out", str(tmp_path / "e")]) == 0
+        assert (tmp_path / "e" / "report.json").read_bytes() == (run / "report.json").read_bytes()
+        assert main(["eval", "--paired", str(bare), "--out", str(tmp_path / "f")]) == 3
+        assert "robot/play dataset paths neither given nor recorded" in capsys.readouterr().err
+
     def test_robot_hash_agrees_across_commands(self, tmp_path):
         # two trajectories visit 4 of the 7 declared tasks: every command must
         # still hash the robot set with the task table the dataset declares

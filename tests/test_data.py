@@ -16,6 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from seqmatch.cli import main
 from seqmatch.data import (
     BlobError,
     DatasetError,
@@ -202,6 +203,11 @@ class TestDatabaseInvariants:
         a = make_sequence("a", np.zeros((1, 2)))
         db = SnippetDatabase((a,), task_names={0: "t"}, provenance=provenance)
         assert db.provenance == want and (provenance is None or db.provenance is not provenance)
+
+    @pytest.mark.parametrize("seed_record", [[["a", 1]], 5, "a1", True], ids=["list-of-pairs", "number", "string", "bool"])
+    def test_seed_record_not_a_mapping_rejected(self, seed_record):
+        with pytest.raises(ValueError, match="seed_record must be a mapping or None"):
+            make_sequence("a", np.zeros((1, 2)), seed_record=seed_record)
 
 
 class TestConfigRules:
@@ -742,7 +748,7 @@ class Color(str, Enum):
 
 
 def json_dumps_indent(doc) -> str:
-    """``canonical_json`` as first defined: json's own indented encoder."""
+    """The form every JSON output took before outputs were compact."""
     return json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
 
@@ -791,10 +797,28 @@ def _circular_list():
 
 
 class TestCanonicalJson:
+    def test_format(self):
+        doc = {
+            "z": {"b": (1, 2.5), "a": [{"y": None, "x": True}]},
+            "a": "r\u00e9d",
+            "m": {"inf": math.inf, "-inf": -math.inf, "nan": math.nan},
+        }
+        text = canonical_json(doc)
+        assert text == (
+            '{"a":"r\\u00e9d","m":{"-inf":-Infinity,"inf":Infinity,"nan":NaN},'
+            '"z":{"a":[{"x":true,"y":null}],"b":[1,2.5]}}\n'
+        )
+        got = json.loads(text)
+        assert math.isnan(got["m"].pop("nan")) and math.isnan(doc["m"].pop("nan"))
+        assert got == {**doc, "z": {**doc["z"], "b": [1, 2.5]}}
+
     @settings(max_examples=300)
     @given(json_docs)
-    def test_matches_json_dumps(self, doc):
-        assert canonical_json(doc) == json_dumps_indent(doc)
+    def test_one_line_with_the_values_of_the_indented_form(self, doc):
+        text = canonical_json(doc)
+        assert text.endswith("\n") and "\n" not in text[:-1]
+        # repr tells NaN apart and keeps key order, which == on dicts ignores
+        assert repr(json.loads(text)) == repr(json.loads(json_dumps_indent(doc)))
 
     @pytest.mark.parametrize(
         "doc",
@@ -813,11 +837,23 @@ class TestCanonicalJson:
         with pytest.raises(ValueError, match="Circular reference detected"):
             canonical_json(make())
 
-    def test_nests_as_deep_as_json_dumps(self):
-        doc = 0
-        for _ in range(400):
-            doc = [{"k": doc}]
-        assert canonical_json(doc) == json_dumps_indent(doc)
+    def test_reads_files_written_indented(self, tmp_path):
+        """A dataset manifest and a ``paired.json`` in the indented form that
+        earlier versions wrote read the same as compact ones."""
+        bench, run = tmp_path / "b", tmp_path / "run"
+        assert main(["gen", "--level", "hard", "--seed", "0", "--trajectories", "2",
+                     "--snippets-per-task", "1", "--out", str(bench)]) == 0
+        assert main(["imagine", "--robot", str(bench / "robot"), "--play", str(bench / "play"),
+                     "--segment-kprime", "2", "--out", str(run)]) == 0
+        before = read_dataset(bench / "robot")
+        for path in (bench / "robot" / "manifest.json", run / "paired.json"):
+            text = path.read_text()
+            assert "\n" not in text[:-1]
+            path.write_text(json_dumps_indent(json.loads(text)))
+        after = read_dataset(bench / "robot")
+        assert after == before and dataset_content_hash(after) == dataset_content_hash(before)
+        assert main(["eval", "--paired", str(run), "--out", str(tmp_path / "e")]) == 0
+        assert (tmp_path / "e" / "report.json").read_bytes() == (run / "report.json").read_bytes()
 
 
 # One- and two-task labels, both embodiments, ids with '.', '_' and '-',
