@@ -19,9 +19,12 @@ and provenance, which is exactly what ``write_dataset`` records and
 ``read_dataset`` returns, so ``dataset_content_hash`` gives a database
 and its on-disk copy the same hash.
 
-All types are immutable after construction and safe to share across
+All types are frozen after construction and safe to share across
 threads: threads that race on a sequence's first decode all get the one
-cached array. Writing is single-writer per directory.
+cached array. A database's ``task_names`` is a read-only mapping, since
+its content hash covers it; ``provenance`` and a sequence's
+``seed_record`` are plain dicts copied at construction, and neither is
+hashed. Writing is single-writer per directory.
 """
 
 from __future__ import annotations
@@ -38,6 +41,7 @@ from itertools import chain
 from numbers import Real
 from operator import attrgetter
 from pathlib import Path
+from types import MappingProxyType
 from typing import Iterable, Mapping
 
 SCHEMA_VERSION = 1
@@ -299,7 +303,7 @@ class SnippetDatabase:
                 raise ValueError(f"task ids must be non-negative ints, got {k!r}")
             if not isinstance(v, str):
                 raise ValueError(f"task {k} name must be a string, got {v!r}")
-        object.__setattr__(self, "task_names", task_names)
+        object.__setattr__(self, "task_names", MappingProxyType(task_names))
         check_mapping("provenance", self.provenance)
         if self.provenance is not None:
             object.__setattr__(self, "provenance", dict(self.provenance))

@@ -18,15 +18,15 @@ grid and gives every pair exactly the cost, iteration count and
 convergence flag that ``sinkhorn(cost_matrix(...))`` gives it alone.
 
 Retrieval needs only each query's cheapest snippet and the runner-up's
-cost. ``sinkhorn_top2`` solves each query's pairs in ascending order of
-a lower bound on their cost (``transport_lower_bounds``, the relaxed
-Word Mover's bound of Kusner et al., ICML 2015, section 4, computed for
-the whole grid in one pass), a round at a time, and stops a query once
-no unsolved pair can be among its two cheapest. The rounds of all
-queries run in lockstep, one round's pairs of every query stacked by
-shape, so a round costs a few large solver calls instead of a few small
-ones per query. The pairs it solves get exactly the entries of
-``sinkhorn_scan``; on the benchmark banks it solves 9-26% of them.
+cost. ``sinkhorn_top2`` bounds every pair's cost from below
+(``transport_lower_bounds``, the relaxed Word Mover's bound of Kusner et
+al., ICML 2015, section 4, computed for the whole grid in one pass) and
+solves the grid in at most three passes over a mask of the pairs still
+to solve: first each query's few lowest bounds, then every pair whose
+bound does not exceed its query's runner-up cost. All queries' pairs of
+a pass are stacked by shape together, so a pass costs a few large
+solver calls. The pairs it solves get exactly the entries of
+``sinkhorn_scan``; on the benchmark banks it solves 8-23% of them.
 
 The reported sequence distance is the raw plan cost ``sum(C * M)``; the
 plan moves unit total mass by construction, so no extra length
@@ -59,10 +59,13 @@ _EXACT_MAX_CELLS = 16
 # bank raised peak RSS by about 6 MiB over the per-pair loop; capped at
 # 4096 cells, by about 1 MiB.
 _SCAN_BATCH_CELLS = 4096
-# Pairs solved per round of ``sinkhorn_top2``. Smaller rounds stop closer
-# to the fewest solves a bound allows; larger ones pay numpy's per-call
-# overhead less often. Of 2 to 32, 8 was fastest or within 5% of it on the
-# desk-scale and 500-snippet hard banks; 16-32 won only on 2000 snippets.
+# Pairs per query in the first pass of ``sinkhorn_top2``. A narrower pass
+# leaves a higher runner-up for the second pass to solve under; a wider one
+# solves pairs that no runner-up needed. Timed against width 8 over 2 to 32:
+# on the desk hard bank 2 and 4 tie, 16 and 32 take 1.6x and 3x as long; on
+# the desk easy bank 2 and 4 take 0.8x; on 500 snippets 16 takes 0.85-0.95x,
+# and 4 takes 1.13x at 200 segments. No width wins everywhere; 8 is within
+# a quarter of the fastest on each.
 _PRUNE_ROUND = 8
 # Relative slack on ``transport_lower_bounds`` for float rounding in the
 # plan's marginals and cost.
@@ -266,7 +269,7 @@ def _solve_one(
 ) -> TransportPlan:
     """The plan of one m x n cost matrix: ``_log_sinkhorn`` on a stack of one."""
     if init is not None:
-        init = (np.asarray(init[0])[None], np.asarray(init[1])[None])
+        init = (init[0][None], init[1][None])
     P, f, g, iters, converged = _log_sinkhorn(C[None], cfg, init)
     return TransportPlan(P[0], float(np.sum(C * P[0])), int(iters[0]), bool(converged[0]), (f[0], g[0]))
 
@@ -281,12 +284,16 @@ def sinkhorn(
     Never raises on slow convergence: the plan's ``converged`` flag is
     False when the marginal tolerance was not met within ``max_iters``.
     ``init`` warm-starts the log-domain potentials (useful when sweeping
-    epsilon ladders).
+    epsilon ladders): finite vectors f of length m and g of length n.
     """
     cfg = cfg or SinkhornConfig()
     C = cost.entries if isinstance(cost, CostMatrix) else np.asarray(cost, dtype=np.float64)
     if C.ndim != 2 or not np.isfinite(C).all():
         raise ValueError("cost must be a finite 2-D matrix")
+    if init is not None:
+        init = tuple(np.asarray(p, dtype=np.float64) for p in init)
+        if [p.shape for p in init] != [C.shape[:1], C.shape[1:]] or not all(np.isfinite(p).all() for p in init):
+            raise ValueError(f"init must be finite potentials of lengths {C.shape[0]} and {C.shape[1]}")
     return _solve_one(C, cfg, init)
 
 
@@ -417,52 +424,37 @@ def sinkhorn_top2(
 ) -> ScanResult:
     """A ``sinkhorn_scan`` that solves, per query, only the pairs that can be among its two cheapest.
 
-    A query's pairs are solved in ascending (stable) order of its row of
-    ``transport_lower_bounds``, ``_PRUNE_ROUND`` at a time, and its scan
-    stops once its next bound is strictly above the second-lowest cost
-    solved for it so far. Every pair that can be the cheapest, tie with
-    it or be the runner-up is solved, and gets exactly the entry
-    ``sinkhorn_scan`` gives it; every other entry has cost ``inf``, 0
-    iterations and ``converged`` False.
+    It solves the grid in passes over a Q x N mask of pairs to solve. The
+    first pass takes each query's ``_PRUNE_ROUND`` lowest pairs in
+    (stable) order of ``transport_lower_bounds``. Each later pass takes,
+    per query, every unsolved pair whose bound is at most the
+    second-lowest cost solved so far (``inf`` for a bank of fewer than two
+    snippets), and the whole unsolved rest of a query with a solve that
+    did not converge: the row term of the bound holds only for pairs
+    that converge, and such a solve is the sign of a solver setting too
+    tight for it. The runner-up can only fall, so after the second pass
+    no unsolved pair's bound is at or below it, and a third pass runs only
+    to solve the rest of the banks of queries whose second-pass solves failed.
 
-    The row term of the bound holds only for pairs that converge, and a
-    solve that does not converge is the sign of a solver setting too
-    tight for it: from a query's first solved pair that has not
-    converged on, its scan stops pruning and solves the rest of the bank
-    in its next round.
-
-    The queries' rounds run in lockstep: round r of every query still
-    scanning is solved together, its pairs grouped by (m, n) shape
-    across queries into stacks of at most ``_SCAN_BATCH_CELLS`` cells,
-    one ``_log_sinkhorn`` call per stack. A pair's solve does not depend
-    on the rest of its stack, so each query gets the result it would
-    get alone.
+    Every pair that can be the cheapest, tie with it or be the runner-up
+    is solved and gets exactly the entry ``sinkhorn_scan`` gives it; every
+    other entry has cost ``inf``, 0 iterations and ``converged`` False. A
+    pass groups its pairs by (m, n) shape across queries into stacks of at
+    most ``_SCAN_BATCH_CELLS`` cells, and a pair's solve does not depend on
+    the rest of its stack, so each query gets the result it would get alone.
     """
     cfg = cfg or SinkhornConfig()
     As, frames = [frame_matrix(q) for q in queries], [frame_matrix(s) for s in bank]
-    n = len(frames)
     bounds = transport_lower_bounds(As, frames, cfg, metric)
-    orders = np.argsort(bounds, axis=1, kind="stable")
-    costs = np.full_like(bounds, np.inf)
-    out = ScanResult(costs, np.zeros_like(bounds, np.int64), np.zeros_like(bounds, bool))
-    solved, pruning = [0] * len(As), [True] * len(As)
-    live = list(range(len(As))) if n else []
-    while live:
-        takes = [orders[q, solved[q] : solved[q] + _PRUNE_ROUND if pruning[q] else n] for q in live]
-        qs = np.repeat(live, [len(take) for take in takes])
-        _solve_pairs(As, frames, qs, np.concatenate(takes), cfg, metric, out)
-        still_live = []
-        for q, take in zip(live, takes):
-            solved[q] += len(take)
-            pruning[q] = pruning[q] and bool(out.converged[q, take].all())
-            if solved[q] == n:
-                continue
-            if pruning[q]:
-                runner_up = np.partition(out.costs[q, orders[q, : solved[q]]], 1)[1]
-                if bounds[q, orders[q, solved[q]]] > runner_up:
-                    continue
-            still_live.append(q)
-        live = still_live
+    out = ScanResult(np.full_like(bounds, np.inf), np.zeros_like(bounds, np.int64), np.zeros_like(bounds, bool))
+    todo = np.zeros_like(bounds, bool)
+    np.put_along_axis(todo, np.argsort(bounds, axis=1, kind="stable")[:, :_PRUNE_ROUND], True, axis=1)
+    while todo.any():
+        _solve_pairs(As, frames, *np.nonzero(todo), cfg, metric, out)
+        solved = out.iterations > 0
+        runner_up = np.partition(out.costs, 1, axis=1)[:, 1:2] if len(frames) > 1 else np.inf
+        failed = (solved & ~out.converged).any(axis=1, keepdims=True)
+        todo = ~solved & ((bounds <= runner_up) | failed)
     return out
 
 

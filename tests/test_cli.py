@@ -64,9 +64,11 @@ def solver_block(run: Path):
     return json.loads((run / "run_manifest.json").read_text())["solver"]
 
 
-def segment_frames(robot_db: SnippetDatabase, segment_count: int) -> list[np.ndarray]:
-    """The frames of every K' segment of every robot sequence, in retrieval order."""
-    cfg = RetrievalConfig(distance=None, segment_count=segment_count)
+def segment_frames(
+    robot_db: SnippetDatabase, segment_count: int | None = None, segment_len: int | None = None
+) -> list[np.ndarray]:
+    """The frames of every K' (or K-frame) segment of every robot sequence, in retrieval order."""
+    cfg = RetrievalConfig(distance=None, segment_count=segment_count, segment_len=segment_len)
     return [r.sequence.frames[a:b] for r in robot_db.snippets for a, b in segment(r.sequence, cfg)]
 
 
@@ -394,25 +396,34 @@ class TestImagine:
         assert len(solved) >= 2
 
     def test_strict_judges_the_full_grid(self, tmp_path, capsys):
-        """On the hard desk bench at ``--max-iters 12`` the pruned scan solves no pair
-        that fails to converge, but the grid holds some: ``--strict`` counts them all
-        and changes no output but ``run_manifest.json``."""
-        bench = tmp_path / "bench"
-        assert main(["gen", "--level", "hard", "--seed", "0", "--out", str(bench)]) == 0
-        argv = ["imagine", "--robot", str(bench / "robot"), "--play", str(bench / "play"),
-                "--segment-kprime", "2", "--max-iters", "12"]
-        assert main([*argv, "--out", str(tmp_path / "loose")]) == 0
-        capsys.readouterr()
-        assert main([*argv, "--strict", "--out", str(tmp_path / "strict")]) == 4
-        subs = segment_frames(read_dataset(bench / "robot"), 2)
-        bank = [s.sequence for s in read_dataset(bench / "play")]
-        _, converged = OtSequenceDistance(SinkhornConfig(max_iters=12)).grid(subs, bank)
-        count = int((~converged).sum())
-        assert count > solver_block(tmp_path / "loose")["nonconverged"] == 0
-        assert solver_block(tmp_path / "strict") == {"pairs": converged.size, "solved": converged.size,
-                                                      "nonconverged": count}
-        assert capsys.readouterr().err == f"error: {count} candidate distances did not converge\n"
-        assert tree_digest(tmp_path / "strict") == tree_digest(tmp_path / "loose")
+        """The pruned scan solves fewer of the grid's non-converging pairs than there are:
+        none on the hard desk bench at K'=2 and ``--max-iters 12``; some on the easy
+        one at K=8 and ``--max-iters 4``, where the segments with a failed solve fall
+        back to their whole bank while the others keep pruning. ``--strict`` counts
+        them all and changes no output but ``run_manifest.json``."""
+        cases = [
+            ("hard", ["--segment-kprime", "2"], {"segment_count": 2}, 12, 0),
+            ("easy", ["--segment-k", "8"], {"segment_len": 8}, 4, 7),
+        ]
+        for level, flags, segmenting, max_iters, loose_nonconverged in cases:
+            bench, runs = tmp_path / level / "bench", tmp_path / level
+            assert main(["gen", "--level", level, "--seed", "0", "--out", str(bench)]) == 0
+            argv = ["imagine", "--robot", str(bench / "robot"), "--play", str(bench / "play"),
+                    *flags, "--max-iters", str(max_iters)]
+            assert main([*argv, "--out", str(runs / "loose")]) == 0
+            capsys.readouterr()
+            assert main([*argv, "--strict", "--out", str(runs / "strict")]) == 4
+            subs = segment_frames(read_dataset(bench / "robot"), **segmenting)
+            bank = [s.sequence for s in read_dataset(bench / "play")]
+            _, converged = OtSequenceDistance(SinkhornConfig(max_iters=max_iters)).grid(subs, bank)
+            count = int((~converged).sum())
+            loose = solver_block(runs / "loose")
+            assert count > loose["nonconverged"] == loose_nonconverged
+            assert loose["nonconverged"] < loose["solved"] < loose["pairs"] == converged.size
+            assert solver_block(runs / "strict") == {"pairs": converged.size, "solved": converged.size,
+                                                     "nonconverged": count}
+            assert capsys.readouterr().err == f"error: {count} candidate distances did not converge\n"
+            assert tree_digest(runs / "strict") == tree_digest(runs / "loose")
 
     def test_non_object_dataset_provenance_is_data_error(self, paired_run, tmp_path, capsys):
         recorded, robot = json.loads(paired_run[1])["provenance"], tmp_path / "robot"

@@ -731,6 +731,17 @@ class TestContentHash:
         relabeled = SnippetDatabase(db.snippets, db.task_names, provenance={"other": 1})
         assert dataset_content_hash(db) == dataset_content_hash(relabeled)
 
+    def test_task_table_cannot_change_under_a_cached_digest(self, rng):
+        names = {t: f"task-{t}" for t in range(5)}
+        db = SnippetDatabase(random_db(rng, n_snips=3).snippets, names)
+        digest = dataset_content_hash(db)
+        names[0] = "renamed"  # the database holds its own copy
+        with pytest.raises(TypeError):
+            db.task_names[0] = "renamed"
+        assert db.task_names[0] == "task-0"
+        fresh = SnippetDatabase(db.snippets, dict(db.task_names))
+        assert digest == dataset_content_hash(db) == dataset_content_hash(fresh)
+
     def test_pinned_digest(self):
         assert dataset_content_hash(pinned_db()) == PINNED_DIGEST
 

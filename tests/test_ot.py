@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from seqmatch.data import EmbeddingSequence
 from seqmatch.ot import (
     _SCAN_BATCH_CELLS,
+    _log_sinkhorn,
     COSINE,
     SQEUCLIDEAN,
     CostMatrix,
@@ -145,6 +146,37 @@ class TestSinkhorn:
     def test_nonfinite_cost_rejected(self):
         with pytest.raises(ValueError, match="finite"):
             sinkhorn(np.array([[np.nan, 1.0], [1.0, 0.0]]))
+
+    @pytest.mark.parametrize(
+        "init",
+        [
+            (np.zeros(7), np.zeros(4)),
+            (np.zeros(3), np.zeros(1)),
+            (np.zeros((3, 1)), np.zeros(4)),
+            (0.0, np.zeros(4)),
+            (np.zeros(3),),
+            (np.zeros(3), np.zeros(4), np.zeros(4)),
+            (np.array([0.0, np.nan, 0.0]), np.zeros(4)),
+            (np.zeros(3), np.array([0.0, 0.0, np.inf, 0.0])),
+            (np.full(3, -np.inf), np.zeros(4)),
+        ],
+        ids=["long-f", "short-g", "2d-f", "scalar-f", "no-g", "three", "nan-f", "inf-g", "neg-inf-f"],
+    )
+    def test_invalid_warm_start_rejected(self, init):
+        with pytest.raises(ValueError, match="^init must be finite potentials of lengths 3 and 4$"):
+            sinkhorn(np.full((3, 4), 0.5), init=init)
+
+    def test_warm_start_runs_from_the_given_potentials(self, rng):
+        C = rng.uniform(size=(3, 4))
+        cfg = SinkhornConfig(epsilon=0.05)
+        f, g = sinkhorn(C, SinkhornConfig(epsilon=0.2)).potentials
+        warm = sinkhorn(C, cfg, init=(f.tolist(), g.tolist()))
+        P, f_out, g_out, iters, converged = _log_sinkhorn(C[None], cfg, (f[None], g[None]))
+        assert warm.coupling.tobytes() == P[0].tobytes() and warm.cost == float(np.sum(C * P[0]))
+        assert warm.potentials[0].tobytes() == f_out[0].tobytes()
+        assert warm.potentials[1].tobytes() == g_out[0].tobytes()
+        assert warm.iterations_used == iters[0] < sinkhorn(C, cfg).iterations_used
+        assert warm.converged and converged[0]
 
     @given(
         st.integers(min_value=1, max_value=10),

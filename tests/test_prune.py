@@ -17,11 +17,27 @@ def only_row(result):
     return ScanResult(*(field[0] for field in result))
 
 
+def top2_passes(queries, bank, cfg=None, metric=COSINE):
+    """``sinkhorn_top2``'s result and the number of ``_solve_pairs`` passes it made."""
+    passes = []
+    solve = ot._solve_pairs
+
+    def counted(*args):
+        passes.append(len(args[2]))
+        return solve(*args)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(ot, "_solve_pairs", counted)
+        return sinkhorn_top2(queries, bank, cfg, metric), len(passes)
+
+
 def assert_top2_matches_scan(query, bank, cfg=None, metric=COSINE):
     """The pruned scan must solve every pair that can be the cheapest or the runner-up,
-    exactly as the full scan does, and mark every other pair unsolved."""
+    exactly as the full scan does, in at most three passes, and mark every other pair unsolved."""
     full = only_row(sinkhorn_scan([query], bank, cfg, metric))
-    got = only_row(sinkhorn_top2([query], bank, cfg, metric))
+    got, passes = top2_passes([query], bank, cfg, metric)
+    assert passes <= 3
+    got = only_row(got)
     solved = got.iterations > 0
     assert got.costs[solved].tolist() == full.costs[solved].tolist()
     assert got.iterations[solved].tolist() == full.iterations[solved].tolist()
@@ -32,6 +48,18 @@ def assert_top2_matches_scan(query, bank, cfg=None, metric=COSINE):
     if not got.converged[solved].all():
         assert solved.all()
     return got
+
+
+def near_copy_bank(seed, n_random, n_copies, m):
+    """A random m x 3 query and a shuffled bank of ``n_random`` random snippets and
+    ``n_copies`` noisy copies of some of the query's rows."""
+    rng = np.random.default_rng(seed)
+    query = rng.normal(size=(m, 3))
+    bank = [rng.normal(size=(int(rng.integers(1, 9)), 3)) for _ in range(n_random)]
+    for _ in range(n_copies):
+        rows = np.sort(rng.integers(0, m, size=int(rng.integers(1, 9))))
+        bank.append(query[rows] + rng.uniform(0.001, 0.2) * rng.normal(size=(len(rows), 3)))
+    return query, [bank[j] for j in rng.permutation(len(bank))]
 
 
 class TestSinkhornTop2:
@@ -90,6 +118,37 @@ class TestSinkhornTop2:
         got = assert_top2_matches_scan(query, [query] + [e[[0, 1, 1, 1]]] * 8 + [near])
         assert got.iterations[-1] > 0
 
+    def test_desk_hard_bank_takes_two_passes(self):
+        # the second pass solves every pair bounded at or below a runner-up, and
+        # no solve fails, so nothing is left for a third
+        robot_set, db = gen_benchmark("hard", GenConfig(seed=0))
+        cfg = RetrievalConfig(distance=None, segment_count=2)
+        queries = [r.sequence.frames[a:b] for r in robot_set for a, b in segment(r.sequence, cfg)]
+        got, passes = top2_passes(queries, [s.sequence for s in db.snippets])
+        assert passes == 2
+        assert got.converged[got.iterations > 0].all() and not (got.iterations > 0).all()
+
+    @pytest.mark.parametrize("round_size", [10, 11, 40])
+    def test_first_pass_as_wide_as_the_bank_solves_it(self, monkeypatch, rng, round_size):
+        monkeypatch.setattr(ot, "_PRUNE_ROUND", round_size)
+        queries = [rng.normal(size=(m, 3)) for m in (4, 7, 1)]
+        bank = [rng.normal(size=(n, 3)) for n in (1, 5, 8, 5, 2) * 2]
+        got, passes = top2_passes(queries, bank)
+        assert passes == 1 and (got.iterations > 0).all()
+        full = sinkhorn_scan(queries, bank)
+        assert got.costs.tolist() == full.costs.tolist()
+        assert got.iterations.tolist() == full.iterations.tolist()
+
+    def test_failed_second_pass_solves_the_rest_in_a_third(self):
+        # every solve of the first pass converges, and one of the second pass does not
+        query, bank = near_copy_bank(71, 22, 1, 5)
+        cfg = SinkhornConfig(epsilon=0.035, max_iters=264)
+        _, passes = top2_passes([query], bank, cfg)
+        assert passes == 3
+        got = assert_top2_matches_scan(query, bank, cfg)
+        first = np.argsort(transport_lower_bounds([query], bank, cfg)[0], kind="stable")[: ot._PRUNE_ROUND]
+        assert (got.iterations > 0).all() and got.converged[first].all()
+
     def test_nonconvergence_turns_pruning_off(self, rng):
         bank = [rng.normal(size=(n, 6)) for n in (1, 9, 9, 1, 12, 9) * 4]
         got = assert_top2_matches_scan(rng.normal(size=(10, 6)), bank, SinkhornConfig(epsilon=0.01, max_iters=1))
@@ -137,7 +196,8 @@ class TestSinkhornTop2:
             bank += [q[: int(rng.integers(1, len(q) + 1))] + 0.05 * rng.normal(size=(1, 3)) for q in queries]
         bank = [bank[j] for j in rng.permutation(len(bank))]
         cfg = SinkhornConfig(epsilon=0.02 if max_iters < 1000 else 0.5, max_iters=max_iters)
-        got = sinkhorn_top2(queries, bank, cfg, metric)
+        got, passes = top2_passes(queries, bank, cfg, metric)
+        assert passes <= 3
         assert got.costs.shape == (len(queries), len(bank))
         for i, query in enumerate(queries):
             want = only_row(sinkhorn_top2([query], bank, cfg, metric))
@@ -177,13 +237,7 @@ class TestSinkhornTop2:
     ):
         # near-copies of the query converge first and set a low runner-up, so
         # pruning stays on while the random snippets it skips may not converge
-        rng = np.random.default_rng(seed)
-        query = rng.normal(size=(m, 3))
-        bank = [rng.normal(size=(int(rng.integers(1, 9)), 3)) for _ in range(n_random)]
-        for _ in range(n_copies):
-            rows = np.sort(rng.integers(0, m, size=int(rng.integers(1, 9))))
-            bank.append(query[rows] + rng.uniform(0.001, 0.2) * rng.normal(size=(len(rows), 3)))
-        bank = [bank[j] for j in rng.permutation(len(bank))]
+        query, bank = near_copy_bank(seed, n_random, n_copies, m)
         cfg = SinkhornConfig(epsilon=epsilon, max_iters=max_iters)
         got = assert_top2_matches_scan(query, bank, cfg, metric)
         full = only_row(sinkhorn_scan([query], bank, cfg, metric))
