@@ -21,10 +21,21 @@ and its on-disk copy the same hash.
 
 All types are frozen after construction and safe to share across
 threads: threads that race on a sequence's first decode all get the one
-cached array. A database's ``task_names`` is a read-only mapping, since
-its content hash covers it; ``provenance`` and a sequence's
-``seed_record`` are plain dicts copied at construction, and neither is
-hashed. Writing is single-writer per directory.
+cached array. A sequence's ``task_set`` is derived data: computed once,
+when the sequence is built, and never settable or passed in. A
+database's ``task_names`` is a read-only mapping, since its content
+hash covers it; ``provenance`` and a sequence's ``seed_record`` are
+plain dicts, copied at construction (a read sequence keeps the one
+parsed from its manifest record, which nothing else holds), and neither
+is hashed. Writing is single-writer per directory.
+
+A read checks each field once. ``read_dataset`` checks every field that
+``LabeledSequence.__post_init__`` checks (the id pattern, the
+embodiment, the labels and their count against ``T``, the
+``seed_record`` mapping) as it parses the manifest, so it builds each
+sequence from the checked fields without running those checks again.
+Within one read, equal label entries share one ``FrameLabel``, equal
+label lists one tuple and equal task sets one ``frozenset``.
 """
 
 from __future__ import annotations
@@ -107,6 +118,10 @@ def check_mapping(name: str, value) -> None:
 class Embodiment(str, Enum):
     ROBOT = "robot"
     DEMONSTRATOR = "demonstrator"
+
+
+# An embodiment by its on-disk value: ``Embodiment(value)`` for a string, without the enum call.
+_EMBODIMENTS = {e.value: e for e in Embodiment}
 
 
 def quantize_frames_f32(frames: np.ndarray) -> np.ndarray:
@@ -228,6 +243,7 @@ class FrameLabel:
 
 
 _TASKS = attrgetter("tasks")
+_TASK_SET = attrgetter("task_set")
 
 
 def label_tasks(labels: Iterable[FrameLabel]) -> frozenset[int]:
@@ -237,7 +253,12 @@ def label_tasks(labels: Iterable[FrameLabel]) -> frozenset[int]:
 
 @dataclass(frozen=True, eq=False)
 class LabeledSequence:
-    """An embedding sequence with per-frame ground-truth labels and an embodiment tag."""
+    """An embedding sequence with per-frame ground-truth labels and an embodiment tag.
+
+    ``task_set``, every task id the labels name, is derived data: it is
+    computed once, at construction, and is neither a constructor argument
+    nor settable.
+    """
 
     seq_id: str
     sequence: EmbeddingSequence
@@ -261,6 +282,33 @@ class LabeledSequence:
         check_mapping("seed_record", self.seed_record)
         if self.seed_record is not None:
             object.__setattr__(self, "seed_record", dict(self.seed_record))
+        object.__setattr__(self, "_task_set", label_tasks(labels))
+
+    @classmethod
+    def _from_checked(
+        cls,
+        seq_id: str,
+        sequence: EmbeddingSequence,
+        labels: tuple[FrameLabel, ...],
+        embodiment: Embodiment,
+        seed_record: dict | None,
+        task_set: frozenset[int],
+    ) -> "LabeledSequence":
+        """A sequence from fields that already pass every ``__post_init__`` check,
+        with ``task_set == label_tasks(labels)``; ``read_dataset`` checks them as it parses.
+
+        The attributes are set in the order ``__init__`` sets them, so every
+        instance dict shares one key table.
+        """
+        seq = object.__new__(cls)
+        set_field = object.__setattr__
+        set_field(seq, "seq_id", seq_id)
+        set_field(seq, "sequence", sequence)
+        set_field(seq, "labels", labels)
+        set_field(seq, "embodiment", embodiment)
+        set_field(seq, "seed_record", seed_record)
+        set_field(seq, "_task_set", task_set)
+        return seq
 
     @property
     def n_frames(self) -> int:
@@ -272,7 +320,7 @@ class LabeledSequence:
 
     @property
     def task_set(self) -> frozenset[int]:
-        return label_tasks(self.labels)
+        return self._task_set
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, LabeledSequence):
@@ -317,12 +365,14 @@ class SnippetDatabase:
         if len(dims) > 1:
             raise ValueError(f"mixed embedding dimensions in database: {sorted(dims)}")
         known = set(self.task_names)
-        for s in snippets:
-            missing = s.task_set - known
-            if missing:
-                raise ValueError(
-                    f"sequence '{s.seq_id}' references undeclared task ids {sorted(missing)}"
-                )
+        # Each distinct task set once: sequences that ``read_dataset`` returns share them.
+        if not known.issuperset(chain.from_iterable(set(map(_TASK_SET, snippets)))):
+            for s in snippets:
+                missing = s.task_set - known
+                if missing:
+                    raise ValueError(
+                        f"sequence '{s.seq_id}' references undeclared task ids {sorted(missing)}"
+                    )
 
     @property
     def dim(self) -> int | None:
@@ -428,13 +478,17 @@ def _write_blob(path: str, data: bytes) -> None:
 
 
 def _parse_labels(raw, n_frames: int, seq_id: str, interned: dict) -> tuple[FrameLabel, ...]:
-    """A sequence's labels; equal entries share one ``FrameLabel`` through ``interned``.
+    """A sequence's labels, shared through ``interned`` with every equal one parsed before.
 
-    When every entry is a non-empty list of plain ints, the whole list is
-    checked in a few C-level passes and a ``FrameLabel`` is built only for
-    an entry not interned yet. Otherwise, or when such an entry is not a
-    valid label, ``_parse_label_entries`` goes entry by entry, so an error
-    names the first bad entry.
+    ``interned`` maps an entry (a tuple of task ids) to its ``FrameLabel``
+    and a whole list of entries (a tuple of such tuples) to its tuple of
+    labels; the two kinds of key never compare equal. When every entry is
+    a non-empty list of plain ints, the whole list is checked in a few
+    C-level passes, an equal list parsed before gives its tuple, and
+    otherwise a ``FrameLabel`` is built only for an entry not interned
+    yet. Otherwise, or when such an entry is not a valid label,
+    ``_parse_label_entries`` goes entry by entry, so an error names the
+    first bad entry.
     """
     if not isinstance(raw, list):
         raise DatasetError("labels must be a list", sequence_id=seq_id)
@@ -443,17 +497,21 @@ def _parse_labels(raw, n_frames: int, seq_id: str, interned: dict) -> tuple[Fram
             f"{len(raw)} labels for {n_frames} frames", sequence_id=seq_id
         )
     if set(map(type, raw)) == {list} and all(raw) and set(map(type, chain.from_iterable(raw))) == {int}:
-        keys = list(map(tuple, raw))
-        labels = tuple(map(interned.get, keys))
-        if all(labels):  # a FrameLabel is always true, a miss is None
+        keys = tuple(map(tuple, raw))
+        labels = interned.get(keys)
+        if labels is not None:
             return labels
-        try:
-            for key in set(keys).difference(interned):
-                interned[key] = FrameLabel(key)
-        except ValueError:
-            pass
-        else:
-            return tuple(map(interned.__getitem__, keys))
+        labels = tuple(map(interned.get, keys))
+        if not all(labels):  # a FrameLabel is always true, a miss is None
+            try:
+                for key in set(keys).difference(interned):
+                    interned[key] = FrameLabel(key)
+            except ValueError:
+                return _parse_label_entries(raw, seq_id, interned)
+            labels = tuple(map(interned.__getitem__, keys))
+        # Keyed by the labels' own id tuples, so that ``keys`` is freed now.
+        interned[tuple(map(_TASKS, labels))] = labels
+        return labels
     return _parse_label_entries(raw, seq_id, interned)
 
 
@@ -478,14 +536,16 @@ def _parse_label_entries(raw: list, seq_id: str, interned: dict) -> tuple[FrameL
     return tuple(labels)
 
 
-def _read_blob(root: str, blob_name: str, size: int, seq_id: str) -> bytes:
-    """The bytes of blob ``blob_name``, which must be a regular file of ``size`` bytes.
+def _read_blob(prefix: str, blob_name: str, size: int, seq_id: str) -> bytes:
+    """The bytes of blob ``prefix + blob_name``, which must be a regular file of ``size`` bytes.
 
-    One open and one read, with no separate existence check.
+    ``prefix`` is ``os.path.join(root, "")`` and ``blob_name`` a bare file
+    name, so their sum is ``os.path.join(root, blob_name)``. One open and
+    one read, with no separate existence check.
     """
     try:
         # O_NONBLOCK: opening a FIFO must not hang; fstat rejects it below.
-        fd = os.open(os.path.join(root, blob_name), os.O_RDONLY | os.O_NONBLOCK)
+        fd = os.open(prefix + blob_name, os.O_RDONLY | os.O_NONBLOCK)
     except FileNotFoundError:
         raise BlobError(f"missing blob '{blob_name}'", sequence_id=seq_id)
     try:
@@ -551,8 +611,10 @@ def read_dataset(path: str | Path) -> SnippetDatabase:
     neither an object nor null is a ``ManifestError``. Each blob is opened
     and read once, and its float32 values are checked there; each sequence
     decodes its float64 frames on first use (see ``EmbeddingSequence``).
-    Labels are checked a sequence at a time in C-level passes, and
-    sequences share one ``FrameLabel`` per distinct entry.
+    Labels are checked a sequence at a time in C-level passes. Sequences
+    share one ``FrameLabel`` per distinct entry, one labels tuple per
+    distinct label list and one task set per distinct set, and each is
+    built by ``LabeledSequence._from_checked`` from the fields checked here.
     """
     root = os.fspath(path)
     doc = read_json_object(Path(root, MANIFEST_NAME), ManifestError)
@@ -583,7 +645,8 @@ def read_dataset(path: str | Path) -> SnippetDatabase:
     if provenance is not None and not isinstance(provenance, dict):
         raise ManifestError(f"manifest 'provenance' must be an object or null, got {provenance!r}")
 
-    snippets, interned = [], {}
+    snippets, interned, task_sets, label_sets = [], {}, {}, {}
+    prefix = os.path.join(root, "")
     for rec in seq_docs:
         if not isinstance(rec, dict) or "id" not in rec:
             raise ManifestError(f"bad sequence record {rec!r}")
@@ -598,33 +661,34 @@ def read_dataset(path: str | Path) -> SnippetDatabase:
                 f"seed_record must be an object or null, got {seed_record!r}",
                 sequence_id=seq_id,
             )
-        try:
-            embodiment = Embodiment(rec.get("embodiment"))
-        except ValueError:
-            raise DatasetError(
-                f"unknown embodiment {rec.get('embodiment')!r}", sequence_id=seq_id
-            )
+        embodiment = rec.get("embodiment")
+        if type(embodiment) is not str or embodiment not in _EMBODIMENTS:
+            raise DatasetError(f"unknown embodiment {embodiment!r}", sequence_id=seq_id)
         n_frames = rec.get("T")
         if type(n_frames) is not int or n_frames < 1:
             raise DatasetError(f"bad frame count {n_frames!r}", sequence_id=seq_id)
         blob_name = rec.get("blob")
         if type(blob_name) is not str or "/" in blob_name or "\0" in blob_name or blob_name in ("", ".", ".."):
             raise ManifestError(f"bad blob reference {blob_name!r}")
-        data = _read_blob(root, blob_name, n_frames * dim * 4, seq_id)
+        data = _read_blob(prefix, blob_name, n_frames * dim * 4, seq_id)
         # A float32 value is finite exactly when its float64 decode is.
         if not _f32_all_finite(data):
             raise BlobError(
                 f"blob '{blob_name}' contains NaN or Inf", sequence_id=seq_id
             )
-        sequence = EmbeddingSequence._from_f32(data, (n_frames, dim))
         labels = _parse_labels(rec.get("labels"), n_frames, seq_id, interned)
+        task_set = label_sets.get(id(labels))  # equal label lists share one tuple
+        if task_set is None:
+            task_set = label_tasks(labels)
+            task_set = label_sets[id(labels)] = task_sets.setdefault(task_set, task_set)
         snippets.append(
-            LabeledSequence(
-                seq_id=seq_id,
-                sequence=sequence,
-                labels=labels,
-                embodiment=embodiment,
-                seed_record=seed_record,
+            LabeledSequence._from_checked(
+                seq_id,
+                EmbeddingSequence._from_f32(data, (n_frames, dim)),
+                labels,
+                _EMBODIMENTS[embodiment],
+                seed_record,
+                task_set,
             )
         )
     try:
@@ -663,9 +727,11 @@ def dataset_content_hash(database: SnippetDatabase) -> str:
             sort_keys=True,
         ).encode()
     )
-    label_json = _LabelJson()
+    label_json, rendered = _LabelJson(), {}
     for s in database.snippets:
-        labels = ", ".join(map(label_json.__getitem__, map(_TASKS, s.labels)))
+        labels = rendered.get(id(s.labels))  # read sequences with equal labels share one tuple
+        if labels is None:
+            labels = rendered[id(s.labels)] = ", ".join(map(label_json.__getitem__, map(_TASKS, s.labels)))
         h.update(
             f'{{"embodiment": "{s.embodiment.value}", "id": "{s.seq_id}", "labels": [{labels}]}}'.encode()
         )

@@ -66,18 +66,31 @@ class SegmentRecord:
     def from_json_dict(cls, doc: dict) -> "SegmentRecord":
         """Parse a record of ``to_json_dict``; a field not of its ``_JSON_FIELD_TYPES``
         (bool is no number here) raises ``TypeError`` instead of being coerced. Other
-        keys, such as the solver counts older files carry, are ignored."""
-        required = ("start", "end", "snippet_index", "snippet_id", "distance", "converged")
-        fields = {name: doc[name] for name in required}
-        fields["margin"] = doc.get("margin")
-        for name, value in fields.items():
-            if type(value) not in _JSON_FIELD_TYPES[name]:
-                raise TypeError(f"segment field {name!r} has type {type(value).__name__}")
-        return cls(**fields)
+        keys, such as the solver counts older files carry, are ignored.
+
+        The seven types are tested in one expression; only when that test
+        fails does a loop over the fields, in ``_JSON_FIELD_TYPES`` order,
+        find the first bad one to name."""
+        start, end, snippet_index, snippet_id, distance, converged = (
+            doc["start"], doc["end"], doc["snippet_index"], doc["snippet_id"], doc["distance"], doc["converged"]
+        )
+        margin = doc.get("margin")
+        if not (
+            type(start) is int and type(end) is int and type(snippet_index) is int and type(snippet_id) is str
+            and type(distance) in _REAL and type(converged) is bool and type(margin) in _REAL_OR_NONE
+        ):
+            values = (start, end, snippet_index, snippet_id, distance, converged, margin)
+            for (name, types), value in zip(_JSON_FIELD_TYPES.items(), values):
+                if type(value) not in types:
+                    raise TypeError(f"segment field {name!r} has type {type(value).__name__}")
+        return cls(start, end, snippet_index, snippet_id, distance, margin, converged)
 
 
+_REAL = (int, float)
+_REAL_OR_NONE = (int, float, type(None))
+# Each JSON field's accepted types, in the order a malformed record's first bad field is found.
 _JSON_FIELD_TYPES = dict.fromkeys(("start", "end", "snippet_index"), (int,)) | {
-    "snippet_id": (str,), "distance": (int, float), "margin": (int, float, type(None)), "converged": (bool,)
+    "snippet_id": (str,), "distance": _REAL, "converged": (bool,), "margin": _REAL_OR_NONE
 }
 
 
@@ -202,6 +215,8 @@ def evaluate(paired: PairedDataset, db: SnippetDatabase) -> EvalReport:
     averaged. Top-1: fraction of segments whose retrieved snippet's task
     set equals the segment's ground-truth task set. A paired dataset with
     no entries has nothing to average over and raises ``RetrievalError``.
+    The robot's and the snippets' task sets are the ones each sequence
+    stores; only a segment's labels are gathered here, once per segment.
     """
     if not paired.entries:
         raise RetrievalError("paired dataset has no entries")
@@ -210,32 +225,27 @@ def evaluate(paired: PairedDataset, db: SnippetDatabase) -> EvalReport:
     total_segments = 0
     total_hits = 0
     for entry in paired.entries:
-        robot_tasks = entry.robot.task_set
+        robot, segments = entry.robot, entry.demo.segments
+        robot_tasks, labels = robot.task_set, robot.labels
         retrieved: set[int] = set()
         hits = 0
-        for rec in entry.demo.segments:
-            if not 0 <= rec.snippet_index < len(snippet_task_sets):
-                raise RetrievalError(
-                    f"snippet index {rec.snippet_index} outside database of {len(db)}"
-                )
-            snippet_tasks = snippet_task_sets[rec.snippet_index]
+        for rec in segments:
+            index = rec.snippet_index
+            if not 0 <= index < len(snippet_task_sets):
+                raise RetrievalError(f"snippet index {index} outside database of {len(db)}")
+            snippet_tasks = snippet_task_sets[index]
             retrieved |= snippet_tasks
-            if snippet_tasks == label_tasks(entry.robot.labels[rec.start : rec.end]):
+            if snippet_tasks == label_tasks(labels[rec.start : rec.end]):
                 hits += 1
         recall = len(retrieved & robot_tasks) / len(robot_tasks)
         imprecision = len(retrieved - robot_tasks) / len(retrieved) if retrieved else 0.0
         per_traj.append(
             TrajectoryEval(
-                robot_id=entry.robot.seq_id,
-                recall=recall,
-                imprecision=imprecision,
-                n_segments=entry.demo.n_segments,
-                top1_hits=hits,
-                robot_tasks=tuple(sorted(robot_tasks)),
-                retrieved_tasks=tuple(sorted(retrieved)),
+                robot.seq_id, recall, imprecision, len(segments), hits,
+                tuple(sorted(robot_tasks)), tuple(sorted(retrieved)),
             )
         )
-        total_segments += entry.demo.n_segments
+        total_segments += len(segments)
         total_hits += hits
     return EvalReport(
         task_recall=_mean([t.recall for t in per_traj]),
@@ -268,11 +278,9 @@ def paired_from_json_dict(
     a missing or null one is read as empty."""
     provenance = doc.get("provenance")
     check_mapping("provenance", provenance)
+    from_json = SegmentRecord.from_json_dict
     try:
-        records = [
-            (rec["robot_id"], tuple(SegmentRecord.from_json_dict(s) for s in rec["segments"]))
-            for rec in doc["entries"]
-        ]
+        records = [(rec["robot_id"], tuple(map(from_json, rec["segments"]))) for rec in doc["entries"]]
     except (KeyError, TypeError, ValueError) as exc:
         raise RetrievalError(f"malformed paired record: {exc!r}")
     entries, play_ids = [], play_db.ids
@@ -294,10 +302,5 @@ def paired_from_json_dict(
                 raise RetrievalError(
                     f"snippet '{s.snippet_id}' not at index {s.snippet_index} in play dataset"
                 )
-        entries.append(
-            PairedEntry(
-                robot=robot,
-                demo=ImaginedDemo(source_id=robot_id, segments=segments, composed=None),
-            )
-        )
+        entries.append(PairedEntry(robot, ImaginedDemo(robot_id, segments, None)))
     return PairedDataset(entries=tuple(entries), provenance=dict(provenance or {}))

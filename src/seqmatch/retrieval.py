@@ -7,8 +7,8 @@ ranks a bank for many queries at once and returns Q x N arrays, and
 every robot trajectory. The cycle distance computes every snippet
 (``seqmatch.tcc.tcc_scan``); the transport distance solves only those a
 lower bound cannot rule out as a segment's best or second-best match
-(``seqmatch.ot.sinkhorn_top2``, all segments in lockstep), and reports
-the rest as ``inf``. The bound holds for every pair whose solve
+(``seqmatch.ot.sinkhorn_top2``, the whole segment x snippet grid in at
+most three masked passes), and reports the rest as ``inf``. The bound holds for every pair whose solve
 converges, and a segment's first solve that does not turns its pruning
 off, so the pick, its distance, margin and converged flag are those of
 the full per-pair scan (``full_grid=True`` solves every pair instead).

@@ -31,6 +31,7 @@ from seqmatch.data import (
     check_finite,
     check_int,
     dataset_content_hash,
+    label_tasks,
     quantize_frames_f32,
     read_dataset,
     write_dataset,
@@ -138,6 +139,15 @@ class TestFrameLabel:
         coerced = LabeledSequence("x", EmbeddingSequence([[0.0], [1.0]]), [0, (1, 2)], Embodiment.ROBOT)
         assert coerced.labels == labels
 
+    def test_task_set_is_derived_and_cannot_be_set(self):
+        seq = LabeledSequence("x", EmbeddingSequence([[0.0], [1.0]]), [3, (1, 3)], Embodiment.ROBOT)
+        assert seq.task_set == frozenset({1, 3}) and seq.task_set is seq.task_set
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            seq.task_set = frozenset({0})
+        with pytest.raises(TypeError, match="task_set"):
+            LabeledSequence("x", EmbeddingSequence([[0.0]]), [0], Embodiment.ROBOT, task_set=frozenset({0}))
+        assert "task_set" not in [f.name for f in dataclasses.fields(seq)]
+
     @pytest.mark.parametrize("seq_id", ["abc\n", "abc\n\n", "\nabc", "a b", "", "-a", 7, None])
     def test_invalid_sequence_id_rejected(self, seq_id):
         with pytest.raises(ValueError, match="invalid sequence id"):
@@ -189,6 +199,10 @@ class TestDatabaseInvariants:
         a = make_sequence("a", np.zeros((1, 2)), tasks=[7])
         with pytest.raises(ValueError, match="undeclared"):
             SnippetDatabase((a,), task_names={0: "t"})
+        # the message names the first offending sequence and its missing ids
+        ok, b, c = (make_sequence(i, np.zeros((2, 2)), tasks=t) for i, t in (("ok", [0, 0]), ("b", [0, (8, 9)]), ("c", [5, 0])))
+        with pytest.raises(ValueError, match=re.escape("sequence 'b' references undeclared task ids [8, 9]")):
+            SnippetDatabase((ok, b, c, a), task_names={0: "t"})
 
     @pytest.mark.parametrize(
         "provenance", [5, 0.5, "robot", [["a", 1]], [], True], ids=["int", "float", "string", "list", "empty-list", "bool"]
@@ -280,12 +294,26 @@ class TestRoundTrip:
         assert back == db
         for s0, s1 in zip(db.snippets, back.snippets):
             assert s0.sequence.frames.tobytes() == s1.sequence.frames.tobytes()
+            # the stored task set, built and read, is the one the labels name
+            assert s0.task_set == s1.task_set == label_tasks(s0.labels) == label_tasks(s1.labels)
+            assert type(s1.task_set) is frozenset and type(s1.labels) is tuple
 
     def test_equal_labels_share_one_frame_label(self, tmp_path, rng):
-        write_dataset(random_db(rng, n_snips=20), tmp_path / "ds")
-        labels = [label for s in read_dataset(tmp_path / "ds") for label in s.labels]
+        db = random_db(rng, n_snips=20)
+        twin = db.snippets[1]  # a second sequence with the labels of another
+        db = SnippetDatabase(
+            (*db.snippets, make_sequence("twin", twin.sequence.frames, [l.tasks for l in twin.labels])),
+            db.task_names,
+        )
+        write_dataset(db, tmp_path / "ds")
+        back = read_dataset(tmp_path / "ds")
+        labels = [label for s in back for label in s.labels]
         distinct = {label.tasks: label for label in labels}
         assert all(label is distinct[label.tasks] for label in labels)
+        # equal task sets are one object, and so are equal label lists
+        sets = {s.task_set: s.task_set for s in back}
+        assert all(s.task_set is sets[s.task_set] for s in back) and len(sets) < len(back)
+        assert back.get("twin").labels is back.snippets[1].labels
 
     def test_write_read_write_bytes_identical(self, tmp_path, rng):
         db = random_db(rng, n_snips=20)

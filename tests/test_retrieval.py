@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from seqmatch import data, pairing
 from seqmatch.data import (
     Embodiment,
     EmbeddingSequence,
@@ -572,6 +573,24 @@ class TestEvaluate:
         assert report.top1_accuracy == 0.0
         assert report.task_recall == 0.5
 
+    def test_label_tasks_once_per_segment(self, monkeypatch):
+        """The robot's and the snippets' task sets are stored: scoring the desk
+        easy run (K=8) gathers labels only for each segment's frames."""
+        robot_set, db = gen_benchmark("easy", GenConfig(seed=0))
+        paired = build_paired_dataset(robot_set, db, ot_config(segment_len=8))
+        want = evaluate(paired, db).to_json_dict()
+        calls, label_tasks = [], pairing.label_tasks
+
+        def counted(labels):
+            calls.append(len(labels))
+            return label_tasks(labels)
+
+        monkeypatch.setattr(pairing, "label_tasks", counted)
+        monkeypatch.setattr(data, "label_tasks", counted)  # where a derived task set would come from
+        n_segments = sum(e.demo.n_segments for e in paired.entries)
+        assert pairing.evaluate(paired, db).to_json_dict() == want
+        assert len(calls) == n_segments == 80 and set(calls) == {8}
+
     @pytest.mark.parametrize("idx", [-1, 4])
     def test_snippet_index_outside_database_rejected(self, idx):
         anchors, db = anchor_db()
@@ -635,7 +654,80 @@ def paired_doc():
     return doc, SnippetDatabase(tuple(robot_set), task_names=db.task_names), db
 
 
+def from_json_dict_per_field(doc):
+    """``SegmentRecord.from_json_dict`` as a loop over the fields: the reference rule."""
+    required = ("start", "end", "snippet_index", "snippet_id", "distance", "converged")
+    fields = {name: doc[name] for name in required}
+    fields["margin"] = doc.get("margin")
+    types = dict.fromkeys(("start", "end", "snippet_index"), (int,)) | {
+        "snippet_id": (str,), "distance": (int, float), "margin": (int, float, type(None)), "converged": (bool,)
+    }
+    for name, value in fields.items():
+        if type(value) not in types[name]:
+            raise TypeError(f"segment field {name!r} has type {type(value).__name__}")
+    return SegmentRecord(**fields)
+
+
+def _record_outcome(parse, doc):
+    """The record's field values with their types, or the exception's type and message."""
+    try:
+        rec = parse(doc)
+    except Exception as exc:
+        return type(exc), str(exc)
+    return type(rec), [(type(v), repr(v)) for v in (getattr(rec, f.name) for f in dataclasses.fields(rec))]
+
+
+# Any JSON value: numbers (NaN and infinities included), strings, null, arrays, objects.
+json_scalars = (st.integers(-3, 40), st.booleans(), st.floats(), st.text(max_size=3), st.none())
+json_values = st.one_of(
+    *json_scalars, st.lists(st.integers(0, 3), max_size=2),
+    st.dictionaries(st.text(max_size=2), st.integers(0, 3), max_size=2),
+)
+segment_fields = {
+    "start": st.integers(0, 40), "end": st.integers(0, 40), "snippet_index": st.integers(-1, 40),
+    "snippet_id": st.text(max_size=4), "distance": st.one_of(st.floats(), st.integers(0, 9)),
+    "margin": st.one_of(st.none(), st.floats(), st.integers(0, 9)), "converged": st.booleans(),
+}
+
+
+@st.composite
+def segment_docs(draw):
+    """Segment documents: each field of its type or any JSON value, some keys
+    missing, extra keys, and documents that are not objects at all."""
+    if draw(st.integers(0, 9)) == 0:
+        return draw(st.one_of(*json_scalars, st.lists(json_values, max_size=3)))
+    doc = {name: draw(valid) for name, valid in segment_fields.items()}
+    for name in draw(st.lists(st.sampled_from(list(segment_fields)), max_size=3, unique=True)):
+        if draw(st.booleans()):
+            doc[name] = draw(json_values)
+        else:
+            del doc[name]
+    doc.update(draw(st.dictionaries(st.sampled_from(["pairs", "solved", "x", ""]), json_values, max_size=2)))
+    return doc
+
+
 class TestPairedJson:
+    @settings(max_examples=1000)
+    @given(segment_docs())
+    def test_segment_record_matches_per_field_rule(self, doc):
+        """The one-expression type test gives the record, or the exception type
+        and message naming the first bad field, of the loop over the fields."""
+        want = _record_outcome(from_json_dict_per_field, doc)
+        assert _record_outcome(SegmentRecord.from_json_dict, doc) == want
+
+    def test_segment_record_each_field_of_each_json_type(self):
+        """Every field set to a value of each JSON type, alone or beside another bad field."""
+        valid = {"start": 0, "end": 4, "snippet_index": 1, "snippet_id": "s", "distance": 0.5, "margin": None, "converged": True}
+        values = [7, True, False, 1.5, math.nan, -math.inf, "7", None, [1], {"a": 1}]
+        for name in valid:
+            for value in values:
+                for earlier in [None, *list(valid)[: list(valid).index(name)]]:
+                    doc = dict(valid, **{name: value})
+                    if earlier is not None:
+                        doc[earlier] = "bad" if earlier != "snippet_id" else 0
+                    want = _record_outcome(from_json_dict_per_field, doc)
+                    assert _record_outcome(SegmentRecord.from_json_dict, doc) == want, doc
+
     def test_round_trip_via_json(self):
         robot_set, db = gen_benchmark("easy", GenConfig(n_trajectories=3, seed=4))
         paired = build_paired_dataset(robot_set, db, ot_config(segment_len=8))
