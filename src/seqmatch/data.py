@@ -618,10 +618,9 @@ def read_dataset(path: str | Path) -> SnippetDatabase:
     """
     root = os.fspath(path)
     doc = read_json_object(Path(root, MANIFEST_NAME), ManifestError)
-    if doc.get("schema_version") != SCHEMA_VERSION:
-        raise ManifestError(
-            f"unsupported schema_version {doc.get('schema_version')!r}"
-        )
+    version = doc.get("schema_version")
+    if type(version) is not int or version != SCHEMA_VERSION:
+        raise ManifestError(f"unsupported schema_version {version!r}")
     dim = doc.get("d")
     if type(dim) is not int or dim < 1:
         raise ManifestError(f"bad embedding dimension {dim!r}")

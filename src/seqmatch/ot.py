@@ -11,11 +11,11 @@ There is one solver, the stabilised log-domain scaling of Schmitzer
 cost matrices (batched as in Feydy et al., AISTATS 2019). ``sinkhorn``
 and ``swav_code_plan`` run it on a stack of one. Every bank scan takes
 Q queries and an N-snippet bank and returns Q x N arrays, and every one
-draws its stacks from ``pair_stacks``, which groups (query, snippet)
-pairs by shape, across queries, into stacks of at most
-``_SCAN_BATCH_CELLS`` cost cells. ``sinkhorn_scan`` solves the whole
-grid and gives every pair exactly the cost, iteration count and
-convergence flag that ``sinkhorn(cost_matrix(...))`` gives it alone.
+draws its stacks from ``pair_stacks``, which takes the pairs to solve as
+a Q x N mask and groups them with numpy by query and snippet length,
+across queries, into stacks of at most ``_SCAN_BATCH_CELLS`` cost cells.
+``sinkhorn_scan`` solves the whole grid and gives every pair exactly the
+cost, iteration count and convergence flag ``sinkhorn`` gives it alone.
 
 Retrieval needs only each query's cheapest snippet and the runner-up's
 cost. ``sinkhorn_top2`` bounds every pair's cost from below
@@ -147,8 +147,8 @@ def frame_matrix(x: EmbeddingSequence | np.ndarray) -> np.ndarray:
     if isinstance(x, EmbeddingSequence):
         return x.frames
     arr = np.asarray(x, dtype=np.float64)
-    if arr.ndim != 2:
-        raise ValueError(f"expected a T x d matrix, got shape {arr.shape}")
+    if arr.ndim != 2 or arr.size == 0:
+        raise ValueError(f"expected a T x d matrix with T, d >= 1, got shape {arr.shape}")
     return arr
 
 
@@ -288,8 +288,8 @@ def sinkhorn(
     """
     cfg = cfg or SinkhornConfig()
     C = cost.entries if isinstance(cost, CostMatrix) else np.asarray(cost, dtype=np.float64)
-    if C.ndim != 2 or not np.isfinite(C).all():
-        raise ValueError("cost must be a finite 2-D matrix")
+    if C.ndim != 2 or C.size == 0 or not np.isfinite(C).all():
+        raise ValueError(f"cost must be a finite, non-empty 2-D matrix, got shape {C.shape}")
     if init is not None:
         init = tuple(np.asarray(p, dtype=np.float64) for p in init)
         if [p.shape for p in init] != [C.shape[:1], C.shape[1:]] or not all(np.isfinite(p).all() for p in init):
@@ -307,64 +307,65 @@ class ScanResult(NamedTuple):
 
 
 def pair_stacks(
-    queries: Sequence[np.ndarray],
-    bank: Sequence[np.ndarray],
-    qs: np.ndarray | None = None,
-    js: np.ndarray | None = None,
-) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
-    """(positions, query side, k x n x d bank stack) for each stack of equal-shape pairs.
+    queries: Sequence[np.ndarray], bank: Sequence[np.ndarray], todo: np.ndarray | None = None
+) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]]:
+    """(rows, cols, query side, k x n x d bank stack) for each stack of equal-shape pairs.
 
-    Pair p is (``queries[qs[p]]``, ``bank[js[p]]``) of frame matrices;
-    by default every pair of the Q x N grid, in row-major order. Pairs
-    are grouped by (m, n) shape, in order, into stacks of at most
-    ``_SCAN_BATCH_CELLS`` cost cells (one pair at least), which bounds a
-    scan's memory whatever the bank size. The query side is the m x d
-    query itself when the whole stack shares it, as ``cost_matrix``
-    takes it, and a k x m x d stack otherwise. A snippet whose dimension
-    differs from its query's raises ``ValueError``.
+    The pairs are the True cells of the Q x N mask ``todo``, by default every
+    cell; pair p is (``queries[rows[p]]``, ``bank[cols[p]]``). They are grouped
+    by query and snippet length with numpy, each group in row-major order, into
+    stacks of at most ``_SCAN_BATCH_CELLS`` cost cells (one pair at least),
+    which bounds a scan's memory whatever the bank size. The query side is the
+    m x d query itself when the whole stack shares it, as ``cost_matrix`` takes
+    it, and a k x m x d stack otherwise. A snippet whose dimension differs from
+    its query's raises ``ValueError`` naming the first such pair in row-major order.
     """
-    if qs is None:
-        qs, js = np.indices((len(queries), len(bank))).reshape(2, -1)
-    query_shapes, bank_shapes = [A.shape for A in queries], [B.shape for B in bank]
-    by_shape: dict[tuple[int, int], list[int]] = {}
-    for p, (q, j) in enumerate(zip(qs.tolist(), js.tolist())):
-        (m, dq), (n, db) = query_shapes[q], bank_shapes[j]
-        if db != dq:
-            raise ValueError(f"dimension mismatch: {dq} vs {db}")
-        by_shape.setdefault((m, n), []).append(p)
-    for (m, n), members in by_shape.items():
-        per_batch = max(1, _SCAN_BATCH_CELLS // (m * n))
-        for lo in range(0, len(members), per_batch):
-            pos = np.array(members[lo : lo + per_batch])
-            q = qs[pos]
-            A = queries[q[0]] if (q == q[0]).all() else np.stack([queries[i] for i in q])
-            yield pos, A, np.stack([bank[j] for j in js[pos]])
+    m_of, n_of = (np.fromiter(map(len, side), np.intp, len(side)) for side in (queries, bank))
+    dq, db = ([F.shape[1] for F in side] for side in (queries, bank))
+    bad = np.not_equal.outer(dq, db)
+    if todo is not None:
+        bad &= todo
+    if bad.any():
+        i, j = divmod(int(bad.argmax()), len(bank))
+        raise ValueError(f"dimension mismatch: {dq[i]} vs {db[j]}")
+    # Not np.unique: its first call in a process imports numpy.ma, about 9 ms.
+    snippet_groups = [(n, np.flatnonzero(n_of == n)) for n in sorted(set(n_of.tolist()))]
+    for m in sorted(set(m_of.tolist())):
+        Q = np.flatnonzero(m_of == m)
+        for n, J in snippet_groups:
+            r, c = np.divmod(np.arange(len(Q) * len(J)), len(J)) if todo is None else np.nonzero(todo[np.ix_(Q, J)])
+            rows, cols = Q[r], J[c]
+            per_batch = max(1, _SCAN_BATCH_CELLS // (m * n))
+            # Rows ascend, so r[0] == r[-1] means one query; concatenate + reshape is np.stack in fewer calls.
+            for lo in range(0, len(rows), per_batch):
+                r, c = rows[lo : lo + per_batch], cols[lo : lo + per_batch]
+                A = queries[r[0]] if r[0] == r[-1] else np.concatenate([queries[i] for i in r]).reshape(len(r), m, -1)
+                yield r, c, A, np.concatenate([bank[j] for j in c]).reshape(len(c), n, -1)
 
 
 def _cost_batches(
-    queries: Sequence[np.ndarray], bank: Sequence[np.ndarray], qs: np.ndarray, js: np.ndarray, metric: str
-) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """(positions, k x m x n cost stack) for each stack of ``pair_stacks``.
+    queries: Sequence[np.ndarray], bank: Sequence[np.ndarray], todo: np.ndarray | None, metric: str
+) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """(rows, cols, k x m x n cost stack) for each stack of ``pair_stacks``.
 
     A stack with a NaN or Inf cost raises ``ValueError``.
     """
-    for pos, A, B in pair_stacks(queries, bank, qs, js):
+    for rows, cols, A, B in pair_stacks(queries, bank, todo):
         C = _costs(A, B, metric)
         if not np.isfinite(C).all():
             raise ValueError("cost matrix contains NaN or Inf")
-        yield pos, C
+        yield rows, cols, C
 
 
 def _solve_pairs(
-    queries: Sequence[np.ndarray], bank: Sequence[np.ndarray], qs: np.ndarray, js: np.ndarray,
+    queries: Sequence[np.ndarray], bank: Sequence[np.ndarray], todo: np.ndarray | None,
     cfg: SinkhornConfig, metric: str, out: ScanResult,
 ) -> None:
-    """Solve the pairs (``queries[qs[p]]``, ``bank[js[p]]``) into cells (qs[p], js[p]) of ``out``."""
-    for pos, C in _cost_batches(queries, bank, qs, js, metric):
+    """Solve the pairs of the mask ``todo`` (every pair if None) into their cells of ``out``."""
+    for rows, cols, C in _cost_batches(queries, bank, todo, metric):
         P, _, _, iters, converged = _log_sinkhorn(C, cfg)
-        cells = qs[pos], js[pos]
-        out.costs[cells] = (C * P).reshape(len(pos), -1).sum(axis=1)
-        out.iterations[cells], out.converged[cells] = iters, converged
+        out.costs[rows, cols] = (C * P).reshape(len(rows), -1).sum(axis=1)
+        out.iterations[rows, cols], out.converged[rows, cols] = iters, converged
 
 
 def sinkhorn_scan(
@@ -383,7 +384,7 @@ def sinkhorn_scan(
     As, frames = [frame_matrix(q) for q in queries], [frame_matrix(s) for s in bank]
     shape = (len(As), len(frames))
     out = ScanResult(np.empty(shape), np.empty(shape, dtype=np.int64), np.empty(shape, dtype=bool))
-    _solve_pairs(As, frames, *np.indices(shape).reshape(2, -1), cfg, metric, out)
+    _solve_pairs(As, frames, None, cfg, metric, out)
     return out
 
 
@@ -408,11 +409,11 @@ def transport_lower_bounds(
     cfg = cfg or SinkhornConfig()
     As, frames = [frame_matrix(q) for q in queries], [frame_matrix(s) for s in bank]
     bounds = np.empty((len(As), len(frames)))
-    for pos, C in _cost_batches(As, frames, *np.indices(bounds.shape).reshape(2, -1), metric):
+    for rows, cols, C in _cost_batches(As, frames, None, metric):
         col = C.min(axis=1).mean(axis=1)
         row_min = C.min(axis=2)
         row = row_min.mean(axis=1) - cfg.tol_marginal * row_min.sum(axis=1)
-        bounds.flat[pos] = np.maximum(col, row) * (1.0 - _BOUND_RTOL)
+        bounds[rows, cols] = np.maximum(col, row) * (1.0 - _BOUND_RTOL)
     return bounds
 
 
@@ -450,7 +451,7 @@ def sinkhorn_top2(
     todo = np.zeros_like(bounds, bool)
     np.put_along_axis(todo, np.argsort(bounds, axis=1, kind="stable")[:, :_PRUNE_ROUND], True, axis=1)
     while todo.any():
-        _solve_pairs(As, frames, *np.nonzero(todo), cfg, metric, out)
+        _solve_pairs(As, frames, todo, cfg, metric, out)
         solved = out.iterations > 0
         runner_up = np.partition(out.costs, 1, axis=1)[:, 1:2] if len(frames) > 1 else np.inf
         failed = (solved & ~out.converged).any(axis=1, keepdims=True)
@@ -477,8 +478,8 @@ def exact_ot_small(cost: CostMatrix | np.ndarray) -> float:
     spanning-tree basis of that size, so the LP optimum is among them.
     """
     C = cost.entries if isinstance(cost, CostMatrix) else np.asarray(cost, dtype=np.float64)
-    if C.ndim != 2:
-        raise ValueError("cost must be 2-D")
+    if C.ndim != 2 or C.size == 0:
+        raise ValueError(f"cost must be a non-empty 2-D matrix, got shape {C.shape}")
     m, n = C.shape
     if m * n > _EXACT_MAX_CELLS:
         raise ValueError(f"instance too large for exact solve: {m}x{n} > {_EXACT_MAX_CELLS} cells")

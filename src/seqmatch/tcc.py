@@ -131,9 +131,9 @@ def tcc_scan(
     frames = [frame_matrix(s) for s in bank]
     out = np.empty((len(queries), len(frames)))
     for i, query in enumerate(queries):
-        for pos, A, stack in pair_stacks([frame_matrix(query)], frames):
+        for _, cols, A, stack in pair_stacks([frame_matrix(query)], frames):
             d = _cycle(A, stack, cfg)[4].sum(axis=-1)
             if symmetric:
                 d = 0.5 * (d + _cycle(stack, A, cfg)[4].sum(axis=-1))
-            out[i, pos] = d
+            out[i, cols] = d
     return out

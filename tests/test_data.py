@@ -509,9 +509,10 @@ class TestMalformedInputs:
         with pytest.raises(ManifestError, match="unparsable"):
             read_dataset(ds)
 
-    def test_bad_schema_version(self, ds):
+    @pytest.mark.parametrize("version", [99, True, 1.0, "1"])
+    def test_bad_schema_version(self, ds, version):
         doc = json.loads((ds / "manifest.json").read_text())
-        doc["schema_version"] = 99
+        doc["schema_version"] = version
         (ds / "manifest.json").write_text(json.dumps(doc))
         with pytest.raises(ManifestError, match="schema_version"):
             read_dataset(ds)

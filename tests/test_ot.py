@@ -1,8 +1,9 @@
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from seqmatch.data import EmbeddingSequence
@@ -17,6 +18,7 @@ from seqmatch.ot import (
     cost_matrix,
     exact_ot_small,
     ot_distance,
+    pair_stacks,
     pairwise_sq_dists,
     sinkhorn,
     sinkhorn_scan,
@@ -60,6 +62,14 @@ class TestCostMatrix:
     def test_zero_norm_frame_rejected(self):
         with pytest.raises(ValueError, match="zero-norm"):
             cost_matrix(EmbeddingSequence([[0.0, 0.0]]), EmbeddingSequence([[1.0, 0.0]]))
+
+    @pytest.mark.parametrize("shape", [(0, 2), (2, 0), (0, 0)])
+    def test_empty_frame_matrix_rejected(self, shape):
+        message = rf"^expected a T x d matrix with T, d >= 1, got shape \({shape[0]}, {shape[1]}\)$"
+        with pytest.raises(ValueError, match=message):
+            cost_matrix(np.zeros(shape), np.ones((2, 2)))
+        with pytest.raises(ValueError, match=message):
+            cost_matrix(np.ones((2, 2)), np.zeros(shape))
 
     def test_swap_is_transpose(self, rng):
         A = rng.normal(size=(4, 6))
@@ -146,6 +156,11 @@ class TestSinkhorn:
     def test_nonfinite_cost_rejected(self):
         with pytest.raises(ValueError, match="finite"):
             sinkhorn(np.array([[np.nan, 1.0], [1.0, 0.0]]))
+
+    @pytest.mark.parametrize("shape", [(0, 3), (3, 0)])
+    def test_empty_cost_rejected(self, shape):
+        with pytest.raises(ValueError, match=rf"non-empty 2-D matrix, got shape \({shape[0]}, {shape[1]}\)$"):
+            sinkhorn(np.zeros(shape))
 
     @pytest.mark.parametrize(
         "init",
@@ -295,6 +310,12 @@ class TestSinkhornScan:
         with pytest.raises(ValueError, match="^dimension mismatch: 3 vs 2$"):
             sinkhorn_scan([[[1.0, 0.0]], [[1.0, 0.0, 0.0]]], [np.array([[1.0, 0.0]])])
 
+    def test_zero_frame_sequence_rejected(self):
+        with pytest.raises(ValueError, match=r"^expected a T x d matrix with T, d >= 1, got shape \(0, 2\)$"):
+            sinkhorn_scan([[[1.0, 0.0]], np.zeros((0, 2))], [np.array([[1.0, 0.0]])])
+        with pytest.raises(ValueError, match=r"^expected a T x d matrix with T, d >= 1, got shape \(0, 2\)$"):
+            sinkhorn_scan([[[1.0, 0.0]]], [np.array([[1.0, 0.0]]), np.zeros((0, 2))])
+
     @settings(max_examples=30)
     @given(
         st.lists(st.integers(min_value=1, max_value=9), max_size=4),
@@ -307,6 +328,75 @@ class TestSinkhornScan:
         queries = [r.normal(size=(m, 3)) for m in query_lengths]
         bank = [r.normal(size=(n, 3)) for n in bank_lengths]
         assert_scan_matches_per_pair(queries, bank, SinkhornConfig(max_iters=50), metric)
+
+
+def per_pair_stacks(queries, bank, todo=None):
+    """``pair_stacks`` by a per-pair Python loop, as a reference: the pairs of
+    ``todo`` in row-major order, grouped by (m, n) in order of first appearance."""
+    qs, js = np.nonzero(np.ones((len(queries), len(bank)), bool) if todo is None else todo)
+    by_shape = {}
+    for p, (q, j) in enumerate(zip(qs.tolist(), js.tolist())):
+        (m, dq), (n, db) = queries[q].shape, bank[j].shape
+        if db != dq:
+            raise ValueError(f"dimension mismatch: {dq} vs {db}")
+        by_shape.setdefault((m, n), []).append(p)
+    for (m, n), members in by_shape.items():
+        per_batch = max(1, _SCAN_BATCH_CELLS // (m * n))
+        for lo in range(0, len(members), per_batch):
+            pos = np.array(members[lo : lo + per_batch])
+            q, j = qs[pos], js[pos]
+            A = queries[q[0]] if (q == q[0]).all() else np.stack([queries[i] for i in q])
+            yield q, j, A, np.stack([bank[i] for i in j])
+
+
+def stack_multiset(stacks):
+    """The stacks as a multiset of (cells in order, query side, bank stack), compared by bytes."""
+    return Counter(
+        (tuple(zip(rows.tolist(), cols.tolist())), A.shape, A.tobytes(), B.shape, B.tobytes())
+        for rows, cols, A, B in stacks
+    )
+
+
+class TestPairStacks:
+    # Lengths 40 and 70 make stacks of one or two pairs under the cell cap.
+    lengths = st.lists(st.sampled_from([1, 2, 3, 40, 70]), max_size=5)
+
+    @settings(max_examples=60)
+    @given(lengths, lengths, st.sampled_from(["none", "random", "all-false"]), st.integers(0, 2**31 - 1))
+    @example([], [3, 1], "none", 0)
+    @example([2, 1], [], "random", 0)
+    @example([2], [1, 3, 1], "random", 0)
+    @example([2, 3, 2], [1], "none", 0)
+    def test_equals_per_pair_grouping(self, query_lengths, bank_lengths, mask, seed):
+        r = np.random.default_rng(seed)
+        queries = [r.normal(size=(m, 2)) for m in query_lengths]
+        bank = [r.normal(size=(n, 2)) for n in bank_lengths]
+        shape = (len(queries), len(bank))
+        todo = {"none": None, "random": r.random(shape) < 0.6, "all-false": np.zeros(shape, bool)}[mask]
+        got = list(pair_stacks(queries, bank, todo))
+        assert stack_multiset(got) == stack_multiset(per_pair_stacks(queries, bank, todo))
+        for rows, cols, A, B in got:
+            assert len(rows) == 1 or len(rows) * A.shape[-2] * B.shape[-2] <= _SCAN_BATCH_CELLS
+
+    @settings(max_examples=40)
+    @given(
+        st.lists(st.sampled_from([2, 3]), min_size=1, max_size=4),
+        st.lists(st.sampled_from([2, 3]), min_size=1, max_size=5),
+        st.booleans(),
+        st.integers(0, 2**31 - 1),
+    )
+    def test_dimension_mismatch_names_the_same_pair(self, query_dims, bank_dims, masked, seed):
+        r = np.random.default_rng(seed)
+        queries = [r.normal(size=(int(r.integers(1, 4)), d)) for d in query_dims]
+        bank = [r.normal(size=(int(r.integers(1, 4)), d)) for d in bank_dims]
+        todo = r.random((len(queries), len(bank))) < 0.5 if masked else None
+        outcomes = []
+        for scan in (pair_stacks, per_pair_stacks):
+            try:
+                outcomes.append(stack_multiset(scan(queries, bank, todo)))
+            except ValueError as err:
+                outcomes.append(str(err))
+        assert outcomes[0] == outcomes[1]
 
 
 class TestOtDistance:
@@ -346,6 +436,11 @@ class TestExactSmall:
     def test_too_large_rejected(self):
         with pytest.raises(ValueError, match="too large"):
             exact_ot_small(np.zeros((5, 4)))
+
+    @pytest.mark.parametrize("shape", [(0, 2), (2, 0)])
+    def test_empty_cost_rejected(self, shape):
+        with pytest.raises(ValueError, match=rf"^cost must be a non-empty 2-D matrix, got shape \({shape[0]}, {shape[1]}\)$"):
+            exact_ot_small(np.zeros(shape))
 
     def test_lower_bounds_sampled_feasible_plans(self, rng):
         C = rng.uniform(size=(2, 3))

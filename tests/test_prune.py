@@ -167,6 +167,8 @@ class TestSinkhornTop2:
             sinkhorn_top2([[[1.0, 0.0]]], [np.array([[1.0, 1.0]]), np.array([[0.0, 0.0]])])
         with pytest.raises(ValueError, match="dimension"):
             sinkhorn_top2([[[1.0, 0.0]]], [np.array([[1.0, 0.0, 0.0]])])
+        with pytest.raises(ValueError, match=r"^expected a T x d matrix with T, d >= 1, got shape \(0, 2\)$"):
+            sinkhorn_top2([np.zeros((0, 2))], [np.array([[1.0, 0.0]])])
 
     def test_invalid_second_query_rejected(self):
         bank = [np.array([[1.0, 1.0]]), np.array([[0.5, 1.0], [1.0, 0.0]])]

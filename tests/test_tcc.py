@@ -124,6 +124,14 @@ class TestTccDistance:
         a = EmbeddingSequence([[0.0, 1.0]])
         assert tcc_distance(a, a) == pytest.approx(0.0, abs=1e-15)
 
+    @pytest.mark.parametrize("shape", [(0, 2), (2, 0)])
+    def test_empty_frame_matrix_rejected(self, shape):
+        message = rf"^expected a T x d matrix with T, d >= 1, got shape \({shape[0]}, {shape[1]}\)$"
+        with pytest.raises(ValueError, match=message):
+            tcc_distance(np.ones((2, 2)), np.zeros(shape))
+        with pytest.raises(ValueError, match=message):
+            tcc_distance(np.zeros(shape), np.ones((2, 2)))
+
     def test_identity_approaches_zero_monotonically(self, rng):
         frames = np.eye(8)  # well-separated unit anchors
         seq = EmbeddingSequence(frames)
@@ -259,6 +267,10 @@ class TestTccScan:
         bank = [rng.normal(size=(3, 2))] * 4
         assert tcc_scan([], bank).shape == (0, 4)
         assert tcc_scan([], bank, symmetric=True).shape == (0, 4)
+
+    def test_zero_frame_snippet_rejected(self):
+        with pytest.raises(ValueError, match=r"^expected a T x d matrix with T, d >= 1, got shape \(0, 2\)$"):
+            tcc_scan([[[1.0, 0.0]]], [np.array([[1.0, 0.0]]), np.zeros((0, 2))])
 
     def test_dimension_mismatch_rejected(self):
         with pytest.raises(ValueError, match="dimension"):
