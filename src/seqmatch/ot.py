@@ -6,26 +6,29 @@ deterministic and reports non-convergence through a flag on the returned
 plan instead of raising: retrieval can still rank with a near-feasible
 plan, and callers that need hard guarantees check the flag.
 
-There is one solver, the stabilised log-domain scaling of Schmitzer
-(SIAM J. Sci. Comput. 2019), and it works on a stack of equal-shape
-cost matrices (batched as in Feydy et al., AISTATS 2019). ``sinkhorn``
-and ``swav_code_plan`` run it on a stack of one. Every bank scan takes
-Q queries and an N-snippet bank and returns Q x N arrays, and every one
-draws its stacks from ``pair_stacks``, which takes the pairs to solve as
-a Q x N mask and groups them with numpy by query and snippet length,
-across queries, into stacks of at most ``_SCAN_BATCH_CELLS`` cost cells.
+There is one solver, ``_sinkhorn_stack``: Sinkhorn scaling in the kernel
+domain (Cuturi, NeurIPS 2013), stabilised by absorbing large scalings
+into log-domain potentials (Schmitzer, SIAM J. Sci. Comput. 2019), on a
+stack of equal-shape cost matrices (batched as in Feydy et al., AISTATS
+2019). ``sinkhorn`` and ``swav_code_plan`` run it on a stack of one.
+Every bank scan takes Q queries and an N-snippet bank and returns Q x N
+arrays, and every one draws its stacks from ``pair_stacks``, which takes
+the pairs to solve as a Q x N mask and groups them with numpy by query
+and snippet length, across queries, into stacks of at most
+``_SCAN_BATCH_CELLS`` cost cells.
 ``sinkhorn_scan`` solves the whole grid and gives every pair exactly the
 cost, iteration count and convergence flag ``sinkhorn`` gives it alone.
 
 Retrieval needs only each query's cheapest snippet and the runner-up's
 cost. ``sinkhorn_top2`` bounds every pair's cost from below
 (``transport_lower_bounds``, the relaxed Word Mover's bound of Kusner et
-al., ICML 2015, section 4, computed for the whole grid in one pass) and
-solves the grid in at most three passes over a mask of the pairs still
-to solve: first each query's few lowest bounds, then every pair whose
-bound does not exceed its query's runner-up cost. All queries' pairs of
-a pass are stacked by shape together, so a pass costs a few large
-solver calls. The pairs it solves get exactly the entries of
+al., ICML 2015, section 4, from one matrix product per query against
+chunks of the bank's frames, with per-snippet minima taken by
+``reduceat``) and solves the grid in at most three passes over a mask of
+the pairs still to solve: first each query's few lowest bounds, then
+every pair whose bound does not exceed its query's runner-up cost. All
+queries' pairs of a pass are stacked by shape together, so a pass costs
+a few large solver calls. The pairs it solves get exactly the entries of
 ``sinkhorn_scan``; on the benchmark banks it solves 8-23% of them.
 
 The reported sequence distance is the raw plan cost ``sum(C * M)``; the
@@ -53,23 +56,26 @@ SQEUCLIDEAN = "squared_euclidean"
 METRICS = (COSINE, SQEUCLIDEAN)
 
 _EXACT_MAX_CELLS = 16
-# Cost cells (pairs x m x n) in one batch of a bank scan. Larger batches
-# amortize numpy's per-call overhead better, but every batch temporary
-# grows with them, and peak memory with those: uncapped, a 500-snippet
-# bank raised peak RSS by about 6 MiB over the per-pair loop; capped at
-# 4096 cells, by about 1 MiB.
-_SCAN_BATCH_CELLS = 4096
-# Pairs per query in the first pass of ``sinkhorn_top2``. A narrower pass
-# leaves a higher runner-up for the second pass to solve under; a wider one
-# solves pairs that no runner-up needed. Timed against width 8 over 2 to 32:
-# on the desk hard bank 2 and 4 tie, 16 and 32 take 1.6x and 3x as long; on
-# the desk easy bank 2 and 4 take 0.8x; on 500 snippets 16 takes 0.85-0.95x,
-# and 4 takes 1.13x at 200 segments. No width wins everywhere; 8 is within
-# a quarter of the fastest on each.
+# Cost cells in one stack of a scan (pairs x m x n) or one chunk of the bound
+# (m x bank frames). Larger stacks cost fewer numpy calls and more memory: on
+# the 500-snippet hard bank (K'=2), retrieval took 11.9 ms at 4096 cells, 9.1
+# at 8192 and 8.8 at 16384, and `imagine` peaked at 37.4 MiB at 8192, 37.7 at
+# 16384.
+_SCAN_BATCH_CELLS = 8192
+# Fewest pairs per query in the first pass of ``sinkhorn_top2``, which takes
+# max(_PRUNE_ROUND, N // 32) of N snippets: a wider pass solves pairs no
+# runner-up needed, most costly on small banks (on 35 and 50 snippets 16 took
+# 1.7-1.8x as long as 8); on 500 (hard, K'=2) 15 solved 202 pairs in 9.2 ms
+# against 230 in 9.6 ms for 8.
 _PRUNE_ROUND = 8
 # Relative slack on ``transport_lower_bounds`` for float rounding in the
 # plan's marginals and cost.
 _BOUND_RTOL = 1e-9
+# Absolute slack on ``transport_lower_bounds`` for cost rounding, times d + 3
+# and the entries' scale s (1 for cosine, the squared frame norms for
+# sqeuclidean): the bound's entries and the solve's come by different paths,
+# each within about (2d + 6) u s of the exact entry, u = 2**-53.
+_BOUND_ULPS = 4 * 2.0**-53
 
 
 @dataclass(frozen=True)
@@ -214,24 +220,26 @@ def _logsumexp(x: np.ndarray, axis: int) -> np.ndarray:
     )
 
 
-def _log_sinkhorn(
+def _sinkhorn_stack(
     C: np.ndarray,
     cfg: SinkhornConfig,
     init: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Log-domain Sinkhorn on a stack of k cost matrices C (k x m x n).
+    """Sinkhorn on a stack of k cost matrices C (k x m x n), in the kernel domain.
 
-    Each pair runs the same f/g/P/err iteration it would run alone and
-    stops updating at its own first iterate within ``tol_marginal``, so
-    its plan, potentials and iteration count do not depend on the rest
-    of the stack. ``init`` holds stacked potentials (k x m, k x n).
-    Returns (P, f, g, iterations, converged) stacked over the k pairs.
+    Each pair iterates ``u = a / (K v)``, ``v = b / (K^T u)`` on
+    ``K = exp((f + g - C) / eps)``, so its plan ``u K v`` has exact column
+    sums and only its rows are checked. A pair whose u or v leaves
+    [1e-100, 1e100] absorbs them into f, g by a log-domain iteration and
+    restarts from a fresh kernel with u = v = 1. Each pair stops at its own
+    first iterate within ``tol_marginal``, independently of the rest of the
+    stack. ``init`` holds stacked potentials (k x m, k x n). Returns
+    (P, f, g, iterations, converged), with f, g the potentials of P.
     """
     k, m, n = C.shape
     eps, tol = cfg.epsilon, cfg.tol_marginal
     a = np.full(m, 1.0 / m)
     b = np.full(n, 1.0 / n)
-    loga, logb = np.log(a), np.log(b)
     if init is not None:
         f, g = np.array(init[0], dtype=np.float64), np.array(init[1], dtype=np.float64)
     else:
@@ -241,24 +249,39 @@ def _log_sinkhorn(
     iters = np.zeros(k, dtype=np.int64)
     converged = np.zeros(k, dtype=bool)
     live = np.arange(k)  # stack index of each pair still iterating
-    for it in range(1, cfg.max_iters + 1):
-        f = eps * (loga - _logsumexp((g[:, None, :] - C) / eps, axis=2))
-        g = eps * (logb - _logsumexp((f[:, :, None] - C) / eps, axis=1))
-        P = np.exp((f[:, :, None] + g[:, None, :] - C) / eps)
-        row = np.abs(P.sum(axis=2) - a).max(axis=1)
-        col = np.abs(P.sum(axis=1) - b).max(axis=1)
-        done = np.where(col > row, col, row) <= tol
-        stop = done if it < cfg.max_iters else np.ones_like(done)
-        if not stop.any():
-            continue
-        idx = live[stop]
-        P_out[idx], f_out[idx], g_out[idx] = P[stop], f[stop], g[stop]
-        iters[idx] = it
-        converged[idx] = done[stop]
-        if stop.all():
-            break
-        keep = ~stop
-        live, C, f, g = live[keep], C[keep], f[keep], g[keep]
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        K = np.exp((f[:, :, None] + g[:, None, :] - C) / eps)
+        u, v = np.ones((k, m)), np.ones((k, n))
+        Kv = K.sum(axis=2)
+        for it in range(1, cfg.max_iters + 1):
+            u_new = a / Kv
+            v_new = b / (u_new[:, None, :] @ K)[:, 0]
+            bad = ~((u_new >= 1e-100) & (u_new <= 1e100)).all(axis=1)
+            bad |= ~((v_new >= 1e-100) & (v_new <= 1e100)).all(axis=1)
+            if bad.any():
+                idx, Cb = live[bad], C[live[bad]]
+                gb = g[idx] + eps * np.log(v[bad])
+                fb = eps * (np.log(a) - _logsumexp((gb[:, None, :] - Cb) / eps, axis=2))
+                gb = eps * (np.log(b) - _logsumexp((fb[:, :, None] - Cb) / eps, axis=1))
+                f[idx], g[idx] = fb, gb
+                K[bad] = np.exp((fb[:, :, None] + gb[:, None, :] - Cb) / eps)
+                u_new[bad], v_new[bad] = 1.0, 1.0
+            u, v = u_new, v_new
+            Kv = (K @ v[:, :, None])[:, :, 0]
+            done = np.abs(u * Kv - a).max(axis=1) <= tol
+            stop = done if it < cfg.max_iters else np.ones_like(done)
+            if not stop.any():
+                continue
+            idx = live[stop]
+            P_out[idx] = u[stop, :, None] * K[stop] * v[stop, None, :]
+            f_out[idx] = f[idx] + eps * np.log(u[stop])
+            g_out[idx] = g[idx] + eps * np.log(v[stop])
+            iters[idx] = it
+            converged[idx] = done[stop]
+            if stop.all():
+                break
+            keep = ~stop
+            live, K, u, v, Kv = live[keep], K[keep], u[keep], v[keep], Kv[keep]
     return P_out, f_out, g_out, iters, converged
 
 
@@ -267,10 +290,10 @@ def _solve_one(
     cfg: SinkhornConfig,
     init: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> TransportPlan:
-    """The plan of one m x n cost matrix: ``_log_sinkhorn`` on a stack of one."""
+    """The plan of one m x n cost matrix: ``_sinkhorn_stack`` on a stack of one."""
     if init is not None:
         init = (init[0][None], init[1][None])
-    P, f, g, iters, converged = _log_sinkhorn(C[None], cfg, init)
+    P, f, g, iters, converged = _sinkhorn_stack(C[None], cfg, init)
     return TransportPlan(P[0], float(np.sum(C * P[0])), int(iters[0]), bool(converged[0]), (f[0], g[0]))
 
 
@@ -306,6 +329,18 @@ class ScanResult(NamedTuple):
     converged: np.ndarray
 
 
+def _check_dimensions(queries: Sequence[np.ndarray], bank: Sequence[np.ndarray], todo: np.ndarray | None) -> None:
+    """Raise ``ValueError`` naming the first pair of the mask ``todo`` (every pair
+    if None), in row-major order, whose query and snippet dimensions differ."""
+    dq, db = ([F.shape[1] for F in side] for side in (queries, bank))
+    bad = np.not_equal.outer(dq, db)
+    if todo is not None:
+        bad &= todo
+    if bad.any():
+        i, j = divmod(int(bad.argmax()), len(bank))
+        raise ValueError(f"dimension mismatch: {dq[i]} vs {db[j]}")
+
+
 def pair_stacks(
     queries: Sequence[np.ndarray], bank: Sequence[np.ndarray], todo: np.ndarray | None = None
 ) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]]:
@@ -320,14 +355,8 @@ def pair_stacks(
     it, and a k x m x d stack otherwise. A snippet whose dimension differs from
     its query's raises ``ValueError`` naming the first such pair in row-major order.
     """
+    _check_dimensions(queries, bank, todo)
     m_of, n_of = (np.fromiter(map(len, side), np.intp, len(side)) for side in (queries, bank))
-    dq, db = ([F.shape[1] for F in side] for side in (queries, bank))
-    bad = np.not_equal.outer(dq, db)
-    if todo is not None:
-        bad &= todo
-    if bad.any():
-        i, j = divmod(int(bad.argmax()), len(bank))
-        raise ValueError(f"dimension mismatch: {dq[i]} vs {db[j]}")
     # Not np.unique: its first call in a process imports numpy.ma, about 9 ms.
     snippet_groups = [(n, np.flatnonzero(n_of == n)) for n in sorted(set(n_of.tolist()))]
     for m in sorted(set(m_of.tolist())):
@@ -343,27 +372,17 @@ def pair_stacks(
                 yield r, c, A, np.concatenate([bank[j] for j in c]).reshape(len(c), n, -1)
 
 
-def _cost_batches(
-    queries: Sequence[np.ndarray], bank: Sequence[np.ndarray], todo: np.ndarray | None, metric: str
-) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
-    """(rows, cols, k x m x n cost stack) for each stack of ``pair_stacks``.
-
-    A stack with a NaN or Inf cost raises ``ValueError``.
-    """
-    for rows, cols, A, B in pair_stacks(queries, bank, todo):
-        C = _costs(A, B, metric)
-        if not np.isfinite(C).all():
-            raise ValueError("cost matrix contains NaN or Inf")
-        yield rows, cols, C
-
-
 def _solve_pairs(
     queries: Sequence[np.ndarray], bank: Sequence[np.ndarray], todo: np.ndarray | None,
     cfg: SinkhornConfig, metric: str, out: ScanResult,
 ) -> None:
-    """Solve the pairs of the mask ``todo`` (every pair if None) into their cells of ``out``."""
-    for rows, cols, C in _cost_batches(queries, bank, todo, metric):
-        P, _, _, iters, converged = _log_sinkhorn(C, cfg)
+    """Solve the pairs of the mask ``todo`` (every pair if None) into their cells of ``out``;
+    a NaN or Inf cost raises ``ValueError``."""
+    for rows, cols, A, B in pair_stacks(queries, bank, todo):
+        C = _costs(A, B, metric)
+        if not np.isfinite(C).all():
+            raise ValueError("cost matrix contains NaN or Inf")
+        P, _, _, iters, converged = _sinkhorn_stack(C, cfg)
         out.costs[rows, cols] = (C * P).reshape(len(rows), -1).sum(axis=1)
         out.iterations[rows, cols], out.converged[rows, cols] = iters, converged
 
@@ -388,6 +407,14 @@ def sinkhorn_scan(
     return out
 
 
+def _unit_rows(F: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """The rows of F divided by their norms (into ``out`` if given); a zero-norm row raises."""
+    norms = np.linalg.norm(F, axis=1)
+    if (norms == 0.0).any():
+        raise ValueError("zero-norm frame: cosine distance undefined")
+    return np.divide(F, norms[:, None], out=out)
+
+
 def transport_lower_bounds(
     queries: Sequence[EmbeddingSequence | np.ndarray],
     bank: Sequence[EmbeddingSequence | np.ndarray],
@@ -396,25 +423,64 @@ def transport_lower_bounds(
 ) -> np.ndarray:
     """Per (query, snippet) pair, a lower bound on the cost ``sinkhorn_scan`` reports for it.
 
-    The relaxed Word Mover's bound (Kusner et al., ICML 2015, section 4)
-    from the same cost stacks: the larger of a column term,
-    ``mean_j min_i C_ij``, and a row term, ``mean_i min_j C_ij`` less
-    ``tol_marginal * sum_i min_j C_ij``. ``_log_sinkhorn`` updates g
-    last, so every plan has exact column marginals and the column term
-    bounds every cost. A converged plan's row sums lie within
-    ``tol_marginal`` of 1/m, so the row term bounds the cost of every
-    pair that converges. A relative slack of ``_BOUND_RTOL`` covers
-    float rounding in both.
+    The relaxed Word Mover's bound (Kusner et al., ICML 2015, section 4):
+    the larger of a column term, ``mean_j min_i C_ij``, and a row term,
+    ``mean_i min_j C_ij`` less ``tol_marginal * sum_i min_j C_ij``.
+    ``_sinkhorn_stack`` updates v last, so every plan has exact column
+    marginals and the column term bounds every cost. A converged plan's
+    row sums lie within ``tol_marginal`` of 1/m, so the row term bounds
+    the cost of every pair that converges.
+
+    The costs are one product per query against chunks of consecutive
+    snippets of at most ``_SCAN_BATCH_CELLS`` cells, with per-snippet
+    minima by ``reduceat``. They round differently from the solve's, so
+    the bound is lowered by ``_BOUND_RTOL`` and ``_BOUND_ULPS``, and
+    floored at 0.
     """
     cfg = cfg or SinkhornConfig()
     As, frames = [frame_matrix(q) for q in queries], [frame_matrix(s) for s in bank]
     bounds = np.empty((len(As), len(frames)))
-    for rows, cols, C in _cost_batches(As, frames, None, metric):
-        col = C.min(axis=1).mean(axis=1)
-        row_min = C.min(axis=2)
-        row = row_min.mean(axis=1) - cfg.tol_marginal * row_min.sum(axis=1)
-        bounds[rows, cols] = np.maximum(col, row) * (1.0 - _BOUND_RTOL)
-    return bounds
+    if bounds.size == 0:
+        return bounds
+    _check_dimensions(As, frames, None)
+    if metric not in METRICS:
+        raise ValueError(f"unknown metric {metric!r}")
+    m_of, n_of = (np.fromiter(map(len, side), np.intp, len(side)) for side in (As, frames))
+    ends = np.cumsum(n_of)
+    starts = ends - n_of
+    if metric == COSINE:
+        As = [_unit_rows(A) for A in As]
+        scale = 1.0
+    else:
+        sq_a = np.array([(A * A).sum(axis=1).max() for A in As])
+        sq_b = np.array([(F * F).sum(axis=1).max() for F in frames])
+        scale = sq_a[:, None] + sq_b
+    for m in sorted(set(m_of.tolist())):
+        Q = np.flatnonzero(m_of == m).tolist()
+        j0, cap = 0, max(1, _SCAN_BATCH_CELLS // m)  # frames per chunk
+        while j0 < len(frames):
+            j1 = max(j0 + 1, int(np.searchsorted(ends, starts[j0] + cap, "right")))
+            B = np.concatenate(frames[j0:j1])
+            if metric == COSINE:
+                _unit_rows(B, out=B)
+            seg = starts[j0:j1] - starts[j0]
+            for i in Q:
+                if metric == COSINE:
+                    C = As[i] @ B.T
+                    np.subtract(1.0, C, out=C)
+                    np.clip(C, 0.0, 2.0, out=C)
+                else:
+                    C = pairwise_sq_dists(As[i], B)
+                if not np.isfinite(C.max()):
+                    raise ValueError("cost matrix contains NaN or Inf")
+                col = np.add.reduceat(C.min(axis=0), seg) / n_of[j0:j1]
+                row_min = np.minimum.reduceat(C, seg, axis=1)
+                row = row_min.mean(axis=0) - cfg.tol_marginal * row_min.sum(axis=0)
+                bounds[i, j0:j1] = np.maximum(col, row)
+            j0 = j1
+    bounds *= 1.0 - _BOUND_RTOL
+    bounds -= _BOUND_ULPS * (As[0].shape[1] + 3) * scale
+    return np.maximum(bounds, 0.0, out=bounds)
 
 
 def sinkhorn_top2(
@@ -426,8 +492,8 @@ def sinkhorn_top2(
     """A ``sinkhorn_scan`` that solves, per query, only the pairs that can be among its two cheapest.
 
     It solves the grid in passes over a Q x N mask of pairs to solve. The
-    first pass takes each query's ``_PRUNE_ROUND`` lowest pairs in
-    (stable) order of ``transport_lower_bounds``. Each later pass takes,
+    first pass takes each query's ``max(_PRUNE_ROUND, N // 32)`` lowest
+    pairs in (stable) order of ``transport_lower_bounds``. Each later pass takes,
     per query, every unsolved pair whose bound is at most the
     second-lowest cost solved so far (``inf`` for a bank of fewer than two
     snippets), and the whole unsolved rest of a query with a solve that
@@ -449,7 +515,8 @@ def sinkhorn_top2(
     bounds = transport_lower_bounds(As, frames, cfg, metric)
     out = ScanResult(np.full_like(bounds, np.inf), np.zeros_like(bounds, np.int64), np.zeros_like(bounds, bool))
     todo = np.zeros_like(bounds, bool)
-    np.put_along_axis(todo, np.argsort(bounds, axis=1, kind="stable")[:, :_PRUNE_ROUND], True, axis=1)
+    width = max(_PRUNE_ROUND, len(frames) // 32)
+    np.put_along_axis(todo, np.argsort(bounds, axis=1, kind="stable")[:, :width], True, axis=1)
     while todo.any():
         _solve_pairs(As, frames, todo, cfg, metric, out)
         solved = out.iterations > 0

@@ -6,10 +6,11 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from seqmatch import ot
 from seqmatch.data import EmbeddingSequence
 from seqmatch.ot import (
     _SCAN_BATCH_CELLS,
-    _log_sinkhorn,
+    _sinkhorn_stack,
     COSINE,
     SQEUCLIDEAN,
     CostMatrix,
@@ -24,6 +25,7 @@ from seqmatch.ot import (
     sinkhorn_scan,
     swav_code_plan,
     swav_codes,
+    transport_lower_bounds,
 )
 
 
@@ -186,7 +188,7 @@ class TestSinkhorn:
         cfg = SinkhornConfig(epsilon=0.05)
         f, g = sinkhorn(C, SinkhornConfig(epsilon=0.2)).potentials
         warm = sinkhorn(C, cfg, init=(f.tolist(), g.tolist()))
-        P, f_out, g_out, iters, converged = _log_sinkhorn(C[None], cfg, (f[None], g[None]))
+        P, f_out, g_out, iters, converged = _sinkhorn_stack(C[None], cfg, (f[None], g[None]))
         assert warm.coupling.tobytes() == P[0].tobytes() and warm.cost == float(np.sum(C * P[0]))
         assert warm.potentials[0].tobytes() == f_out[0].tobytes()
         assert warm.potentials[1].tobytes() == g_out[0].tobytes()
@@ -203,6 +205,107 @@ class TestSinkhorn:
         plan = sinkhorn(C, SinkhornConfig(max_iters=5000))
         assert plan.converged
         assert plan.marginal_error() <= 1e-6
+
+
+def log_sinkhorn_reference(C, cfg, init=None):
+    """The log-domain solver ``_sinkhorn_stack`` replaced, as a reference: per
+    pair, f and g updates by logsumexp, stopping at the first iterate whose row
+    and column errors are both within ``tol_marginal``."""
+
+    def logsumexp(x, axis):
+        top = np.max(x, axis=axis, keepdims=True)
+        return np.squeeze(top + np.log(np.sum(np.exp(x - top), axis=axis, keepdims=True)), axis=axis)
+
+    k, m, n = C.shape
+    eps, tol = cfg.epsilon, cfg.tol_marginal
+    a, b = np.full(m, 1.0 / m), np.full(n, 1.0 / n)
+    f, g = (np.zeros((k, m)), np.zeros((k, n))) if init is None else (np.array(init[0]), np.array(init[1]))
+    P_out, iters, converged = np.empty_like(C), np.zeros(k, dtype=np.int64), np.zeros(k, dtype=bool)
+    live = np.arange(k)
+    for it in range(1, cfg.max_iters + 1):
+        f = eps * (np.log(a) - logsumexp((g[:, None, :] - C) / eps, axis=2))
+        g = eps * (np.log(b) - logsumexp((f[:, :, None] - C) / eps, axis=1))
+        P = np.exp((f[:, :, None] + g[:, None, :] - C) / eps)
+        err = np.maximum(np.abs(P.sum(axis=2) - a).max(axis=1), np.abs(P.sum(axis=1) - b).max(axis=1))
+        done = err <= tol
+        stop = done | (it == cfg.max_iters)
+        P_out[live[stop]], iters[live[stop]], converged[live[stop]] = P[stop], it, done[stop]
+        live, C, f, g = live[~stop], C[~stop], f[~stop], g[~stop]
+        if not len(live):
+            break
+    return P_out, iters, converged
+
+
+class TestSinkhornStack:
+    """The kernel-domain solver against the log-domain reference."""
+
+    def assert_matches_reference(self, C, cfg, init=None):
+        """Same iterations and flags as the reference, and costs within 1e-12
+        relative where max C / eps <= 100; returns how many times a pair
+        absorbed its scalings.
+
+        Either solver's plan entries exp((f + g - C) / eps) carry a relative
+        error of about u max C / eps (u = 2**-53), so the tolerance grows with
+        max C / eps past 100. Over 7647 random pairs the converged ones agreed
+        to 4.5 u max C / eps, and those stopped at ``max_iters``, where the
+        differences compound over the iterations, to 100 u max C / eps.
+        """
+        absorptions = []
+        logsumexp = ot._logsumexp
+
+        def counted(x, axis):
+            absorptions.append(len(x))
+            return logsumexp(x, axis)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(ot, "_logsumexp", counted)
+            P, _, _, iters, converged = _sinkhorn_stack(C, cfg, init)
+        ref_P, ref_iters, ref_converged = log_sinkhorn_reference(C, cfg, init)
+        assert iters.tolist() == ref_iters.tolist()
+        assert converged.tolist() == ref_converged.tolist()
+        cost, ref_cost = (C * P).sum(axis=(1, 2)), (C * ref_P).sum(axis=(1, 2))
+        rtol = np.where(converged, 1e-14, 1e-12) * np.maximum(C.max(axis=(1, 2)) / cfg.epsilon, 100.0)
+        assert (np.abs(cost - ref_cost) <= rtol * np.abs(ref_cost)).all()
+        return sum(absorptions) // 2
+
+    @settings(max_examples=60)
+    @given(
+        st.integers(min_value=1, max_value=4),
+        st.integers(min_value=1, max_value=7),
+        st.integers(min_value=1, max_value=7),
+        st.sampled_from([0.05, 0.01, 0.005, 1e-3, 1e-4]),
+        st.sampled_from([COSINE, SQEUCLIDEAN]),
+        st.sampled_from([1.0, 30.0]),
+        st.sampled_from([None, "ladder", "random"]),
+        st.integers(min_value=0, max_value=2**31 - 1),
+    )
+    @example(3, 5, 4, 1e-4, COSINE, 1.0, None, 0)  # C / eps near 1e4: kernel rows underflow to 0
+    @example(2, 4, 6, 0.01, SQEUCLIDEAN, 30.0, None, 1)
+    @example(2, 6, 3, 1e-3, COSINE, 1.0, "random", 2)
+    def test_matches_log_domain_reference(self, k, m, n, epsilon, metric, scale, warm, seed):
+        r = np.random.default_rng(seed)
+        d = int(r.integers(1, 5))
+        C = ot._costs(scale * r.normal(size=(k, m, d)), scale * r.normal(size=(k, n, d)), metric)
+        cfg = SinkhornConfig(epsilon=epsilon, max_iters=300)
+        init = None
+        if warm == "ladder":
+            coarse = SinkhornConfig(epsilon=10 * epsilon, max_iters=300)
+            _, f, g, _, _ = _sinkhorn_stack(C, coarse)
+            init = (f, g)
+        elif warm == "random":
+            init = (r.normal(size=(k, m)), r.normal(size=(k, n)))
+        absorbed = self.assert_matches_reference(C, cfg, init)
+        if init is None and (C.min(axis=2) / epsilon > 745).any():  # a kernel row underflows to 0
+            assert absorbed > 0
+
+    @pytest.mark.parametrize("epsilon", [0.05, 1e-3])
+    def test_swav_scores_far_past_the_kernel_range(self, rng, epsilon):
+        scores = rng.choice([-1e3, 1e3], size=(12, 4)) + rng.normal(size=(12, 4))
+        cfg = SinkhornConfig(epsilon=epsilon, max_iters=300)
+        assert self.assert_matches_reference(-scores[None], cfg) > 0
+        plan = swav_code_plan(scores, cfg)
+        np.testing.assert_allclose(plan.coupling.sum(axis=0), np.full(4, 0.25), rtol=1e-12)
+        assert np.isfinite(plan.coupling).all() and all(np.isfinite(p).all() for p in plan.potentials)
 
 
 def assert_scan_matches_per_pair(queries, bank, cfg=None, metric=COSINE):
@@ -328,6 +431,45 @@ class TestSinkhornScan:
         queries = [r.normal(size=(m, 3)) for m in query_lengths]
         bank = [r.normal(size=(n, 3)) for n in bank_lengths]
         assert_scan_matches_per_pair(queries, bank, SinkhornConfig(max_iters=50), metric)
+
+
+class TestTransportLowerBounds:
+    @settings(max_examples=16)
+    @given(
+        st.sampled_from(["random", "near-parallel", "tiny-norm", "large-norm"]),
+        st.sampled_from([COSINE, SQEUCLIDEAN]),
+        st.sampled_from([0.05, 0.01]),
+        st.integers(min_value=0, max_value=2**31 - 1),
+    )
+    @example("near-parallel", COSINE, 0.05, 0)
+    @example("large-norm", SQEUCLIDEAN, 0.05, 0)
+    def test_bounds_every_converged_cost(self, frames, metric, epsilon, seed):
+        # The bound's costs round differently from the solve's, most where they
+        # nearly cancel: near-parallel unit frames (cosine costs about 1e-12)
+        # and large-norm frames close together (squared distances of O(1)
+        # between norms of 1e4). A one-frame query's plan is forced, so its
+        # bound equals its cost but for rounding. One query takes several
+        # chunks of the bank; another's chunk is shorter than the bank's last
+        # snippet.
+        r = np.random.default_rng(seed)
+        m, long_m = _SCAN_BATCH_CELLS // 128, _SCAN_BATCH_CELLS // 64
+        bank_lengths = [int(n) for n in r.integers(1, 13, size=_SCAN_BATCH_CELLS // 256)] + [80]
+        assert sum(bank_lengths) > _SCAN_BATCH_CELLS // m and bank_lengths[-1] > _SCAN_BATCH_CELLS // long_m
+        x = r.normal(size=(1, 16))
+        x /= np.linalg.norm(x)
+
+        def draw(t):
+            noise = r.normal(size=(t, 16))
+            return {"random": noise, "near-parallel": x + 1e-6 * noise, "tiny-norm": 1e-6 * noise,
+                    "large-norm": 1e4 * x + noise}[frames]
+
+        queries = [draw(1), draw(m), draw(long_m)]
+        bank = [draw(n) for n in bank_lengths]
+        cfg = SinkhornConfig(epsilon=epsilon, max_iters=200)
+        bounds = transport_lower_bounds(queries, bank, cfg, metric)
+        full = sinkhorn_scan(queries, bank, cfg, metric)
+        assert full.converged.any() and (bounds >= 0.0).all()
+        assert (bounds[full.converged] <= full.costs[full.converged]).all()
 
 
 def per_pair_stacks(queries, bank, todo=None):
