@@ -11,11 +11,12 @@ domain (Cuturi, NeurIPS 2013), stabilised by absorbing large scalings
 into log-domain potentials (Schmitzer, SIAM J. Sci. Comput. 2019), on a
 stack of equal-shape cost matrices (batched as in Feydy et al., AISTATS
 2019). ``sinkhorn`` and ``swav_code_plan`` run it on a stack of one.
-Every bank scan takes Q queries and an N-snippet bank and returns Q x N
-arrays, and every one draws its stacks from ``pair_stacks``, which takes
-the pairs to solve as a Q x N mask and groups them with numpy by query
-and snippet length, across queries, into stacks of at most
-``_SCAN_BATCH_CELLS`` cost cells.
+Every bank scan takes Q queries and an N-snippet bank, checks them once on
+entry (``scan_frames``; ``sinkhorn_top2`` through its bound) and returns
+Q x N arrays. The solving scans draw their stacks from ``pair_stacks``,
+which groups the True cells of a Q x N mask with numpy by query and
+snippet length, across queries, into stacks of at most
+``_SCAN_BATCH_CELLS`` cost cells; the bound walks chunks of the bank.
 ``sinkhorn_scan`` solves the whole grid and gives every pair exactly the
 cost, iteration count and convergence flag ``sinkhorn`` gives it alone.
 
@@ -329,40 +330,40 @@ class ScanResult(NamedTuple):
     converged: np.ndarray
 
 
-def _check_dimensions(queries: Sequence[np.ndarray], bank: Sequence[np.ndarray], todo: np.ndarray | None) -> None:
-    """Raise ``ValueError`` naming the first pair of the mask ``todo`` (every pair
-    if None), in row-major order, whose query and snippet dimensions differ."""
-    dq, db = ([F.shape[1] for F in side] for side in (queries, bank))
+def scan_frames(
+    queries: Sequence[EmbeddingSequence | np.ndarray], bank: Sequence[EmbeddingSequence | np.ndarray]
+) -> tuple[list[np.ndarray], list[np.ndarray]]:
+    """``frame_matrix`` of every query and snippet; raises ``ValueError`` naming the first
+    (query, snippet) pair, in row-major order, whose dimensions differ."""
+    As, frames = [frame_matrix(q) for q in queries], [frame_matrix(s) for s in bank]
+    dq, db = ([F.shape[1] for F in side] for side in (As, frames))
     bad = np.not_equal.outer(dq, db)
-    if todo is not None:
-        bad &= todo
     if bad.any():
-        i, j = divmod(int(bad.argmax()), len(bank))
+        i, j = divmod(int(bad.argmax()), len(frames))
         raise ValueError(f"dimension mismatch: {dq[i]} vs {db[j]}")
+    return As, frames
 
 
 def pair_stacks(
-    queries: Sequence[np.ndarray], bank: Sequence[np.ndarray], todo: np.ndarray | None = None
+    queries: Sequence[np.ndarray], bank: Sequence[np.ndarray], todo: np.ndarray
 ) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]]:
     """(rows, cols, query side, k x n x d bank stack) for each stack of equal-shape pairs.
 
-    The pairs are the True cells of the Q x N mask ``todo``, by default every
-    cell; pair p is (``queries[rows[p]]``, ``bank[cols[p]]``). They are grouped
-    by query and snippet length with numpy, each group in row-major order, into
-    stacks of at most ``_SCAN_BATCH_CELLS`` cost cells (one pair at least),
-    which bounds a scan's memory whatever the bank size. The query side is the
-    m x d query itself when the whole stack shares it, as ``cost_matrix`` takes
-    it, and a k x m x d stack otherwise. A snippet whose dimension differs from
-    its query's raises ``ValueError`` naming the first such pair in row-major order.
+    The pairs are the True cells of the Q x N mask ``todo``; pair p is
+    (``queries[rows[p]]``, ``bank[cols[p]]``). They are grouped by query and
+    snippet length with numpy, each group in row-major order, into stacks of
+    at most ``_SCAN_BATCH_CELLS`` cost cells (one pair at least), which bounds
+    a scan's memory whatever the bank size. The query side is the m x d query
+    itself when the whole stack shares it, as ``cost_matrix`` takes it, and a
+    k x m x d stack otherwise. It checks nothing: the scan's ``scan_frames`` has.
     """
-    _check_dimensions(queries, bank, todo)
     m_of, n_of = (np.fromiter(map(len, side), np.intp, len(side)) for side in (queries, bank))
     # Not np.unique: its first call in a process imports numpy.ma, about 9 ms.
     snippet_groups = [(n, np.flatnonzero(n_of == n)) for n in sorted(set(n_of.tolist()))]
     for m in sorted(set(m_of.tolist())):
         Q = np.flatnonzero(m_of == m)
         for n, J in snippet_groups:
-            r, c = np.divmod(np.arange(len(Q) * len(J)), len(J)) if todo is None else np.nonzero(todo[np.ix_(Q, J)])
+            r, c = np.nonzero(todo[np.ix_(Q, J)])
             rows, cols = Q[r], J[c]
             per_batch = max(1, _SCAN_BATCH_CELLS // (m * n))
             # Rows ascend, so r[0] == r[-1] means one query; concatenate + reshape is np.stack in fewer calls.
@@ -373,11 +374,11 @@ def pair_stacks(
 
 
 def _solve_pairs(
-    queries: Sequence[np.ndarray], bank: Sequence[np.ndarray], todo: np.ndarray | None,
+    queries: Sequence[np.ndarray], bank: Sequence[np.ndarray], todo: np.ndarray,
     cfg: SinkhornConfig, metric: str, out: ScanResult,
 ) -> None:
-    """Solve the pairs of the mask ``todo`` (every pair if None) into their cells of ``out``;
-    a NaN or Inf cost raises ``ValueError``."""
+    """Solve the pairs of the mask ``todo`` into their cells of ``out``; a NaN or Inf
+    cost raises ``ValueError``."""
     for rows, cols, A, B in pair_stacks(queries, bank, todo):
         C = _costs(A, B, metric)
         if not np.isfinite(C).all():
@@ -400,10 +401,10 @@ def sinkhorn_scan(
     stack of ``pair_stacks`` is solved as one stack of cost matrices.
     """
     cfg = cfg or SinkhornConfig()
-    As, frames = [frame_matrix(q) for q in queries], [frame_matrix(s) for s in bank]
+    As, frames = scan_frames(queries, bank)
     shape = (len(As), len(frames))
     out = ScanResult(np.empty(shape), np.empty(shape, dtype=np.int64), np.empty(shape, dtype=bool))
-    _solve_pairs(As, frames, None, cfg, metric, out)
+    _solve_pairs(As, frames, np.ones(shape, bool), cfg, metric, out)
     return out
 
 
@@ -438,11 +439,10 @@ def transport_lower_bounds(
     floored at 0.
     """
     cfg = cfg or SinkhornConfig()
-    As, frames = [frame_matrix(q) for q in queries], [frame_matrix(s) for s in bank]
+    As, frames = scan_frames(queries, bank)
     bounds = np.empty((len(As), len(frames)))
     if bounds.size == 0:
         return bounds
-    _check_dimensions(As, frames, None)
     if metric not in METRICS:
         raise ValueError(f"unknown metric {metric!r}")
     m_of, n_of = (np.fromiter(map(len, side), np.intp, len(side)) for side in (As, frames))

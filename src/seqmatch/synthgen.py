@@ -306,9 +306,11 @@ def _sample_task_sequence(
         chosen.append(t)
         if len(chosen) == cfg.tasks_per_trajectory:
             return tuple(chosen)
+    # Disjoint merge pairs (as ``for_level`` makes them) leave every permutation
+    # exactly n_tasks - len(merge_pairs) tasks, so a budget too large fails at once.
     raise ValueError(
-        "tasks_per_trajectory too large for the merge constraints "
-        f"(max {cfg.n_tasks - len(spec.merge_pairs)})"
+        f"tasks_per_trajectory={cfg.tasks_per_trajectory} exceeds {cfg.n_tasks - len(spec.merge_pairs)} "
+        "(one task per merge pair plus unmerged tasks)"
     )
 
 
@@ -327,13 +329,6 @@ def gen_benchmark(
     level = MismatchLevel(level)
     anchors = gen_anchors(cfg)
     spec = MismatchSpec.for_level(level, cfg.n_tasks, seed=cfg.seed, noise_sigma=cfg.noise_sigma)
-    if level is MismatchLevel.HARD:
-        max_tasks = cfg.n_tasks - len(spec.merge_pairs)
-        if cfg.tasks_per_trajectory > max_tasks:
-            raise ValueError(
-                f"tasks_per_trajectory={cfg.tasks_per_trajectory} exceeds {max_tasks} "
-                "(one task per merge pair plus unmerged tasks)"
-            )
     robot_rng = np.random.default_rng([cfg.seed, _ROBOT_STREAM])
     robot_set = []
     for i in range(cfg.n_trajectories):

@@ -21,7 +21,7 @@ from typing import Sequence
 import numpy as np
 
 from .data import EmbeddingSequence, check_bool, check_finite
-from .ot import frame_matrix, pair_stacks, pairwise_sq_dists
+from .ot import frame_matrix, pair_stacks, pairwise_sq_dists, scan_frames
 
 
 @dataclass(frozen=True)
@@ -128,10 +128,11 @@ def tcc_scan(
     ``tcc_distance_symmetric`` when ``symmetric``. Each stack holds one query:
     stacking queries, as transport does, measured slower here."""
     cfg = cfg or TccConfig()
-    frames = [frame_matrix(s) for s in bank]
-    out = np.empty((len(queries), len(frames)))
-    for i, query in enumerate(queries):
-        for _, cols, A, stack in pair_stacks([frame_matrix(query)], frames):
+    As, frames = scan_frames(queries, bank)
+    out = np.empty((len(As), len(frames)))
+    row = np.ones((1, len(frames)), bool)
+    for i, query in enumerate(As):
+        for _, cols, A, stack in pair_stacks([query], frames, row):
             d = _cycle(A, stack, cfg)[4].sum(axis=-1)
             if symmetric:
                 d = 0.5 * (d + _cycle(stack, A, cfg)[4].sum(axis=-1))

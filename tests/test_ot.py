@@ -1,4 +1,5 @@
 import math
+import re
 from collections import Counter
 
 import numpy as np
@@ -6,7 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from seqmatch import ot
+from seqmatch import ot, tcc
 from seqmatch.data import EmbeddingSequence
 from seqmatch.ot import (
     _SCAN_BATCH_CELLS,
@@ -23,6 +24,7 @@ from seqmatch.ot import (
     pairwise_sq_dists,
     sinkhorn,
     sinkhorn_scan,
+    sinkhorn_top2,
     swav_code_plan,
     swav_codes,
     transport_lower_bounds,
@@ -472,16 +474,13 @@ class TestTransportLowerBounds:
         assert (bounds[full.converged] <= full.costs[full.converged]).all()
 
 
-def per_pair_stacks(queries, bank, todo=None):
+def per_pair_stacks(queries, bank, todo):
     """``pair_stacks`` by a per-pair Python loop, as a reference: the pairs of
     ``todo`` in row-major order, grouped by (m, n) in order of first appearance."""
-    qs, js = np.nonzero(np.ones((len(queries), len(bank)), bool) if todo is None else todo)
+    qs, js = np.nonzero(todo)
     by_shape = {}
     for p, (q, j) in enumerate(zip(qs.tolist(), js.tolist())):
-        (m, dq), (n, db) = queries[q].shape, bank[j].shape
-        if db != dq:
-            raise ValueError(f"dimension mismatch: {dq} vs {db}")
-        by_shape.setdefault((m, n), []).append(p)
+        by_shape.setdefault((len(queries[q]), len(bank[j])), []).append(p)
     for (m, n), members in by_shape.items():
         per_batch = max(1, _SCAN_BATCH_CELLS // (m * n))
         for lo in range(0, len(members), per_batch):
@@ -504,41 +503,67 @@ class TestPairStacks:
     lengths = st.lists(st.sampled_from([1, 2, 3, 40, 70]), max_size=5)
 
     @settings(max_examples=60)
-    @given(lengths, lengths, st.sampled_from(["none", "random", "all-false"]), st.integers(0, 2**31 - 1))
-    @example([], [3, 1], "none", 0)
+    @given(lengths, lengths, st.sampled_from(["all-true", "random", "all-false"]), st.integers(0, 2**31 - 1))
+    @example([], [3, 1], "all-true", 0)
     @example([2, 1], [], "random", 0)
     @example([2], [1, 3, 1], "random", 0)
-    @example([2, 3, 2], [1], "none", 0)
+    @example([2, 3, 2], [1], "all-true", 0)
     def test_equals_per_pair_grouping(self, query_lengths, bank_lengths, mask, seed):
         r = np.random.default_rng(seed)
         queries = [r.normal(size=(m, 2)) for m in query_lengths]
         bank = [r.normal(size=(n, 2)) for n in bank_lengths]
         shape = (len(queries), len(bank))
-        todo = {"none": None, "random": r.random(shape) < 0.6, "all-false": np.zeros(shape, bool)}[mask]
+        masks = {"all-true": np.ones(shape, bool), "random": r.random(shape) < 0.6, "all-false": np.zeros(shape, bool)}
+        todo = masks[mask]
         got = list(pair_stacks(queries, bank, todo))
         assert stack_multiset(got) == stack_multiset(per_pair_stacks(queries, bank, todo))
         for rows, cols, A, B in got:
             assert len(rows) == 1 or len(rows) * A.shape[-2] * B.shape[-2] <= _SCAN_BATCH_CELLS
 
+
+def counting(calls, inner):
+    """``inner``, recording the arguments of each call in ``calls``."""
+    def call(*args):
+        calls.append(args)
+        return inner(*args)
+    return call
+
+
+class TestScanFrames:
     @settings(max_examples=40)
     @given(
         st.lists(st.sampled_from([2, 3]), min_size=1, max_size=4),
-        st.lists(st.sampled_from([2, 3]), min_size=1, max_size=5),
+        st.lists(st.sampled_from([2, 3]), max_size=12),
         st.booleans(),
         st.integers(0, 2**31 - 1),
     )
-    def test_dimension_mismatch_names_the_same_pair(self, query_dims, bank_dims, masked, seed):
+    @example([2, 2, 3], [2] * 12, True, 0)
+    @example([2, 2, 3], [2] * 12, False, 0)
+    def test_one_check_raises_the_first_mismatch_before_any_solve(self, query_dims, bank_dims, mixed, seed):
+        # Unmixed, every dimension is the first query's, so every scan runs to
+        # the end: top2 over up to 12 snippets, more than its first pass takes.
+        if not mixed:
+            bank_dims = [query_dims[0]] * len(bank_dims)
+            query_dims = [query_dims[0]] * len(query_dims)
         r = np.random.default_rng(seed)
-        queries = [r.normal(size=(int(r.integers(1, 4)), d)) for d in query_dims]
-        bank = [r.normal(size=(int(r.integers(1, 4)), d)) for d in bank_dims]
-        todo = r.random((len(queries), len(bank))) < 0.5 if masked else None
-        outcomes = []
-        for scan in (pair_stacks, per_pair_stacks):
-            try:
-                outcomes.append(stack_multiset(scan(queries, bank, todo)))
-            except ValueError as err:
-                outcomes.append(str(err))
-        assert outcomes[0] == outcomes[1]
+        queries = [r.normal(size=(int(r.integers(1, 5)), d)) for d in query_dims]
+        bank = [r.normal(size=(int(r.integers(1, 5)), d)) for d in bank_dims]
+        first = next((f"dimension mismatch: {dq} vs {db}" for dq in query_dims for db in bank_dims if dq != db), None)
+        for scan in (sinkhorn_scan, transport_lower_bounds, sinkhorn_top2, tcc.tcc_scan):
+            checks, solves = [], []
+            with pytest.MonkeyPatch.context() as mp:
+                check = counting(checks, ot.scan_frames)
+                mp.setattr(ot, "scan_frames", check)
+                mp.setattr(tcc, "scan_frames", check)
+                mp.setattr(ot, "_solve_pairs", counting(solves, ot._solve_pairs))
+                mp.setattr(tcc, "_cycle", counting(solves, tcc._cycle))
+                if first is None:
+                    scan(queries, bank)
+                else:
+                    with pytest.raises(ValueError, match=f"^{re.escape(first)}$"):
+                        scan(queries, bank)
+                    assert solves == [], scan.__name__
+            assert len(checks) == 1, scan.__name__
 
 
 class TestOtDistance:

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -204,6 +206,17 @@ class TestDemoSnippets:
         singles = {s.labels[0].tasks[0] for s in db.snippets if len(s.labels[0].tasks) == 1}
         assert singles == set(range(5))
         assert spec.merge_pairs == ((0, 1), (2, 3))
+
+    @pytest.mark.parametrize("n_tasks", range(2, 8))
+    def test_hard_task_budget_is_one_task_per_merge_pair_plus_unmerged(self, n_tasks):
+        budget = n_tasks - n_tasks // 2
+        cfg = small_cfg(n_tasks=n_tasks, dim=8, frames_per_task=2, n_trajectories=3, snippets_per_task=1,
+                        tasks_per_trajectory=budget)
+        robot, _ = gen_benchmark("hard", cfg)
+        assert all(len(traj.task_set) == budget for traj in robot.snippets)
+        message = f"tasks_per_trajectory={budget + 1} exceeds {budget} (one task per merge pair plus unmerged tasks)"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            gen_benchmark("hard", small_cfg(n_tasks=n_tasks, dim=8, tasks_per_trajectory=budget + 1))
 
     def test_invalid_merge_pair_rejected(self):
         cfg = small_cfg(n_tasks=2, dim=4, seed=0)
