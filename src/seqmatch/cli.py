@@ -47,8 +47,8 @@ imports this module before it calls ``run()``, so on that path only this
 module's own imports (``data`` and ``pairing``) run with the collector
 on. Skipping the cycle scan is safe because objects
 are still freed by reference counting, every output file is closed by
-its ``with`` block, and stdout is flushed before teardown collects
-anything.
+the writer that opened it, and stdout is flushed before teardown
+collects anything.
 
 Importing this module leaves the collector as it was. ``main`` alone,
 as library callers and tests use it, pauses the collector while a
@@ -89,13 +89,14 @@ from __future__ import annotations
 import argparse
 import csv
 import gc
+import io
 import itertools
 import os
 import sys
 import time
 from dataclasses import fields
 from pathlib import Path
-from typing import TYPE_CHECKING, NamedTuple
+from typing import TYPE_CHECKING, Iterator, NamedTuple
 
 # Before any command loads numpy: a pool OpenBLAS never uses costs start-up,
 # and so do collections in a process that will not run the collector (see above).
@@ -113,6 +114,7 @@ from .data import (
     read_dataset,
     read_json_object,
     write_dataset,
+    write_file,
 )
 from .pairing import RetrievalError, evaluate, paired_from_json_dict, paired_to_json_dict
 
@@ -412,6 +414,19 @@ def _cmd_ablate(args, configs: list[RetrievalConfig]) -> RunOutput:
 # ---------------------------------------------------------------- write step
 
 
+def _csv_chunks(rows) -> Iterator[bytes]:
+    """``rows`` as UTF-8 CSV in chunks of about 64 KiB, rendered as the writer consumes them."""
+    buf = io.StringIO()
+    writer = csv.writer(buf)
+    for row in rows:
+        writer.writerow(row)
+        if buf.tell() >= 1 << 16:
+            yield buf.getvalue().encode()
+            buf.seek(0)
+            buf.truncate()
+    yield buf.getvalue().encode()
+
+
 def _write_outputs(out: Path, command: str, result: RunOutput, t0: float) -> None:
     out.mkdir(parents=True, exist_ok=True)
     for name, content in result.files:
@@ -419,17 +434,16 @@ def _write_outputs(out: Path, command: str, result: RunOutput, t0: float) -> Non
         if isinstance(content, SnippetDatabase):
             write_dataset(content, path)
         elif path.suffix == ".json":
-            path.write_text(canonical_json(content), encoding="utf-8")
+            write_file(path, canonical_json(content).encode())
         else:
-            with path.open("w", newline="", encoding="utf-8") as fh:
-                csv.writer(fh).writerows(content)
+            write_file(path, _csv_chunks(content))
     manifest = dict(
         command=command, config=result.config, input_hashes=result.input_hashes,
         tool_version=__version__, seed=result.seed, wall_clock_sec=time.perf_counter() - t0,
     )
     if result.solver is not None:
         manifest["solver"] = result.solver
-    (out / "run_manifest.json").write_text(canonical_json(manifest), encoding="utf-8")
+    write_file(out / "run_manifest.json", canonical_json(manifest).encode())
 
 
 # ---------------------------------------------------------------- parser

@@ -40,6 +40,7 @@ label lists one tuple and equal task sets one ``frozenset``.
 
 from __future__ import annotations
 
+import errno
 import hashlib
 import json
 import math
@@ -417,7 +418,8 @@ def write_dataset(database: SnippetDatabase, path: str | Path) -> None:
     """Write a dataset directory (manifest + one .f32 blob per sequence).
 
     The manifest records the database's own task table and provenance.
-    All validation happens before the first byte is written.
+    All validation happens before the first byte is written. Existing files
+    are overwritten in place (``write_file``); nothing is atomic or fsynced.
     """
     if not database.snippets:
         raise DatasetError("refusing to write an empty dataset")
@@ -457,22 +459,39 @@ def write_dataset(database: SnippetDatabase, path: str | Path) -> None:
     out.mkdir(parents=True, exist_ok=True)
     root = os.fspath(out)
     for blob_name, data in blobs:
-        _write_blob(os.path.join(root, blob_name), data)
-    (out / MANIFEST_NAME).write_text(canonical_json(doc), encoding="utf-8")
+        write_file(os.path.join(root, blob_name), data)
+    write_file(out / MANIFEST_NAME, canonical_json(doc).encode())
 
 
-def _write_blob(path: str, data: bytes) -> None:
-    """Replace the content of ``path`` with ``data``.
+def write_file(path: str | os.PathLike, content: bytes | Iterable[bytes]) -> None:
+    """Make ``content``, bytes or byte chunks, the whole of the regular file ``path``.
 
-    One open, the writes and one close: ``Path.write_bytes`` also builds a
-    buffered file object, which costs an ``fstat``, an ``isatty`` and a
-    ``tell`` per blob.
+    Every file seqmatch writes goes through here, with one ``os.open`` and no
+    buffered file object. There is no ``O_TRUNC`` (on ext4, truncating at open
+    frees the blocks and makes the close start writeback): the file is
+    overwritten in place and truncated to length if it was longer. A FIFO fails
+    at once (``O_NONBLOCK``) and, like any file that is not regular, raises
+    ``DatasetError`` naming ``path``. No write is atomic or fsynced: an
+    interrupted rewrite leaves old bytes, or new bytes over the start of the old.
     """
-    fd = os.open(path, os.O_WRONLY | os.O_CREAT | os.O_TRUNC, 0o666)
     try:
-        view = memoryview(data)
-        while view:
-            view = view[os.write(fd, view):]
+        fd = os.open(path, os.O_WRONLY | os.O_CREAT | os.O_NONBLOCK, 0o666)
+    except OSError as exc:
+        if exc.errno == errno.ENXIO:  # a FIFO or socket with no reader
+            raise DatasetError(f"cannot write {os.fspath(path)}: not a regular file") from None
+        raise
+    try:
+        info = os.fstat(fd)
+        if not stat.S_ISREG(info.st_mode):
+            raise DatasetError(f"cannot write {os.fspath(path)}: not a regular file")
+        size = 0
+        for chunk in (content,) if isinstance(content, bytes) else content:
+            view = memoryview(chunk)
+            size += len(view)
+            while view:
+                view = view[os.write(fd, view):]
+        if info.st_size > size:
+            os.ftruncate(fd, size)
     finally:
         os.close(fd)
 

@@ -4,6 +4,7 @@ import gc
 import hashlib
 import importlib
 import importlib.util
+import io
 import json
 import os
 import subprocess
@@ -940,6 +941,79 @@ class TestPipelineReproducibility:
                 }
                 for key in close:
                     assert abs(g[key] - w[key]) <= 1e-15, (w_entry["robot_id"], g["start"], key)
+
+
+class TestRewrite:
+    """Every output file is rewritten in place, through one writer."""
+
+    SMALL = ("--trajectories", "2", "--snippets-per-task", "1")
+    LARGE = ("--trajectories", "5", "--snippets-per-task", "3")
+
+    @staticmethod
+    def run_commands(root: Path, monkeypatch, sizes) -> None:
+        # relative paths keep recorded provenance identical across run roots
+        root.mkdir(exist_ok=True)
+        monkeypatch.chdir(root)
+        assert main(["gen", "--level", "hard", "--seed", "0", *sizes, "--out", "bench"]) == 0
+        assert main(["imagine", "--robot", "bench/robot", "--play", "bench/play",
+                     "--segment-kprime", "2", "--out", "run"]) == 0
+        assert main(["dist", "bench", "--out", "grid"]) == 0
+
+    @pytest.mark.parametrize("first, second", [(LARGE, SMALL), (SMALL, LARGE)], ids=["over-longer", "over-shorter"])
+    def test_rewrite_matches_fresh_write(self, tmp_path, monkeypatch, first, second):
+        """gen's datasets, imagine's and dist's outputs written over those of a
+        larger or a smaller bench hold the bytes of a fresh write. A smaller
+        rewrite leaves the larger one's extra blobs (stale files), so only
+        the files of the fresh write are compared."""
+        self.run_commands(tmp_path / "fresh", monkeypatch, second)
+        self.run_commands(tmp_path / "again", monkeypatch, first)
+        self.run_commands(tmp_path / "again", monkeypatch, second)
+        fresh, again = tree_digest(tmp_path / "fresh"), tree_digest(tmp_path / "again")
+        assert {"run/paired.json", "run/report.csv", "grid/distances.csv", "bench/robot/manifest.json"} <= set(fresh)
+        assert {name: again.get(name) for name in fresh} == fresh
+
+    def test_rewrite_opens_every_file_once_without_truncation(self, tmp_path, monkeypatch):
+        argv = ["gen", "--level", "easy", "--seed", "0", "--out", str(tmp_path / "bench")]
+        assert main(argv) == 0
+        opened, write_modes = [], []
+        real_open, real_io_open = os.open, io.open
+
+        def spy_os_open(path, flags, *args, **kwargs):
+            opened.append((os.fspath(path), flags))
+            return real_open(path, flags, *args, **kwargs)
+
+        def spy_open(file, mode="r", *args, **kwargs):
+            if set(mode) & set("wax+"):
+                write_modes.append((file, mode))
+            return real_io_open(file, mode, *args, **kwargs)
+
+        monkeypatch.setattr(os, "open", spy_os_open)
+        monkeypatch.setattr("builtins.open", spy_open)
+        monkeypatch.setattr(io, "open", spy_open)
+        monkeypatch.setattr(Path, "write_text", lambda *a, **k: write_modes.append(a))
+        monkeypatch.setattr(Path, "write_bytes", lambda *a, **k: write_modes.append(a))
+        assert main(argv) == 0
+        assert write_modes == []
+        assert not [path for path, flags in opened if flags & os.O_TRUNC]
+        written = sorted(path for path, flags in opened if flags & os.O_WRONLY)
+        assert written == sorted(str(p) for p in (tmp_path / "bench").rglob("*") if p.is_file())
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no named pipes")
+    @pytest.mark.parametrize("command, fifo", [("gen", "robot/robot-000.f32"), ("imagine", "paired.json")])
+    def test_fifo_output_fails_at_once(self, tmp_path, command, fifo):
+        """A FIFO where an output goes is a data error, not a write that waits for a reader."""
+        bench, out = tmp_path / "bench", tmp_path / "out"
+        gen = ["gen", "--level", "easy", "--seed", "0"]
+        assert main([*gen, "--out", str(bench)]) == 0
+        argv = {"gen": gen, "imagine": ["imagine", "--robot", str(bench / "robot"), "--play", str(bench / "play")]}
+        (out / fifo).parent.mkdir(parents=True)
+        os.mkfifo(out / fifo)
+        proc = subprocess.run(
+            [sys.executable, "-m", "seqmatch.cli", *argv[command], "--out", str(out)],
+            env=cli_env(), capture_output=True, text=True, timeout=60,
+        )
+        assert proc.returncode == 3, proc.stderr
+        assert f"cannot write {out / fifo}: not a regular file" in proc.stderr
 
 
 def cli_env(**extra: str) -> dict:

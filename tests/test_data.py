@@ -322,12 +322,18 @@ class TestRoundTrip:
         assert tree_digest(tmp_path / "a") == tree_digest(tmp_path / "b")
 
     def test_rewrite_replaces_longer_blobs(self, tmp_path):
+        """A rewrite over longer or shorter files leaves the bytes of a fresh write."""
         long = SnippetDatabase((make_sequence("s", np.ones((4, 3))),), task_names={0: "t"})
         short = SnippetDatabase((make_sequence("s", np.zeros((1, 3))),), task_names={0: "t"})
         write_dataset(long, tmp_path / "ds")
         write_dataset(short, tmp_path / "ds")
         assert (tmp_path / "ds" / "s.f32").stat().st_size == 1 * 3 * 4
         assert read_dataset(tmp_path / "ds") == short
+        for first, second in ((long, short), (short, long)):
+            write_dataset(second, tmp_path / "fresh")
+            write_dataset(first, tmp_path / "again")
+            write_dataset(second, tmp_path / "again")
+            assert tree_digest(tmp_path / "again") == tree_digest(tmp_path / "fresh")
 
     def test_blob_is_exactly_t_d_4_bytes(self, tmp_path):
         db = SnippetDatabase(
@@ -621,6 +627,21 @@ class TestMalformedInputs:
         os.mkfifo(ds / "snip-001.f32")
         with pytest.raises(BlobError, match="not a regular file"):
             read_dataset(ds)
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no named pipes")
+    def test_write_over_a_fifo_with_a_reader_is_refused(self, ds):
+        """A FIFO that has a reader opens for writing; nothing may be written into it."""
+        db = read_dataset(ds)
+        blob = ds / "snip-001.f32"
+        blob.unlink()
+        os.mkfifo(blob)
+        reader = os.open(blob, os.O_RDONLY | os.O_NONBLOCK)
+        try:
+            with pytest.raises(DatasetError, match=f"cannot write {re.escape(str(blob))}: not a regular file"):
+                write_dataset(db, ds)
+            assert os.read(reader, 1) == b""  # empty, and no writer left open
+        finally:
+            os.close(reader)
 
     def test_oversized_blob_reports_its_size(self, ds):
         blob = ds / "snip-000.f32"
