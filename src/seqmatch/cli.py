@@ -266,6 +266,7 @@ def _cmd_dist(args, distance: SequenceDistance) -> RunOutput:
     robot_db = _read_required(bench / "robot", "robot")
     play_db = _read_required(bench / "play", "play")
     robot_ids, play_ids = robot_db.ids, play_db.ids
+    input_hashes = _input_hashes(robot_db, play_db)  # from the read bytes, before the grid decodes frames
     grid, converged = distance.grid(
         [clip.sequence for clip in robot_db.snippets], [s.sequence for s in play_db.snippets]
     )
@@ -279,7 +280,7 @@ def _cmd_dist(args, distance: SequenceDistance) -> RunOutput:
     return RunOutput(
         files=[("distances.csv", rows), ("dist_manifest.json", manifest)],
         config=distance.describe(),
-        input_hashes=_input_hashes(robot_db, play_db),
+        input_hashes=input_hashes,
         summary=f"wrote {len(robot_db)}x{len(play_db)} distance grid under {Path(args.out)}",
         nonconverged=f"{len(nonconverged)} cells did not converge" if nonconverged else None,
     )

@@ -4,14 +4,17 @@ A dataset is a directory holding one ``manifest.json`` plus one raw
 ``<id>.f32`` blob per sequence: row-major frames, little-endian IEEE-754
 binary32, exactly ``T * d * 4`` bytes, no header. Embeddings are float64
 in memory and float32 on disk; writers require frames to sit exactly on
-the float32 grid (generators quantize on output) so a write/read round
-trip is bit-exact. A sequence that ``read_dataset`` returns keeps its
-blob's float32 bytes and decodes its float64 frames on first use, so a
+the float32 grid so a write/read round trip is bit-exact. A sequence
+that ``read_dataset`` or a generator (``seqmatch.synthgen``) returns
+holds float32 bytes and decodes its float64 frames on first use: a
 caller that needs only labels, frame counts and content hashes (``eval``)
-never decodes a frame. numpy is imported only by the code that builds,
-decodes or writes frames (``EmbeddingSequence``'s constructor and first
-decode, ``quantize_frames_f32``, ``write_dataset``): reading a dataset,
-checking its blobs and hashing it load no numpy.
+never decodes a frame, and ``write_dataset`` and ``dataset_content_hash``
+use the bytes as they are. numpy is imported only by the code that
+builds, decodes or converts float64 frames (``EmbeddingSequence``'s
+constructor and first decode, ``quantize_frames_f32``, and
+``write_dataset`` of a sequence that holds float64 frames): reading a
+dataset, checking its blobs, hashing it and writing byte-holding
+sequences load no numpy.
 
 ``SnippetDatabase`` is the one in-memory dataset type: robot sets, play
 banks and imagined demos alike. It carries its own declared task table
@@ -128,8 +131,8 @@ _EMBODIMENTS = {e.value: e for e in Embodiment}
 def quantize_frames_f32(frames: np.ndarray) -> np.ndarray:
     """Round float64 frames onto the float32 grid (returned as float64).
 
-    Generators call this before building sequences so that the float32
-    on-disk format loses nothing.
+    Call this before building a sequence from float64 frames, so that the
+    float32 on-disk format loses nothing.
     """
     import numpy as np
 
@@ -141,13 +144,14 @@ class EmbeddingSequence:
     """A T x d matrix of frame embeddings: float64, finite, immutable.
 
     ``EmbeddingSequence(frames)`` copies ``frames`` into a read-only,
-    C-contiguous float64 array. ``read_dataset`` instead builds each
-    sequence around its blob's float32 bytes, already checked finite: the
-    float64 ``frames`` are decoded on first access and cached, and the
-    bytes are then dropped. ``n_frames``, ``dim`` and
-    ``dataset_content_hash`` read the shape and bytes, so they decode
-    nothing. Threads that race on the first access may each decode, but
-    every one of them gets the one cached array.
+    C-contiguous float64 array. ``read_dataset`` and the generators instead
+    build each sequence around float32 bytes already checked finite (a
+    blob's, or the generated frames'): the float64 ``frames`` are decoded
+    on first access and cached, and the bytes are then dropped.
+    ``n_frames``, ``dim``, ``write_dataset`` and ``dataset_content_hash``
+    read the shape and bytes, so they decode nothing. Threads that race on
+    the first access may each decode, but every one of them gets the one
+    cached array.
     """
 
     frames: np.ndarray
@@ -417,25 +421,30 @@ def canonical_json(doc) -> str:
 def write_dataset(database: SnippetDatabase, path: str | Path) -> None:
     """Write a dataset directory (manifest + one .f32 blob per sequence).
 
-    The manifest records the database's own task table and provenance.
-    All validation happens before the first byte is written. Existing files
-    are overwritten in place (``write_file``); nothing is atomic or fsynced.
+    The manifest records the database's own task table and provenance. A
+    sequence that holds float32 bytes is written from them as they are; one
+    that holds float64 frames must sit on the float32 grid, else
+    ``BlobError``. All validation happens before the first byte is written.
+    Existing files are overwritten in place (``write_file``); nothing is
+    atomic or fsynced.
     """
     if not database.snippets:
         raise DatasetError("refusing to write an empty dataset")
-    import numpy as np
-
     blobs: list[tuple[str, bytes]] = []
     records = []
     for s in database.snippets:
-        raw = s.sequence.frames
-        data = raw.astype("<f4").tobytes(order="C")
-        if np.frombuffer(data, dtype="<f4").astype(np.float64).reshape(raw.shape).tobytes() != raw.tobytes():
-            raise BlobError(
-                "frames are not exactly representable in float32; "
-                "quantize with quantize_frames_f32 before writing",
-                sequence_id=s.seq_id,
-            )
+        data = s.sequence.__dict__.get("_f32")
+        if data is None:
+            import numpy as np
+
+            raw = s.sequence.frames
+            data = raw.astype("<f4").tobytes(order="C")
+            if np.frombuffer(data, dtype="<f4").astype(np.float64).reshape(raw.shape).tobytes() != raw.tobytes():
+                raise BlobError(
+                    "frames are not exactly representable in float32; "
+                    "quantize with quantize_frames_f32 before writing",
+                    sequence_id=s.seq_id,
+                )
         blob_name = f"{s.seq_id}.f32"
         blobs.append((blob_name, data))
         records.append(
@@ -729,11 +738,11 @@ def dataset_content_hash(database: SnippetDatabase) -> str:
     Provenance is excluded so regenerated datasets with identical content
     hash identically. Each sequence contributes the bytes of
     ``json.dumps({"id", "embodiment", "labels"}, sort_keys=True)`` and then
-    its float32 frames (a read sequence's own bytes, undecoded); the JSON
-    is assembled from one rendering per distinct label, and ids match
-    ``_ID_RE``, so they need no escaping. The digest is cached on the
-    immutable database, so a command that hashes one input from several
-    places computes it once.
+    its float32 frames (a read or generated sequence's own bytes,
+    undecoded); the JSON is assembled from one rendering per distinct
+    label, and ids match ``_ID_RE``, so they need no escaping. The digest
+    is cached on the immutable database, so a command that hashes one input
+    from several places computes it once.
     """
     digest = database.__dict__.get("_content_hash")
     if digest is not None:

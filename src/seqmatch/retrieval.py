@@ -255,18 +255,20 @@ def build_paired_dataset(
     Each entry keeps both the robot embeddings and the imagined demo so
     downstream consumers can condition on either side of the pairing.
     Provenance hashes both databases as given, so the robot hash is the
-    one ``gen`` and ``eval`` record for the same dataset.
+    one ``gen`` and ``eval`` record for the same dataset. Both are hashed
+    before the scan decodes their frames, so a read dataset is hashed from
+    its own float32 bytes.
     """
     if not robot_db.snippets:
         raise RetrievalError("robot set is empty")
-    robots = robot_db.snippets
-    demos, solver = _imagine_demos([ls.sequence for ls in robots], [ls.seq_id for ls in robots], db, cfg, full_grid)
-    entries = [PairedEntry(robot=ls, demo=demo) for ls, demo in zip(robots, demos)]
     provenance = {
         "retrieval": cfg.describe(),
         "robot_hash": dataset_content_hash(robot_db),
         "play_hash": dataset_content_hash(db),
     }
+    robots = robot_db.snippets
+    demos, solver = _imagine_demos([ls.sequence for ls in robots], [ls.seq_id for ls in robots], db, cfg, full_grid)
+    entries = [PairedEntry(robot=ls, demo=demo) for ls, demo in zip(robots, demos)]
     if extra_provenance:
         provenance.update(extra_provenance)
     return PairedDataset(entries=tuple(entries), provenance=provenance, solver=solver)

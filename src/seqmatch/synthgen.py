@@ -14,10 +14,21 @@ and merged two-task clips:
 - hard:   medium + merged clips for designated task pairs, whose frames
           sit on the normalized sum of both anchors and carry both labels
 
-Every frame is unit-normalized and float32-quantized, so datasets write
-losslessly and all generation is a pure function of (config, seed).
-``gen_benchmark`` returns both sides as ``SnippetDatabase``s that declare
-the same task table, the one ``gen`` writes to disk.
+Every frame is unit-normalized and cast to float32, and each sequence
+keeps its float32 bytes (decoding float64 frames on first use), so
+datasets are written and hashed from those bytes and all generation is a
+pure function of (config, seed). ``gen_benchmark`` returns both sides as
+``SnippetDatabase``s that declare the same task table, the one ``gen``
+writes to disk.
+
+``gen_benchmark`` draws each robot trajectory's task sequence and then its
+noise block, trajectory by trajectory, into one array per chunk of
+trajectories (at most ``_CHUNK_FRAMES`` frames), and turns the chunk into
+frames at once: noise scaled and anchors added in place, one norm, one
+cast and one finiteness check. A chunk's bytes are those of generating its
+trajectories one at a time, which is what ``gen_robot_trajectory`` does,
+so the chunk size changes no output byte and only bounds the float64
+working memory.
 """
 
 from __future__ import annotations
@@ -25,6 +36,7 @@ from __future__ import annotations
 import math
 from dataclasses import asdict, dataclass
 from enum import Enum
+from itertools import chain
 
 import numpy as np
 
@@ -37,11 +49,13 @@ from .data import (
     check_finite,
     check_int,
     is_finite_real,
-    quantize_frames_f32,
 )
 
 _ROBOT_STREAM = 1
 _DEMO_STREAM = 2
+# Frames that ``gen_benchmark`` generates as one float64 array: the bound on
+# its working memory beyond the float32 bytes that the sequences keep.
+_CHUNK_FRAMES = 4096
 
 
 class MismatchLevel(str, Enum):
@@ -171,10 +185,12 @@ def gen_anchors(cfg: GenConfig) -> TaskAnchors:
 
 
 def _unit_rows(frames: np.ndarray) -> np.ndarray:
+    """``frames`` with every row divided by its norm, in place."""
     norms = np.linalg.norm(frames, axis=1, keepdims=True)
     if (norms == 0.0).any():
         raise ValueError("degenerate zero-norm frame during generation")
-    return frames / norms
+    frames /= norms
+    return frames
 
 
 def _rotation_plane(rng: np.random.Generator, dim: int) -> tuple[np.ndarray, np.ndarray]:
@@ -197,6 +213,85 @@ def _rotate(frames: np.ndarray, u: np.ndarray, v: np.ndarray, angle_deg: float) 
     )
 
 
+def _f32_frames(frames: np.ndarray) -> np.ndarray:
+    """``frames`` cast once to little-endian float32, checked finite as
+    ``EmbeddingSequence`` checks them."""
+    f32 = frames.astype("<f4")
+    if not np.isfinite(f32).all():
+        raise ValueError("frames contain NaN or Inf")
+    return f32
+
+
+def _robot_trajectories(
+    trajectories, anchors: TaskAnchors, cfg: GenConfig, rng: np.random.Generator
+) -> list[LabeledSequence]:
+    """Robot trajectories from ``(seq_id, task_seq)`` pairs, generated a chunk at a time.
+
+    ``trajectories`` may be lazy: each trajectory's noise block is drawn
+    from ``rng`` as soon as its pair is taken and its task ids checked, so
+    the draws are those of a loop that makes one trajectory at a time. A
+    block is drawn with ``standard_normal`` straight into the chunk's array
+    and scaled with the rest of the chunk: the values ``rng.normal(0.0,
+    noise_sigma)`` would return, since it computes ``0.0 + noise_sigma * z``
+    from the same ``z``. A chunk holds at most ``_CHUNK_FRAMES`` frames (or
+    one longer trajectory) and is turned into sequences by ``_robot_chunk``.
+    Equal task sequences share one labels tuple.
+    """
+    frame_labels = [FrameLabel((t,)) for t in range(anchors.n_tasks)]
+    labels_of: dict[tuple[int, ...], tuple[FrameLabel, ...]] = {}
+    robot_set, chunk, n_frames = [], [], 0
+    noise = np.empty((0, anchors.dim))
+    for seq_id, task_seq in trajectories:
+        task_seq = tuple(task_seq)
+        if not task_seq:
+            raise ValueError("empty task sequence: a robot trajectory needs at least one task")
+        for t in task_seq:
+            check_int("task id", t, 0)
+            if t >= anchors.n_tasks:
+                raise ValueError(f"invalid task id {t} (n_tasks={anchors.n_tasks})")
+        labels = labels_of.get(task_seq)
+        if labels is None:
+            runs = ([frame_labels[t]] * cfg.frames_per_task for t in task_seq)
+            labels = labels_of[task_seq] = tuple(chain.from_iterable(runs))
+        end = n_frames + len(labels)
+        if end > len(noise):
+            if chunk:
+                robot_set += _robot_chunk(chunk, noise[:n_frames], anchors, cfg)
+            chunk, n_frames, end = [], 0, len(labels)
+            if end > len(noise):
+                noise = np.empty((max(end, _CHUNK_FRAMES), anchors.dim))
+        rng.standard_normal(out=noise[n_frames:end])
+        chunk.append((seq_id, task_seq, labels))
+        n_frames = end
+    return robot_set + _robot_chunk(chunk, noise[:n_frames], anchors, cfg)
+
+
+def _robot_chunk(
+    chunk: list, frames: np.ndarray, anchors: TaskAnchors, cfg: GenConfig
+) -> list[LabeledSequence]:
+    """The sequences of ``(seq_id, task_seq, labels)`` triples over their
+    standard-normal draws ``frames``: every frame scaled, moved to its anchor,
+    normalized, cast to float32 and checked in one pass over the chunk, all
+    in place but the cast, and each sequence built from its own float32 bytes."""
+    frames *= cfg.noise_sigma
+    frames += anchors.vectors[np.repeat([t for _, task_seq, _ in chunk for t in task_seq], cfg.frames_per_task)]
+    f32 = _f32_frames(_unit_rows(frames))
+    robot_set, start = [], 0
+    for seq_id, task_seq, labels in chunk:
+        end = start + len(labels)
+        robot_set.append(
+            LabeledSequence(
+                seq_id=seq_id,
+                sequence=EmbeddingSequence._from_f32(f32[start:end].tobytes(), (len(labels), anchors.dim)),
+                labels=labels,
+                embodiment=Embodiment.ROBOT,
+                seed_record={"tasks": list(task_seq)},
+            )
+        )
+        start = end
+    return robot_set
+
+
 def gen_robot_trajectory(
     task_seq,
     anchors: TaskAnchors,
@@ -205,25 +300,7 @@ def gen_robot_trajectory(
     seq_id: str = "robot-000",
 ) -> LabeledSequence:
     """One long-horizon robot trajectory: unit frames near each task anchor in turn."""
-    task_seq = tuple(task_seq)
-    if not task_seq:
-        raise ValueError("empty task sequence: a robot trajectory needs at least one task")
-    labels: list[FrameLabel] = []
-    for t in task_seq:
-        check_int("task id", t, 0)
-        if t >= anchors.n_tasks:
-            raise ValueError(f"invalid task id {t} (n_tasks={anchors.n_tasks})")
-        labels.extend([FrameLabel((t,))] * cfg.frames_per_task)
-    tasks = np.repeat(task_seq, cfg.frames_per_task)
-    noise = rng.normal(0.0, cfg.noise_sigma, size=(tasks.size, anchors.dim))
-    frames = quantize_frames_f32(_unit_rows(anchors.vectors[tasks] + noise))
-    return LabeledSequence(
-        seq_id=seq_id,
-        sequence=EmbeddingSequence(frames),
-        labels=tuple(labels),
-        embodiment=Embodiment.ROBOT,
-        seed_record={"tasks": list(task_seq)},
-    )
+    return _robot_trajectories([(seq_id, task_seq)], anchors, cfg, rng)[0]
 
 
 def _snippet_length(base: int, speed: float) -> int:
@@ -253,12 +330,12 @@ def gen_demo_snippets(
     u, v = _rotation_plane(rng, anchors.dim)
     styled = spec.level is not MismatchLevel.EASY
 
-    def render(center: np.ndarray, length: int) -> np.ndarray:
+    def render(center: np.ndarray, length: int) -> EmbeddingSequence:
         noise = rng.normal(0.0, spec.noise_sigma, size=(length, anchors.dim))
         frames = _unit_rows(center + offset + noise)
         if styled:
             frames = _rotate(frames, u, v, spec.rotation_angle_deg)
-        return quantize_frames_f32(frames)
+        return EmbeddingSequence._from_f32(_f32_frames(frames).tobytes(), frames.shape)
 
     # Clip kinds: (tasks, center, speed, id stem, seed record). Single-task
     # kinds come first, so the clips draw their noise in that order.
@@ -275,7 +352,7 @@ def gen_demo_snippets(
             snippets.append(
                 LabeledSequence(
                     seq_id=f"demo-{stem}-s{s:02d}",
-                    sequence=EmbeddingSequence(render(center, length)),
+                    sequence=render(center, length),
                     labels=labels,
                     embodiment=Embodiment.DEMONSTRATOR,
                     seed_record={**record, "index": s},
@@ -330,11 +407,9 @@ def gen_benchmark(
     anchors = gen_anchors(cfg)
     spec = MismatchSpec.for_level(level, cfg.n_tasks, seed=cfg.seed, noise_sigma=cfg.noise_sigma)
     robot_rng = np.random.default_rng([cfg.seed, _ROBOT_STREAM])
-    robot_set = []
-    for i in range(cfg.n_trajectories):
-        task_seq = _sample_task_sequence(robot_rng, cfg, spec)
-        robot_set.append(
-            gen_robot_trajectory(task_seq, anchors, cfg, robot_rng, seq_id=f"robot-{i:03d}")
-        )
+    trajectories = (
+        (f"robot-{i:03d}", _sample_task_sequence(robot_rng, cfg, spec)) for i in range(cfg.n_trajectories)
+    )
+    robot_set = _robot_trajectories(trajectories, anchors, cfg, robot_rng)
     play_db = gen_demo_snippets(anchors, spec, cfg)
     return SnippetDatabase(tuple(robot_set), play_db.task_names, play_db.provenance), play_db

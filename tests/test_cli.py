@@ -942,6 +942,19 @@ class TestPipelineReproducibility:
                 for key in close:
                     assert abs(g[key] - w[key]) <= 1e-15, (w_entry["robot_id"], g["start"], key)
 
+    def test_portable_kernels_keep_gen_bytes(self, tmp_path):
+        """``gen`` of several generation chunks writes the same bytes under numpy's
+        baseline kernels and OpenBLAS's Prescott kernels as under this host's defaults."""
+        reason = portable_kernels_unavailable()
+        if reason:
+            pytest.skip(reason)
+        gen = ("gen", "--level", "hard", "--seed", "3", "--trajectories", "300")
+        run_cli(tmp_path, *gen, "--out", "native")
+        run_cli(tmp_path, *gen, "--out", "portable", **PORTABLE_KERNELS)
+        native = tree_digest(tmp_path / "native")
+        assert sum(name.startswith("robot/robot-") for name in native) == 300
+        assert tree_digest(tmp_path / "portable") == native
+
 
 class TestRewrite:
     """Every output file is rewritten in place, through one writer."""

@@ -39,6 +39,7 @@ from seqmatch.data import (
     _parse_label_entries,
     _parse_labels,
 )
+from seqmatch.synthgen import GenConfig, gen_benchmark
 
 
 def make_sequence(seq_id, frames, tasks=None, embodiment=Embodiment.DEMONSTRATOR, seed_record=None):
@@ -469,6 +470,40 @@ class TestDecodeOnFirstUse:
         assert is_decoded(seq) and seq.frames is not frames
         assert [f.name for f in dataclasses.fields(seq)] == ["frames"]
         assert repr(seq) == "EmbeddingSequence(T=2, d=2)"
+
+
+class TestWriteFromBytes:
+    """A sequence that holds float32 bytes, generated or read, is written and
+    hashed from them, without a decode."""
+
+    def test_generated_sets_are_written_and_hashed_undecoded(self, tmp_path):
+        for name, db in zip(("robot", "play"), gen_benchmark("hard", GenConfig(n_trajectories=5, seed=1))):
+            write_dataset(db, tmp_path / name)
+            digest = dataset_content_hash(db)
+            assert not any(is_decoded(s.sequence) for s in db)
+            back = read_dataset(tmp_path / name)
+            assert [s.sequence._f32_bytes() for s in back] == [s.sequence._f32_bytes() for s in db]
+            assert [(tmp_path / name / f"{s.seq_id}.f32").read_bytes() for s in db] == [
+                s.sequence._f32_bytes() for s in db
+            ]
+            assert dataset_content_hash(back) == digest
+            assert back == db
+
+    def test_float64_sequence_off_the_grid_still_raises(self, tmp_path):
+        robot_db, _ = gen_benchmark("easy", GenConfig(n_trajectories=2, seed=0))
+        first = robot_db.snippets[0]
+        off = LabeledSequence(
+            seq_id="off-grid",
+            sequence=EmbeddingSequence(np.full((first.n_frames, first.dim), np.pi)),
+            labels=first.labels,
+            embodiment=Embodiment.ROBOT,
+        )
+        target = tmp_path / "ds"
+        with pytest.raises(BlobError, match="float32") as exc:
+            write_dataset(SnippetDatabase((*robot_db.snippets, off), robot_db.task_names), target)
+        assert exc.value.sequence_id == "off-grid"
+        assert not target.exists()
+        assert not any(is_decoded(s.sequence) for s in robot_db)
 
 
 class TestFiniteBytes:

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from seqmatch import data, pairing
+from seqmatch import data, pairing, retrieval
 from seqmatch.data import (
     Embodiment,
     EmbeddingSequence,
@@ -469,6 +469,20 @@ class TestBuildPairedDataset:
         robot_set, db = gen_benchmark("easy", GenConfig(n_trajectories=2, seed=2))
         paired = build_paired_dataset(robot_set, db, ot_config(segment_len=8))
         assert set(paired.provenance) >= {"retrieval", "robot_hash", "play_hash"}
+
+    def test_inputs_are_hashed_from_their_bytes_before_the_scan(self, monkeypatch):
+        robot_set, db = gen_benchmark("hard", GenConfig(n_trajectories=3, seed=2))
+        decoded_at_hash = []
+
+        def spy(database):
+            decoded_at_hash.append(any("frames" in vars(s.sequence) for s in database))
+            return data.dataset_content_hash(database)
+
+        monkeypatch.setattr(retrieval, "dataset_content_hash", spy)
+        paired = build_paired_dataset(robot_set, db, ot_config(segment_count=2))
+        assert decoded_at_hash == [False, False]
+        assert paired.provenance["robot_hash"] == data.dataset_content_hash(robot_set)
+        assert paired.provenance["play_hash"] == data.dataset_content_hash(db)
 
     @pytest.mark.parametrize(
         "distance, segmentation, pruned, nonconverged",

@@ -3,10 +3,13 @@ import re
 import numpy as np
 import pytest
 
-from seqmatch.data import Embodiment, dataset_content_hash
+from seqmatch.data import Embodiment, SnippetDatabase, dataset_content_hash
 from seqmatch.synthgen import (
+    _CHUNK_FRAMES,
+    _ROBOT_STREAM,
     GenConfig,
     MismatchSpec,
+    _sample_task_sequence,
     gen_anchors,
     gen_benchmark,
     gen_demo_snippets,
@@ -135,15 +138,16 @@ class TestRobotTrajectory:
         with pytest.raises(ValueError, match="^empty task sequence"):
             gen_robot_trajectory([], gen_anchors(cfg), cfg, robot_rng(cfg))
 
-    def test_frames_follow_one_noise_block_per_task_in_order(self):
-        # the noise stream is the one drawn block by block, task by task
-        cfg = small_cfg(n_tasks=3, dim=6, frames_per_task=4, noise_sigma=0.3, seed=2)
+    @pytest.mark.parametrize("noise_sigma", [0.3, 0.0, 2.5])
+    def test_frames_follow_one_noise_block_per_task_in_order(self, noise_sigma):
+        # the noise stream is the one drawn block by block, task by task, with rng.normal
+        cfg = small_cfg(n_tasks=3, dim=6, frames_per_task=4, noise_sigma=noise_sigma, seed=2)
         anchors = gen_anchors(cfg)
         traj = gen_robot_trajectory([2, 0, 2], anchors, cfg, robot_rng(cfg))
         rng = robot_rng(cfg)
-        blocks = [anchors.vectors[t] + rng.normal(0.0, 0.3, size=(4, 6)) for t in (2, 0, 2)]
+        blocks = [anchors.vectors[t] + rng.normal(0.0, noise_sigma, size=(4, 6)) for t in (2, 0, 2)]
         want = np.vstack([b / np.linalg.norm(b, axis=1, keepdims=True) for b in blocks])
-        np.testing.assert_array_equal(traj.sequence.frames, want.astype(np.float32).astype(np.float64))
+        assert traj.sequence._f32_bytes() == want.astype("<f4").tobytes()
 
     def test_frames_are_float32_clean_and_unit(self):
         cfg = small_cfg(n_tasks=3, dim=8, seed=1)
@@ -316,3 +320,56 @@ class TestBenchmark:
         _, db = gen_benchmark("medium", cfg)
         assert db.provenance["generator"]["seed"] == 6
         assert db.provenance["mismatch"]["level"] == "medium"
+
+
+FRAMES_PER_TRAJECTORY = GenConfig().tasks_per_trajectory * GenConfig().frames_per_task
+# ``dataset_content_hash`` of the robot and play sets, recorded from the
+# trajectory-at-a-time generator that chunked generation replaced.
+GOLDEN_HASHES = {
+    ("easy", 0, 20): (
+        "223d8a9c2d793f08d080676e62649a6013d80928d3b840ee5a97dd5747429227",
+        "301f01c7638be8a6d09b9e454be835801cbb441b8db5f71353ff201cc45b6acc",
+    ),
+    ("hard", 3, 20): (
+        "173bde4af553879040c8c309a35346ac7997374f69e8f39d6fb5a331ea10acc1",
+        "c11a20315406814ae7c2e43aa67aaeb8c3baeb560d3b8cb54c5a84e9e8b88bf0",
+    ),
+    ("hard", 3, 300): (
+        "5c2482fd20ec956f72002df10ba831a1d5a477b69a858ec5ac3fd19c931b7e0d",
+        "c11a20315406814ae7c2e43aa67aaeb8c3baeb560d3b8cb54c5a84e9e8b88bf0",
+    ),
+}
+
+
+class TestChunkedGeneration:
+    """``gen_benchmark`` generates its robot set a chunk of trajectories at a time."""
+
+    @pytest.mark.parametrize("level", ["easy", "medium", "hard"])
+    def test_robot_set_equals_one_trajectory_at_a_time(self, level):
+        per_chunk = _CHUNK_FRAMES // FRAMES_PER_TRAJECTORY
+        cfg = GenConfig(n_trajectories=per_chunk + 1, seed=5)
+        robot_db, _ = gen_benchmark(level, cfg)
+        anchors = gen_anchors(cfg)
+        spec = MismatchSpec.for_level(level, cfg.n_tasks, seed=cfg.seed, noise_sigma=cfg.noise_sigma)
+        rng = np.random.default_rng([cfg.seed, _ROBOT_STREAM])
+        want = [
+            gen_robot_trajectory(_sample_task_sequence(rng, cfg, spec), anchors, cfg, rng, seq_id=f"robot-{i:03d}")
+            for i in range(cfg.n_trajectories)
+        ]
+        want_db = SnippetDatabase(tuple(want), robot_db.task_names, robot_db.provenance)
+        assert dataset_content_hash(robot_db) == dataset_content_hash(want_db)
+        assert len(robot_db) == len(want) == per_chunk + 1
+        for got, ref in zip(robot_db, want):
+            assert got.seq_id == ref.seq_id
+            assert got.sequence.frames.tobytes() == ref.sequence.frames.tobytes()
+            assert got.labels == ref.labels
+            assert got.seed_record == ref.seed_record
+
+    @pytest.mark.parametrize("level, seed, n_trajectories", sorted(GOLDEN_HASHES))
+    def test_hashes_are_the_recorded_ones(self, level, seed, n_trajectories):
+        robot_db, play_db = gen_benchmark(level, GenConfig(n_trajectories=n_trajectories, seed=seed))
+        got = (dataset_content_hash(robot_db), dataset_content_hash(play_db))
+        assert got == GOLDEN_HASHES[level, seed, n_trajectories]
+
+    def test_golden_sizes_cross_a_chunk_boundary(self):
+        assert max(n for _, _, n in GOLDEN_HASHES) * FRAMES_PER_TRAJECTORY > 2 * _CHUNK_FRAMES
