@@ -79,9 +79,9 @@ Exit codes: 0 success, 2 usage/config error, 3 data error, 4 numerical
 failure (OT non-convergence under --strict: ``imagine`` and ``ablate`` then
 solve every pair, as ``dist`` does, and write the same bytes but for
 ``run_manifest.json``, whose ``solver`` block, one per K' for ``ablate``,
-counts the pairs, solved and non-converged). Set SEQMATCH_LOG=debug for
-verbose logging; while it is unset, no command but ``ablate`` imports
-``logging`` (8-12 ms of start-up).
+counts the pairs, solved and non-converged). SEQMATCH_LOG=info makes
+``ablate`` log one ``kprime=`` line per K', the only log call; while it
+is unset, no command but ``ablate`` imports ``logging`` (8-12 ms).
 """
 
 from __future__ import annotations
@@ -327,7 +327,7 @@ def _cmd_imagine(args, cfg: RetrievalConfig) -> RunOutput:
             *_report_files(report),
         ],
         config=cfg.describe(),
-        input_hashes={"robot": paired.provenance["robot_hash"], "play": paired.provenance["play_hash"]},
+        input_hashes=_input_hashes(robot_db, play_db),
         summary=(
             f"imagined {len(paired)} demos; recall={report.task_recall:.4f} "
             f"imprecision={report.task_imprecision:.4f} top1={report.top1_accuracy:.4f}"
@@ -378,8 +378,6 @@ def _cmd_ablate(args, configs: list[RetrievalConfig]) -> RunOutput:
     for cfg in configs:
         kprime = cfg.segment_count
         paired = build_paired_dataset(robot_db, play_db, cfg, full_grid=args.strict)
-        if not rows:  # build_paired_dataset has hashed both inputs
-            provenance = paired.provenance
         solver.append(paired.solver)
         report = evaluate(paired, play_db)
         rows.append(
@@ -401,7 +399,7 @@ def _cmd_ablate(args, configs: list[RetrievalConfig]) -> RunOutput:
     return RunOutput(
         files=[("ablation.csv", csv_rows), ("ablation.json", {"rows": rows})],
         config=[cfg.describe() for cfg in configs],
-        input_hashes={"robot": provenance["robot_hash"], "play": provenance["play_hash"]},
+        input_hashes=_input_hashes(robot_db, play_db),
         summary="\n".join(
             f"kprime={row['kprime']}: recall={row['recall']:.4f} "
             f"imprecision={row['imprecision']:.4f} top1={row['top1_accuracy']:.4f}"

@@ -433,20 +433,15 @@ def write_dataset(database: SnippetDatabase, path: str | Path) -> None:
     blobs: list[tuple[str, bytes]] = []
     records = []
     for s in database.snippets:
-        data = s.sequence.__dict__.get("_f32")
-        if data is None:
-            import numpy as np
-
-            raw = s.sequence.frames
-            data = raw.astype("<f4").tobytes(order="C")
-            if np.frombuffer(data, dtype="<f4").astype(np.float64).reshape(raw.shape).tobytes() != raw.tobytes():
-                raise BlobError(
-                    "frames are not exactly representable in float32; "
-                    "quantize with quantize_frames_f32 before writing",
-                    sequence_id=s.seq_id,
-                )
+        seq = s.sequence
+        if "_f32" not in seq.__dict__ and quantize_frames_f32(seq.frames).tobytes() != seq.frames.tobytes():
+            raise BlobError(
+                "frames are not exactly representable in float32; "
+                "quantize with quantize_frames_f32 before writing",
+                sequence_id=s.seq_id,
+            )
         blob_name = f"{s.seq_id}.f32"
-        blobs.append((blob_name, data))
+        blobs.append((blob_name, seq._f32_bytes()))
         records.append(
             {
                 "id": s.seq_id,

@@ -52,15 +52,7 @@ class SegmentRecord:
     converged: bool
 
     def to_json_dict(self) -> dict:
-        return {
-            "start": self.start,
-            "end": self.end,
-            "snippet_index": self.snippet_index,
-            "snippet_id": self.snippet_id,
-            "distance": self.distance,
-            "margin": self.margin,
-            "converged": self.converged,
-        }
+        return dict(vars(self))
 
     @classmethod
     def from_json_dict(cls, doc: dict) -> "SegmentRecord":
@@ -148,15 +140,7 @@ class TrajectoryEval:
     retrieved_tasks: tuple[int, ...]
 
     def to_json_dict(self) -> dict:
-        return {
-            "robot_id": self.robot_id,
-            "recall": self.recall,
-            "imprecision": self.imprecision,
-            "n_segments": self.n_segments,
-            "top1_hits": self.top1_hits,
-            "robot_tasks": list(self.robot_tasks),
-            "retrieved_tasks": list(self.retrieved_tasks),
-        }
+        return dict(vars(self))  # json writes the task tuples as arrays
 
 
 @dataclass(frozen=True)
@@ -167,7 +151,7 @@ class EvalReport:
     task_imprecision: float
     top1_accuracy: float
     per_trajectory: tuple[TrajectoryEval, ...]
-    note: str = METRICS_NOTE
+    note = METRICS_NOTE  # a class constant, not a field: every report carries it
 
     def __post_init__(self):
         for name in ("task_recall", "task_imprecision", "top1_accuracy"):

@@ -311,7 +311,6 @@ def gen_demo_snippets(
     anchors: TaskAnchors,
     spec: MismatchSpec,
     cfg: GenConfig,
-    rng: np.random.Generator | None = None,
 ) -> SnippetDatabase:
     """The demonstrator play bank for one mismatch-ladder rung.
 
@@ -322,8 +321,7 @@ def gen_demo_snippets(
     for pair in spec.merge_pairs:
         if max(pair) >= anchors.n_tasks:
             raise ValueError(f"merge pair {pair} references invalid tasks")
-    if rng is None:
-        rng = np.random.default_rng([spec.seed, _DEMO_STREAM])
+    rng = np.random.default_rng([spec.seed, _DEMO_STREAM])
     offset_dir = rng.standard_normal(anchors.dim)
     offset_dir /= np.linalg.norm(offset_dir)
     offset = spec.offset_magnitude * offset_dir

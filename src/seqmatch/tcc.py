@@ -125,16 +125,20 @@ def tcc_scan(
     symmetric: bool = False,
 ) -> np.ndarray:
     """Entry (i, j) is ``tcc_distance(queries[i], bank[j], cfg)`` bit for bit, or
-    ``tcc_distance_symmetric`` when ``symmetric``. Each stack holds one query:
+    ``tcc_distance_symmetric`` when ``symmetric``. The bank is stacked once per
+    query length, and each query of that length runs alone against each stack:
     stacking queries, as transport does, measured slower here."""
     cfg = cfg or TccConfig()
     As, frames = scan_frames(queries, bank)
     out = np.empty((len(As), len(frames)))
     row = np.ones((1, len(frames)), bool)
-    for i, query in enumerate(As):
-        for _, cols, A, stack in pair_stacks([query], frames, row):
-            d = _cycle(A, stack, cfg)[4].sum(axis=-1)
-            if symmetric:
-                d = 0.5 * (d + _cycle(stack, A, cfg)[4].sum(axis=-1))
-            out[i, cols] = d
+    lengths = [len(A) for A in As]
+    for m in sorted(set(lengths)):
+        rows = [i for i, n in enumerate(lengths) if n == m]
+        for _, cols, _, stack in pair_stacks([As[rows[0]]], frames, row):
+            for i in rows:
+                d = _cycle(As[i], stack, cfg)[4].sum(axis=-1)
+                if symmetric:
+                    d = 0.5 * (d + _cycle(stack, As[i], cfg)[4].sum(axis=-1))
+                out[i, cols] = d
     return out

@@ -464,6 +464,15 @@ class TestDecodeOnFirstUse:
         write_dataset(read_dataset(ds), tmp_path / "again")
         assert tree_digest(tmp_path / "again") == tree_digest(ds)
 
+    def test_write_of_decoded_dataset_round_trips(self, written, tmp_path):
+        _, ds = written
+        back = read_dataset(ds)
+        for s in back:
+            s.sequence.frames
+        assert all(is_decoded(s.sequence) and "_f32" not in vars(s.sequence) for s in back)
+        write_dataset(back, tmp_path / "again")
+        assert tree_digest(tmp_path / "again") == tree_digest(ds)
+
     def test_in_memory_sequences_stay_eager(self):
         frames = np.array([[1.0, 2.0], [3.0, 4.0]])
         seq = EmbeddingSequence(frames=frames)

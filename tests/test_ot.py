@@ -67,6 +67,10 @@ class TestCostMatrix:
         with pytest.raises(ValueError, match="zero-norm"):
             cost_matrix(EmbeddingSequence([[0.0, 0.0]]), EmbeddingSequence([[1.0, 0.0]]))
 
+    def test_unknown_metric_rejected(self, rng):
+        with pytest.raises(ValueError, match=r"^unknown metric 'bogus'$"):
+            cost_matrix(rng.normal(size=(2, 3)), rng.normal(size=(3, 3)), "bogus")
+
     @pytest.mark.parametrize("shape", [(0, 2), (2, 0), (0, 0)])
     def test_empty_frame_matrix_rejected(self, shape):
         message = rf"^expected a T x d matrix with T, d >= 1, got shape \({shape[0]}, {shape[1]}\)$"
@@ -519,6 +523,18 @@ class TestPairStacks:
         assert stack_multiset(got) == stack_multiset(per_pair_stacks(queries, bank, todo))
         for rows, cols, A, B in got:
             assert len(rows) == 1 or len(rows) * A.shape[-2] * B.shape[-2] <= _SCAN_BATCH_CELLS
+
+
+class TestNonFiniteCosts:
+    # A raw-array bank passes no EmbeddingSequence check, so a NaN frame
+    # reaches the scans, and each one rejects the costs it gives.
+    @pytest.mark.parametrize("metric", [COSINE, SQEUCLIDEAN])
+    @pytest.mark.parametrize("scan", [sinkhorn_scan, transport_lower_bounds, sinkhorn_top2])
+    def test_nan_frame_in_raw_bank_rejected(self, rng, scan, metric):
+        bank = [rng.normal(size=(n, 4)) for n in (3, 5, 3)]
+        bank[1][2, 0] = np.nan
+        with pytest.raises(ValueError, match=r"^cost matrix contains NaN or Inf$"):
+            scan([rng.normal(size=(2, 4)), rng.normal(size=(5, 4))], bank, SinkhornConfig(), metric)
 
 
 def counting(calls, inner):

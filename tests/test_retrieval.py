@@ -16,7 +16,7 @@ from seqmatch.data import (
     quantize_frames_f32,
 )
 from seqmatch.ot import SQEUCLIDEAN, SinkhornConfig, cost_matrix, sinkhorn
-from seqmatch.pairing import _mean
+from seqmatch.pairing import METRICS_NOTE, EvalReport, TrajectoryEval, _mean
 from seqmatch.retrieval import (
     ImaginedDemo,
     OtSequenceDistance,
@@ -558,6 +558,11 @@ class TestEvaluate:
         assert report.top1_accuracy == 1.0
         assert "retrieval-level" in report.note
 
+    def test_note_is_a_constant_of_every_report(self):
+        with pytest.raises(TypeError, match="note"):
+            EvalReport(1.0, 0.0, 1.0, (), note="other")
+        assert EvalReport(1.0, 0.0, 1.0, ()).to_json_dict()["note"] == METRICS_NOTE
+
     def test_definition_arithmetic(self):
         # 4-task robot; retrieved demos cover tasks {0, 1} plus off-task 9
         anchors, _ = anchor_db()
@@ -757,6 +762,9 @@ class TestPairedJson:
         assert {key for e in doc["entries"] for s in e["segments"] for key in s} == {
             f.name for f in dataclasses.fields(SegmentRecord)
         }
+        trajectory = evaluate(paired, db).per_trajectory[0]
+        assert list(trajectory.to_json_dict()) == [f.name for f in dataclasses.fields(TrajectoryEval)]
+        assert [e.demo.segments for e in back.entries] == [e.demo.segments for e in paired.entries]
 
     def test_missing_robot_sequence_rejected(self):
         robot_set, db = gen_benchmark("easy", GenConfig(n_trajectories=2, seed=4))

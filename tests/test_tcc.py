@@ -5,8 +5,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from seqmatch import tcc
 from seqmatch.data import EmbeddingSequence
-from seqmatch.ot import _SCAN_BATCH_CELLS
+from seqmatch.ot import _SCAN_BATCH_CELLS, pair_stacks
 from seqmatch.tcc import (
     CycleTrace,
     TccConfig,
@@ -257,6 +258,19 @@ class TestTccScan:
         bank = [EmbeddingSequence(rng.normal(size=(5, 3))), rng.normal(size=(2, 3))]
         queries = [EmbeddingSequence(rng.normal(size=(4, 3))), rng.normal(size=(2, 3))]
         assert_scan_matches_per_pair(queries, bank, TccConfig())
+
+    def test_bank_stacked_once_per_query_length(self, rng, monkeypatch):
+        bank = [rng.normal(size=(n, 6)) for n in (4, 10, 16, 4, 7, 16, 10, 4)]
+        queries = [rng.normal(size=(m, 6)) for m in (12, 3, 12, 16, 3, 12)]
+        calls = []
+
+        def counted(query_side, frames, todo):
+            calls.append([len(q) for q in query_side])
+            return pair_stacks(query_side, frames, todo)
+
+        monkeypatch.setattr(tcc, "pair_stacks", counted)
+        assert_scan_matches_per_pair(queries, bank, TccConfig())
+        assert calls == [[3], [12], [16]] * 2  # the directed scan, then the symmetric one
 
     def test_empty_bank(self, rng):
         queries = [rng.normal(size=(3, 2)), rng.normal(size=(5, 2))]
