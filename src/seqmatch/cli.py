@@ -76,10 +76,10 @@ there can only come from the inputs (a robot set and bank of different
 dimension, a zero-norm frame under the cosine cost) and is a data error.
 
 Exit codes: 0 success, 2 usage/config error, 3 data error, 4 numerical
-failure (OT non-convergence under --strict: ``imagine`` and ``ablate`` then
-solve every pair, as ``dist`` does, and write the same bytes but for
-``run_manifest.json``, whose ``solver`` block, one per K' for ``ablate``,
-counts the pairs, solved and non-converged). SEQMATCH_LOG=info makes
+failure (OT non-convergence under --strict: of any pair for ``dist``, of
+any pair the pruned scan solved for ``imagine`` and ``ablate``, as their
+``run_manifest.json`` ``solver`` block counts, one per K' for ``ablate``;
+--strict changes no output). SEQMATCH_LOG=info makes
 ``ablate`` log one ``kprime=`` line per K', the only log call; while it
 is unset, no command but ``ablate`` imports ``logging`` (8-12 ms).
 """
@@ -289,16 +289,8 @@ def _cmd_dist(args, distance: SequenceDistance) -> RunOutput:
 def _cmd_imagine(args, cfg: RetrievalConfig) -> RunOutput:
     robot_db = _read_required(args.robot, "robot")
     play_db = _read_required(args.play, "play")
-    paired = build_paired_dataset(
-        robot_db,
-        play_db,
-        cfg,
-        extra_provenance={
-            "robot_dataset": str(args.robot),
-            "play_dataset": str(args.play),
-        },
-        full_grid=args.strict,
-    )
+    datasets = {"robot_dataset": str(args.robot), "play_dataset": str(args.play)}
+    paired = build_paired_dataset(robot_db, play_db, cfg, extra_provenance=datasets)
     imagined = [
         LabeledSequence(
             seq_id=f"{e.robot.seq_id}-imagined",
@@ -377,7 +369,7 @@ def _cmd_ablate(args, configs: list[RetrievalConfig]) -> RunOutput:
     rows, solver = [], []
     for cfg in configs:
         kprime = cfg.segment_count
-        paired = build_paired_dataset(robot_db, play_db, cfg, full_grid=args.strict)
+        paired = build_paired_dataset(robot_db, play_db, cfg)
         solver.append(paired.solver)
         report = evaluate(paired, play_db)
         rows.append(

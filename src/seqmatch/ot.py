@@ -2,9 +2,9 @@
 
 Frames of the two sequences carry uniform mass (1/T and 1/T'); the frame
 cost is cosine distance by default. The Sinkhorn solver is fully
-deterministic and reports non-convergence through a flag on the returned
-plan instead of raising: retrieval can still rank with a near-feasible
-plan, and callers that need hard guarantees check the flag.
+deterministic and flags non-convergence instead of raising: such a plan
+is its last iterate rounded onto the transport polytope (Altschuler, Weed
+and Rigollet, NeurIPS 2017, Algorithm 2), which retrieval can still rank.
 
 There is one solver, ``_sinkhorn_stack``: Sinkhorn scaling in the kernel
 domain (Cuturi, NeurIPS 2013), stabilised by absorbing large scalings
@@ -25,7 +25,7 @@ cost. ``sinkhorn_top2`` bounds every pair's cost from below
 (``transport_lower_bounds``, the relaxed Word Mover's bound of Kusner et
 al., ICML 2015, section 4, from one matrix product per query against
 chunks of the bank's frames, with per-snippet minima taken by
-``reduceat``) and solves the grid in at most three passes over a mask of
+``reduceat``) and solves the grid in at most two passes over a mask of
 the pairs still to solve: first each query's few lowest bounds, then
 every pair whose bound does not exceed its query's runner-up cost. All
 queries' pairs of a pass are stacked by shape together, so a pass costs
@@ -122,8 +122,8 @@ class CostMatrix:
 class TransportPlan:
     """A coupling with uniform marginals, its cost, and convergence info.
 
-    ``potentials`` holds the log-domain dual variables (f, g) the plan
-    was built from; they can warm-start another solve.
+    ``potentials`` holds the log-domain dual variables (f, g) of the plan's
+    iterate, before any rounding; they can warm-start another solve.
     """
 
     coupling: np.ndarray
@@ -221,6 +221,16 @@ def _logsumexp(x: np.ndarray, axis: int) -> np.ndarray:
     )
 
 
+def _round_to_polytope(P: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """ROUND (Altschuler et al. 2017, Algorithm 2) of plans P (k x m x n) onto marginals a, b: rows, then
+    columns, scaled down to at most them, plus ``er ec^T / |er|_1`` of the residuals clipped at 0."""
+    P = P * np.minimum(a / P.sum(axis=2), 1.0)[:, :, None]
+    P *= np.minimum(b / P.sum(axis=1), 1.0)[:, None, :]
+    er, ec = np.maximum(a - P.sum(axis=2), 0.0), np.maximum(b - P.sum(axis=1), 0.0)
+    scale = np.maximum(er.sum(axis=1), np.finfo(np.float64).tiny)
+    return P + (er / scale[:, None])[:, :, None] * ec[:, None, :]
+
+
 def _sinkhorn_stack(
     C: np.ndarray,
     cfg: SinkhornConfig,
@@ -234,8 +244,9 @@ def _sinkhorn_stack(
     [1e-100, 1e100] absorbs them into f, g by a log-domain iteration and
     restarts from a fresh kernel with u = v = 1. Each pair stops at its own
     first iterate within ``tol_marginal``, independently of the rest of the
-    stack. ``init`` holds stacked potentials (k x m, k x n). Returns
-    (P, f, g, iterations, converged), with f, g the potentials of P.
+    stack; one that does not within ``max_iters`` is rounded onto the polytope.
+    ``init`` holds stacked potentials (k x m, k x n). Returns (P, f, g,
+    iterations, converged), with f, g the potentials of the unrounded P.
     """
     k, m, n = C.shape
     eps, tol = cfg.epsilon, cfg.tol_marginal
@@ -283,6 +294,8 @@ def _sinkhorn_stack(
                 break
             keep = ~stop
             live, K, u, v, Kv = live[keep], K[keep], u[keep], v[keep], Kv[keep]
+        if not converged.all():
+            P_out[~converged] = _round_to_polytope(P_out[~converged], a, b)
     return P_out, f_out, g_out, iters, converged
 
 
@@ -306,7 +319,8 @@ def sinkhorn(
     """Entropy-regularized coupling under uniform marginals (1/T, 1/T').
 
     Never raises on slow convergence: the plan's ``converged`` flag is
-    False when the marginal tolerance was not met within ``max_iters``.
+    False when the marginal tolerance was not met within ``max_iters``,
+    and the coupling is then the last iterate rounded onto the polytope.
     ``init`` warm-starts the log-domain potentials (useful when sweeping
     epsilon ladders): finite vectors f of length m and g of length n.
     """
@@ -429,8 +443,8 @@ def transport_lower_bounds(
     ``mean_i min_j C_ij`` less ``tol_marginal * sum_i min_j C_ij``.
     ``_sinkhorn_stack`` updates v last, so every plan has exact column
     marginals and the column term bounds every cost. A converged plan's
-    row sums lie within ``tol_marginal`` of 1/m, so the row term bounds
-    the cost of every pair that converges.
+    row sums lie within ``tol_marginal`` of 1/m, and a plan that does not
+    converge is rounded to exact ones, so the row term bounds every cost.
 
     The costs are one product per query against chunks of consecutive
     snippets of at most ``_SCAN_BATCH_CELLS`` cells, with per-snippet
@@ -491,17 +505,12 @@ def sinkhorn_top2(
 ) -> ScanResult:
     """A ``sinkhorn_scan`` that solves, per query, only the pairs that can be among its two cheapest.
 
-    It solves the grid in passes over a Q x N mask of pairs to solve. The
-    first pass takes each query's ``max(_PRUNE_ROUND, N // 32)`` lowest
-    pairs in (stable) order of ``transport_lower_bounds``. Each later pass takes,
-    per query, every unsolved pair whose bound is at most the
-    second-lowest cost solved so far (``inf`` for a bank of fewer than two
-    snippets), and the whole unsolved rest of a query with a solve that
-    did not converge: the row term of the bound holds only for pairs
-    that converge, and such a solve is the sign of a solver setting too
-    tight for it. The runner-up can only fall, so after the second pass
-    no unsolved pair's bound is at or below it, and a third pass runs only
-    to solve the rest of the banks of queries whose second-pass solves failed.
+    It solves the grid in two passes over a Q x N mask of pairs to solve:
+    each query's ``max(_PRUNE_ROUND, N // 32)`` lowest pairs in (stable)
+    order of ``transport_lower_bounds``, then every unsolved pair whose
+    bound is at most its query's second-lowest cost so far (``inf`` for a
+    bank of fewer than two snippets). The bound holds for every plan,
+    converged or not, and the second pass can only lower the runner-up.
 
     Every pair that can be the cheapest, tie with it or be the runner-up
     is solved and gets exactly the entry ``sinkhorn_scan`` gives it; every
@@ -517,12 +526,11 @@ def sinkhorn_top2(
     todo = np.zeros_like(bounds, bool)
     width = max(_PRUNE_ROUND, len(frames) // 32)
     np.put_along_axis(todo, np.argsort(bounds, axis=1, kind="stable")[:, :width], True, axis=1)
-    while todo.any():
+    _solve_pairs(As, frames, todo, cfg, metric, out)
+    runner_up = np.partition(out.costs, 1, axis=1)[:, 1:2] if len(frames) > 1 else np.inf
+    todo = (out.iterations == 0) & (bounds <= runner_up)
+    if todo.any():
         _solve_pairs(As, frames, todo, cfg, metric, out)
-        solved = out.iterations > 0
-        runner_up = np.partition(out.costs, 1, axis=1)[:, 1:2] if len(frames) > 1 else np.inf
-        failed = (solved & ~out.converged).any(axis=1, keepdims=True)
-        todo = ~solved & ((bounds <= runner_up) | failed)
     return out
 
 

@@ -8,10 +8,9 @@ every robot trajectory. The cycle distance computes every snippet
 (``seqmatch.tcc.tcc_scan``); the transport distance solves only those a
 lower bound cannot rule out as a segment's best or second-best match
 (``seqmatch.ot.sinkhorn_top2``, the whole segment x snippet grid in at
-most three masked passes), and reports the rest as ``inf``. The bound holds for every pair whose solve
-converges, and a segment's first solve that does not turns its pruning
-off, so the pick, its distance, margin and converged flag are those of
-the full per-pair scan (``full_grid=True`` solves every pair instead).
+most two masked passes), and reports the rest as ``inf``. The bound holds
+for every pair, converged or not, so the pick, its distance, margin and
+converged flag are those of the full per-pair scan.
 A record holds the decision alone: how much of the bank was solved is
 ``PairedDataset.solver``, never written to ``paired.json``. Ties on
 distance go to the lexicographically smallest snippet id.
@@ -201,10 +200,9 @@ def _imagine_demos(
     source_ids: Sequence[str | None],
     db: SnippetDatabase,
     cfg: RetrievalConfig,
-    full_grid: bool = False,
 ) -> tuple[list[ImaginedDemo], dict]:
-    """The imagined demo of each sequence, in order, from one ``scan`` (or ``grid``)
-    of every segment, and the counts of that scan (a pruned pair is ``inf``).
+    """The imagined demo of each sequence, in order, from one ``scan`` of every
+    segment, and the counts of that scan (a pruned pair is ``inf``).
 
     Records are built sequence by sequence and segment by segment, so a
     segment whose distances are all NaN is reported with its index in
@@ -217,8 +215,7 @@ def _imagine_demos(
             raise ValueError(f"dimension mismatch: sequence d={z.dim}, database d={db.dim}")
     segments = [segment(z, cfg) for z in sequences]
     subs = [z.frames[start:end] for z, ranges in zip(sequences, segments) for start, end in ranges]
-    rank = cfg.distance.grid if full_grid else cfg.distance.scan
-    values, converged = rank(subs, [s.sequence for s in db.snippets])
+    values, converged = cfg.distance.scan(subs, [s.sequence for s in db.snippets])
     solved = ~np.isposinf(values)
     solver = dict(pairs=values.size, solved=int(solved.sum()), nonconverged=int((solved & ~converged).sum()))
     rows = zip(values, converged)
@@ -247,10 +244,8 @@ def build_paired_dataset(
     db: SnippetDatabase,
     cfg: RetrievalConfig,
     extra_provenance: dict | None = None,
-    full_grid: bool = False,
 ) -> PairedDataset:
-    """One imagined demo per robot trajectory, from one ``scan`` of every segment
-    of every trajectory, or one ``grid`` (every pair solved) with ``full_grid``.
+    """One imagined demo per robot trajectory, from one ``scan`` of every trajectory's segments.
 
     Each entry keeps both the robot embeddings and the imagined demo so
     downstream consumers can condition on either side of the pairing.
@@ -267,7 +262,7 @@ def build_paired_dataset(
         "play_hash": dataset_content_hash(db),
     }
     robots = robot_db.snippets
-    demos, solver = _imagine_demos([ls.sequence for ls in robots], [ls.seq_id for ls in robots], db, cfg, full_grid)
+    demos, solver = _imagine_demos([ls.sequence for ls in robots], [ls.seq_id for ls in robots], db, cfg)
     entries = [PairedEntry(robot=ls, demo=demo) for ls, demo in zip(robots, demos)]
     if extra_provenance:
         provenance.update(extra_provenance)

@@ -213,10 +213,22 @@ class TestSinkhorn:
         assert plan.marginal_error() <= 1e-6
 
 
+def round_reference(P, a, b):
+    """ROUND (Altschuler, Weed and Rigollet, NeurIPS 2017, Algorithm 2) of one
+    m x n plan onto marginals a and b, step by step as the paper writes it."""
+    with np.errstate(divide="ignore"):
+        X = np.diag(np.minimum(a / P.sum(axis=1), 1.0)) @ P
+        Y = X @ np.diag(np.minimum(b / X.sum(axis=0), 1.0))
+    err_r = np.clip(a - Y.sum(axis=1), 0.0, None)
+    err_c = np.clip(b - Y.sum(axis=0), 0.0, None)
+    return Y + np.outer(err_r, err_c) / err_r.sum() if err_r.sum() > 0 else Y
+
+
 def log_sinkhorn_reference(C, cfg, init=None):
     """The log-domain solver ``_sinkhorn_stack`` replaced, as a reference: per
     pair, f and g updates by logsumexp, stopping at the first iterate whose row
-    and column errors are both within ``tol_marginal``."""
+    and column errors are both within ``tol_marginal``; a pair that stops at
+    ``max_iters`` without converging returns its iterate rounded onto the polytope."""
 
     def logsumexp(x, axis):
         top = np.max(x, axis=axis, keepdims=True)
@@ -239,6 +251,8 @@ def log_sinkhorn_reference(C, cfg, init=None):
         live, C, f, g = live[~stop], C[~stop], f[~stop], g[~stop]
         if not len(live):
             break
+    for i in np.flatnonzero(~converged):
+        P_out[i] = round_reference(P_out[i], a, b)
     return P_out, iters, converged
 
 
@@ -312,6 +326,78 @@ class TestSinkhornStack:
         plan = swav_code_plan(scores, cfg)
         np.testing.assert_allclose(plan.coupling.sum(axis=0), np.full(4, 0.25), rtol=1e-12)
         assert np.isfinite(plan.coupling).all() and all(np.isfinite(p).all() for p in plan.potentials)
+
+
+def assert_feasible(P):
+    """P is non-negative with uniform marginals to 1e-15."""
+    m, n = P.shape
+    assert (P >= 0.0).all()
+    assert max(np.abs(P.sum(axis=1) - 1.0 / m).max(), np.abs(P.sum(axis=0) - 1.0 / n).max()) <= 1e-15
+
+
+class TestRoundedPlans:
+    """A plan that stops at ``max_iters`` without converging is its iterate rounded
+    onto the polytope; its potentials, iterations and flag are the iterate's."""
+
+    def assert_rounds_only_unconverged(self, solve):
+        plan = solve()
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(ot, "_round_to_polytope", lambda P, a, b: P)
+            raw = solve()
+        assert (plan.iterations_used, plan.converged) == (raw.iterations_used, raw.converged)
+        assert [p.tobytes() for p in plan.potentials] == [p.tobytes() for p in raw.potentials]
+        if plan.converged:
+            assert plan.coupling.tobytes() == raw.coupling.tobytes()
+        else:
+            assert_feasible(plan.coupling)
+            m, n = raw.coupling.shape
+            want = round_reference(raw.coupling, np.full(m, 1.0 / m), np.full(n, 1.0 / n))
+            np.testing.assert_allclose(plan.coupling, want, rtol=1e-12, atol=1e-18)
+        return plan
+
+    @settings(max_examples=40)
+    @given(
+        st.integers(min_value=1, max_value=12),
+        st.integers(min_value=1, max_value=12),
+        st.sampled_from([0.5, 0.05, 0.01, 1e-3]),
+        st.integers(min_value=1, max_value=5),
+        st.sampled_from([COSINE, SQEUCLIDEAN]),
+        st.integers(min_value=0, max_value=2**31 - 1),
+    )
+    @example(5, 7, 0.01, 1, COSINE, 0)
+    def test_sinkhorn(self, m, n, epsilon, max_iters, metric, seed):
+        r = np.random.default_rng(seed)
+        C = cost_matrix(r.normal(size=(m, 3)), r.normal(size=(n, 3)), metric)
+        plan = self.assert_rounds_only_unconverged(lambda: sinkhorn(C, SinkhornConfig(epsilon, max_iters)))
+        assert plan.cost == float(np.sum(C.entries * plan.coupling))
+
+    @pytest.mark.parametrize("scale", [1.0, 1e3])
+    @pytest.mark.parametrize("max_iters", [1, 3])
+    def test_swav_code_plan(self, rng, scale, max_iters):
+        scores = scale * rng.normal(size=(24, 5))
+        plan = self.assert_rounds_only_unconverged(lambda: swav_code_plan(scores, SinkhornConfig(1e-3, max_iters)))
+        assert not plan.converged
+
+    @pytest.mark.parametrize("metric", [COSINE, SQEUCLIDEAN])
+    def test_sinkhorn_scan(self, rng, metric):
+        queries = [rng.normal(size=(m, 4)) for m in (1, 6, 9)]
+        bank = [rng.normal(size=(n, 4)) for n in (1, 5, 9, 5, 12) * 3]
+        cfg = SinkhornConfig(epsilon=0.01, max_iters=3)
+        plans = []
+        solve = ot._sinkhorn_stack
+
+        def spy(C, cfg, init=None):
+            out = solve(C, cfg, init)
+            plans.extend(P for P, converged in zip(out[0], out[4]) if not converged)
+            return out
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(ot, "_sinkhorn_stack", spy)
+            sinkhorn_scan(queries, bank, cfg, metric)
+        got = assert_scan_matches_per_pair(queries, bank, cfg, metric)
+        assert len(plans) == int((~got.converged).sum()) > 0
+        for P in plans:
+            assert_feasible(P)
 
 
 def assert_scan_matches_per_pair(queries, bank, cfg=None, metric=COSINE):

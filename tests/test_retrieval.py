@@ -15,7 +15,7 @@ from seqmatch.data import (
     SnippetDatabase,
     quantize_frames_f32,
 )
-from seqmatch.ot import SQEUCLIDEAN, SinkhornConfig, cost_matrix, sinkhorn
+from seqmatch.ot import SQEUCLIDEAN, SinkhornConfig, cost_matrix, sinkhorn, transport_lower_bounds
 from seqmatch.pairing import METRICS_NOTE, EvalReport, TrajectoryEval, _mean
 from seqmatch.retrieval import (
     ImaginedDemo,
@@ -106,6 +106,7 @@ class GridDistance:
 
     def __init__(self, distance):
         self.scan = distance.grid
+        self.describe = distance.describe
 
 
 class NanDistance(OtSequenceDistance):
@@ -357,10 +358,10 @@ class TestImagineDemo:
 
 def assert_pruned_matches_grid(robot_set, db, solver, **segmentation):
     """Retrieval with the pruned transport scan equals retrieval with the full grid,
-    and so does ``build_paired_dataset(full_grid=True)``. Row by row, the scan's
-    solved entries are the grid's, and its count of non-converged solves is the
-    grid's less any pruned pairs that do not converge. Returns each segment's
-    (pruned, non-converged solved) counts from its scan row."""
+    per trajectory and in ``build_paired_dataset``. Row by row, the scan's solved
+    entries are the grid's, every pruned pair's bound lies above its row's runner-up,
+    and its count of non-converged solves is the grid's less any pruned pairs that do
+    not converge. Returns each segment's (pruned, non-converged solved) counts."""
     distance = OtSequenceDistance(solver)
     pruned = RetrievalConfig(distance=distance, **segmentation)
     full = RetrievalConfig(distance=GridDistance(distance), **segmentation)
@@ -368,8 +369,9 @@ def assert_pruned_matches_grid(robot_set, db, solver, **segmentation):
         assert imagine_demo(robot.sequence, db, pruned).segments == imagine_demo(robot.sequence, db, full).segments
     robots = SnippetDatabase(tuple(robot_set), db.task_names)
     scanned = build_paired_dataset(robots, db, pruned)
-    gridded = build_paired_dataset(robots, db, pruned, full_grid=True)
+    gridded = build_paired_dataset(robots, db, full)
     assert [e.demo.segments for e in gridded.entries] == [e.demo.segments for e in scanned.entries]
+    assert gridded.provenance == scanned.provenance
     subs = [r.sequence.frames[a:b] for r in robot_set for a, b in segment(r.sequence, pruned)]
     bank = [s.sequence for s in db.snippets]
     values, converged = distance.scan(subs, bank)
@@ -378,6 +380,10 @@ def assert_pruned_matches_grid(robot_set, db, solver, **segmentation):
     assert not np.isposinf(grid).any()
     assert values[~skipped].tolist() == grid[~skipped].tolist()
     assert converged[~skipped].tolist() == grid_converged[~skipped].tolist()
+    if len(db) >= 2:
+        runner_up = np.sort(values, axis=1)[:, 1:2]
+        bounds = transport_lower_bounds(subs, bank, solver, distance.metric)
+        assert (bounds[skipped] > np.broadcast_to(runner_up, values.shape)[skipped]).all()
     n_pruned, n_nonconverged = skipped.sum(axis=1), (~converged & ~skipped).sum(axis=1)
     grid_nonconverged = (~grid_converged).sum(axis=1)
     assert (grid_nonconverged - n_pruned <= n_nonconverged).all() and (n_nonconverged <= grid_nonconverged).all()
@@ -398,12 +404,9 @@ class TestPrunedRetrieval:
     def test_matches_full_grid(self, level, solver):
         robot_set, db = gen_benchmark(level, GenConfig(n_trajectories=3, seed=5))
         counts = assert_pruned_matches_grid(robot_set, db, solver, segment_count=2)
-        for n_pruned, n_nonconverged in counts:
-            assert n_pruned == 0 or n_nonconverged == 0  # a non-converged solve stops pruning
+        assert all(n_pruned > 0 for n_pruned, _ in counts)  # non-converged solves keep pruning on
         if solver.max_iters == 1:
-            assert counts == [(0, len(db))] * len(counts)
-        if solver == SinkhornConfig():
-            assert all(n_pruned > 0 for n_pruned, _ in counts)
+            assert all(n_pruned + n_nonconverged == len(db) for n_pruned, n_nonconverged in counts)
 
     def test_exact_ties_between_duplicate_snippets(self):
         robot_set, db = gen_benchmark("hard", GenConfig(n_trajectories=3, seed=6))
@@ -489,7 +492,7 @@ class TestBuildPairedDataset:
         [
             (OtSequenceDistance(), {"segment_count": 2}, True, False),
             (OtSequenceDistance(), {"segment_len": 8}, True, False),
-            (OtSequenceDistance(SinkhornConfig(epsilon=0.01, max_iters=4)), {"segment_count": 2}, False, True),
+            (OtSequenceDistance(SinkhornConfig(epsilon=0.01, max_iters=4)), {"segment_count": 2}, True, True),
             (OtSequenceDistance(SinkhornConfig(epsilon=0.01, max_iters=60)), {"segment_len": 5}, True, True),
             (TccSequenceDistance(), {"segment_count": 2}, False, False),
         ],
