@@ -64,22 +64,27 @@ the flags into what the command runs on (a distance, retrieval configs
 or, for ``gen``, the generated datasets) and reads and writes nothing.
 The run step (``run``) reads the inputs, computes and returns a
 ``RunOutput``; it writes nothing either, and it reads no method flag
-(``--method``, ``--epsilon``, ``--kprime``, ...), only the configs and
-``--strict``. The write step, in ``main`` alone, creates ``--out``,
+(``--method``, ``--epsilon``, ``--kprime``, ...) and not ``--strict``,
+only the configs. The write step, in ``main`` alone, creates ``--out``,
 writes the files and ``run_manifest.json`` and prints the summary. So
 nothing is written unless the run step returns, and under ``--strict``
 the outputs are written before the exit code 4. ``main`` alone maps
 exceptions to exit codes. A ``ValueError`` from the config step is a
-usage error, so a bad flag is reported before any input is read. Every
-config is validated before the run step starts, so a ``ValueError``
-there can only come from the inputs (a robot set and bank of different
-dimension, a zero-norm frame under the cosine cost) and is a data error.
+usage error, so a bad flag (or, for ``gen``, flags that generate a
+degenerate frame) is reported before any input is read. Every config is
+validated before the run step starts, so a ``ValueError`` there can only
+come from the inputs (a robot set and bank of different dimension, as
+``ot.scan_frames`` reports it for every command, or a zero-norm frame
+under the cosine cost) and is a data error, as is a missing input
+dataset (``read_dataset``'s ``no manifest.json under <path>``).
 
 Exit codes: 0 success, 2 usage/config error, 3 data error, 4 numerical
-failure (OT non-convergence under --strict: of any pair for ``dist``, of
-any pair the pruned scan solved for ``imagine`` and ``ablate``, as their
-``run_manifest.json`` ``solver`` block counts, one per K' for ``ablate``;
---strict changes no output). SEQMATCH_LOG=info makes
+failure. The run step returns how many distances did not converge: for
+``dist`` every pair of the grid that did not, for ``imagine`` and
+``ablate`` every pair the pruned scan solved that did not (summed over
+the K' of ``ablate``), as their ``run_manifest.json`` ``solver`` blocks
+count. Under --strict a count above 0 prints ``<n> distances did not
+converge`` and exits 4; --strict changes no output. SEQMATCH_LOG=info makes
 ``ablate`` log one ``kprime=`` line per K', the only log call; while it
 is unset, no command but ``ablate`` imports ``logging`` (8-12 ms).
 """
@@ -145,7 +150,7 @@ class RunOutput(NamedTuple):
     input_hashes: dict
     summary: str
     seed: int | None = None
-    nonconverged: str | None = None  # the message --strict fails on
+    nonconverged: int = 0  # the distances that did not converge, which --strict fails on
     solver: dict | list | None = None  # the scans' counts, for run_manifest.json
 
 
@@ -164,23 +169,12 @@ def _configure_logging() -> None:
     logging.basicConfig(level=level, format="%(levelname)s %(name)s: %(message)s")
 
 
-def _read_required(path: str, what: str) -> SnippetDatabase:
-    p = Path(path)
-    if not p.exists():
-        raise DatasetError(f"{what} dataset not found: {p}")
-    return read_dataset(p)
-
-
 def _input_hashes(robot_db: SnippetDatabase, play_db: SnippetDatabase) -> dict:
     return {"robot": dataset_content_hash(robot_db), "play": dataset_content_hash(play_db)}
 
 
 def _fmt(x: float) -> str:
     return repr(float(x))
-
-
-def _nonconverged_message(count: int) -> str | None:
-    return f"{count} candidate distances did not converge" if count else None
 
 
 def _report_files(report) -> list[tuple[str, object]]:
@@ -263,8 +257,7 @@ def _cmd_gen(args, config) -> RunOutput:
 
 def _cmd_dist(args, distance: SequenceDistance) -> RunOutput:
     bench = Path(args.dataset)
-    robot_db = _read_required(bench / "robot", "robot")
-    play_db = _read_required(bench / "play", "play")
+    robot_db, play_db = read_dataset(bench / "robot"), read_dataset(bench / "play")
     robot_ids, play_ids = robot_db.ids, play_db.ids
     input_hashes = _input_hashes(robot_db, play_db)  # from the read bytes, before the grid decodes frames
     grid, converged = distance.grid(
@@ -282,13 +275,12 @@ def _cmd_dist(args, distance: SequenceDistance) -> RunOutput:
         config=distance.describe(),
         input_hashes=input_hashes,
         summary=f"wrote {len(robot_db)}x{len(play_db)} distance grid under {Path(args.out)}",
-        nonconverged=f"{len(nonconverged)} cells did not converge" if nonconverged else None,
+        nonconverged=len(nonconverged),
     )
 
 
 def _cmd_imagine(args, cfg: RetrievalConfig) -> RunOutput:
-    robot_db = _read_required(args.robot, "robot")
-    play_db = _read_required(args.play, "play")
+    robot_db, play_db = read_dataset(args.robot), read_dataset(args.play)
     datasets = {"robot_dataset": str(args.robot), "play_dataset": str(args.play)}
     paired = build_paired_dataset(robot_db, play_db, cfg, extra_provenance=datasets)
     imagined = [
@@ -324,7 +316,7 @@ def _cmd_imagine(args, cfg: RetrievalConfig) -> RunOutput:
             f"imagined {len(paired)} demos; recall={report.task_recall:.4f} "
             f"imprecision={report.task_imprecision:.4f} top1={report.top1_accuracy:.4f}"
         ),
-        nonconverged=_nonconverged_message(paired.solver["nonconverged"]),
+        nonconverged=paired.solver["nonconverged"],
         solver=paired.solver,
     )
 
@@ -344,8 +336,7 @@ def _cmd_eval(args, config: None) -> RunOutput:
         raise DatasetError("robot/play dataset paths neither given nor recorded in paired.json")
     if type(robot_path) is not str or type(play_path) is not str:
         raise DatasetError(f"{paired_path}: recorded dataset paths must be strings")
-    robot_db = _read_required(robot_path, "robot")
-    play_db = _read_required(play_path, "play")
+    robot_db, play_db = read_dataset(robot_path), read_dataset(play_path)
     paired = paired_from_json_dict(doc, robot_db, play_db)
     del doc, provenance  # the records are built: free the parsed document before evaluating
     report = evaluate(paired, play_db)
@@ -364,8 +355,7 @@ def _cmd_ablate(args, configs: list[RetrievalConfig]) -> RunOutput:
     import logging
 
     log = logging.getLogger("seqmatch")
-    robot_db = _read_required(args.robot, "robot")
-    play_db = _read_required(args.play, "play")
+    robot_db, play_db = read_dataset(args.robot), read_dataset(args.play)
     rows, solver = [], []
     for cfg in configs:
         kprime = cfg.segment_count
@@ -397,7 +387,7 @@ def _cmd_ablate(args, configs: list[RetrievalConfig]) -> RunOutput:
             f"imprecision={row['imprecision']:.4f} top1={row['top1_accuracy']:.4f}"
             for row in rows
         ),
-        nonconverged=_nonconverged_message(sum(block["nonconverged"] for block in solver)),
+        nonconverged=sum(block["nonconverged"] for block in solver),
         solver=solver,
     )
 
@@ -528,7 +518,7 @@ def main(argv=None) -> int:
         _write_outputs(Path(args.out), args.command, result, t0)
         print(result.summary)
         if result.nonconverged and args.strict:
-            print(f"error: {result.nonconverged}", file=sys.stderr)
+            print(f"error: {result.nonconverged} distances did not converge", file=sys.stderr)
             return 4
         return 0
     except (DatasetError, RetrievalError, OSError, ValueError) as exc:

@@ -208,9 +208,7 @@ def cost_matrix(
     [0, 2] against float round-off. Zero-norm frames are rejected rather
     than silently perturbed.
     """
-    A, B = frame_matrix(a), frame_matrix(b)
-    if A.shape[1] != B.shape[1]:
-        raise ValueError(f"dimension mismatch: {A.shape[1]} vs {B.shape[1]}")
+    (A,), (B,) = scan_frames([a], [b])
     return CostMatrix(_costs(A, B, metric), metric)
 
 

@@ -210,9 +210,6 @@ def _imagine_demos(
     """
     if len(db) == 0:
         raise RetrievalError("snippet database is empty")
-    for z in sequences:
-        if db.dim != z.dim:
-            raise ValueError(f"dimension mismatch: sequence d={z.dim}, database d={db.dim}")
     segments = [segment(z, cfg) for z in sequences]
     subs = [z.frames[start:end] for z, ranges in zip(sequences, segments) for start, end in ranges]
     values, converged = cfg.distance.scan(subs, [s.sequence for s in db.snippets])

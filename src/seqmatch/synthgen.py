@@ -24,11 +24,14 @@ writes to disk.
 ``gen_benchmark`` draws each robot trajectory's task sequence and then its
 noise block, trajectory by trajectory, into one array per chunk of
 trajectories (at most ``_CHUNK_FRAMES`` frames), and turns the chunk into
-frames at once: noise scaled and anchors added in place, one norm, one
-cast and one finiteness check. A chunk's bytes are those of generating its
-trajectories one at a time, which is what ``gen_robot_trajectory`` does,
-so the chunk size changes no output byte and only bounds the float64
-working memory.
+frames at once: noise scaled and anchors added in place, one norm and
+one cast. A chunk's bytes are those of generating its trajectories one
+at a time, which is what ``gen_robot_trajectory`` does, so the chunk size
+changes no output byte and only bounds the float64 working memory.
+
+A frame whose norm is 0 or not finite (at a ``noise_sigma`` that
+overflows it) is the one generation failure, a ``ValueError``; every
+other frame is unit-norm, so its float32 cast needs no check.
 """
 
 from __future__ import annotations
@@ -185,10 +188,12 @@ def gen_anchors(cfg: GenConfig) -> TaskAnchors:
 
 
 def _unit_rows(frames: np.ndarray) -> np.ndarray:
-    """``frames`` with every row divided by its norm, in place."""
-    norms = np.linalg.norm(frames, axis=1, keepdims=True)
-    if (norms == 0.0).any():
-        raise ValueError("degenerate zero-norm frame during generation")
+    """``frames`` with every row divided by its norm, in place; a norm that is 0
+    or not finite (one that overflowed, which warns nothing) raises."""
+    with np.errstate(over="ignore"):
+        norms = np.linalg.norm(frames, axis=1, keepdims=True)
+    if not (np.isfinite(norms) & (norms > 0.0)).all():
+        raise ValueError("degenerate generated frame: its norm is 0 or not finite")
     frames /= norms
     return frames
 
@@ -211,15 +216,6 @@ def _rotate(frames: np.ndarray, u: np.ndarray, v: np.ndarray, angle_deg: float) 
         + (math.cos(theta) - 1.0) * (np.outer(cu, u) + np.outer(cv, v))
         + math.sin(theta) * (np.outer(cu, v) - np.outer(cv, u))
     )
-
-
-def _f32_frames(frames: np.ndarray) -> np.ndarray:
-    """``frames`` cast once to little-endian float32, checked finite as
-    ``EmbeddingSequence`` checks them."""
-    f32 = frames.astype("<f4")
-    if not np.isfinite(f32).all():
-        raise ValueError("frames contain NaN or Inf")
-    return f32
 
 
 def _robot_trajectories(
@@ -271,11 +267,13 @@ def _robot_chunk(
 ) -> list[LabeledSequence]:
     """The sequences of ``(seq_id, task_seq, labels)`` triples over their
     standard-normal draws ``frames``: every frame scaled, moved to its anchor,
-    normalized, cast to float32 and checked in one pass over the chunk, all
-    in place but the cast, and each sequence built from its own float32 bytes."""
-    frames *= cfg.noise_sigma
+    normalized and cast to float32 in one pass over the chunk, all in place
+    but the cast, and each sequence built from its own float32 bytes. A
+    scale that overflows is left to ``_unit_rows`` to reject."""
+    with np.errstate(over="ignore"):
+        frames *= cfg.noise_sigma
     frames += anchors.vectors[np.repeat([t for _, task_seq, _ in chunk for t in task_seq], cfg.frames_per_task)]
-    f32 = _f32_frames(_unit_rows(frames))
+    f32 = _unit_rows(frames).astype("<f4")
     robot_set, start = [], 0
     for seq_id, task_seq, labels in chunk:
         end = start + len(labels)
@@ -333,7 +331,7 @@ def gen_demo_snippets(
         frames = _unit_rows(center + offset + noise)
         if styled:
             frames = _rotate(frames, u, v, spec.rotation_angle_deg)
-        return EmbeddingSequence._from_f32(_f32_frames(frames).tobytes(), frames.shape)
+        return EmbeddingSequence._from_f32(frames.astype("<f4").tobytes(), frames.shape)
 
     # Clip kinds: (tasks, center, speed, id stem, seed record). Single-task
     # kinds come first, so the clips draw their noise in that order.

@@ -74,9 +74,8 @@ def soft_nearest_neighbor(
 
 def _cycle(A: np.ndarray, B: np.ndarray, cfg: TccConfig):
     """Both hops for every frame of ``A``: alpha, neighbors, beta, cycled, frame losses.
-    Either side may be a stack (k x T x d); each pair gets exactly its values alone."""
-    if A.shape[-1] != B.shape[-1]:
-        raise ValueError(f"dimension mismatch: {A.shape[-1]} vs {B.shape[-1]}")
+    Either side may be a stack (k x T x d); each pair gets exactly its values alone.
+    It checks nothing: its callers' ``scan_frames`` has."""
     alpha = _softmax_rows(-pairwise_sq_dists(A, B) / cfg.temperature)
     neighbors = alpha @ B
     beta = _softmax_rows(-pairwise_sq_dists(neighbors, A) / cfg.temperature)
@@ -92,8 +91,8 @@ def tcc_frame_loss(
     cfg: TccConfig | None = None,
 ) -> tuple[float, CycleTrace]:
     """Cycle loss for frame ``t`` of ``a`` through ``b`` and back."""
-    A = frame_matrix(a)
-    alpha, neighbors, beta, cycled, losses = _cycle(A, frame_matrix(b), cfg or TccConfig())
+    (A,), (B,) = scan_frames([a], [b])
+    alpha, neighbors, beta, cycled, losses = _cycle(A, B, cfg or TccConfig())
     if not 0 <= t < A.shape[0]:
         raise IndexError(f"frame index {t} out of range for T={A.shape[0]}")
     loss = float(losses[t])
@@ -106,7 +105,8 @@ def tcc_distance(
     cfg: TccConfig | None = None,
 ) -> float:
     """Sum of cycle losses over all frames of ``a`` (asymmetric in a, b)."""
-    return float(_cycle(frame_matrix(a), frame_matrix(b), cfg or TccConfig())[4].sum())
+    (A,), (B,) = scan_frames([a], [b])
+    return float(_cycle(A, B, cfg or TccConfig())[4].sum())
 
 
 def tcc_distance_symmetric(

@@ -138,6 +138,19 @@ class TestGen:
     def test_unknown_level_usage_error(self, tmp_path):
         assert main(["gen", "--level", "insane", "--out", str(tmp_path / "x")]) == 2
 
+    def test_degenerate_frame_is_usage_error(self, tmp_path, capsys):
+        """A noise scale whose frame norms overflow would give all-zero frames: it is
+        refused in the config step, before ``--out`` is made, in process and in a
+        child process (where no warning filter turns the overflow into an error)."""
+        argv = ["gen", "--level", "easy", "--noise-sigma", "1e160", "--out", "x"]
+        error = "error: degenerate generated frame: its norm is 0 or not finite\n"
+        assert main([*argv[:-1], str(tmp_path / "x")]) == 2
+        assert capsys.readouterr().err == error
+        proc = subprocess.run([sys.executable, "-m", "seqmatch.cli", *argv], cwd=tmp_path, env=cli_env(),
+                              capture_output=True, text=True, timeout=60)
+        assert (proc.returncode, proc.stdout, proc.stderr) == (2, "", error)
+        assert not (tmp_path / "x").exists()
+
 
 class TestDist:
     def test_diagonal_is_row_minimum(self, mirror_bench, tmp_path):
@@ -173,13 +186,33 @@ class TestDist:
         for t in range(3):
             assert float(body[t][1 + t]) == pytest.approx(0.0, abs=1e-9)
 
-    def test_missing_dataset_is_data_error(self, tmp_path):
-        assert main(["dist", str(tmp_path / "nope"), "--out", str(tmp_path / "d")]) == 3
+    def test_large_grid_is_written_in_chunks(self, tmp_path):
+        """At 100 hard trajectories the grid's CSV passes the 64 KiB at which
+        ``_csv_chunks`` flushes (desk grids are about 20 KB): its bytes are those of
+        the same rows written into one buffer, and the writer yields two chunks."""
+        bench, out = tmp_path / "b", tmp_path / "d"
+        assert main(["gen", "--level", "hard", "--trajectories", "100", "--out", str(bench)]) == 0
+        assert main(["dist", str(bench), "--out", str(out)]) == 0
+        robot_db, play_db = read_dataset(bench / "robot"), read_dataset(bench / "play")
+        grid, _ = OtSequenceDistance().grid([s.sequence for s in robot_db], [s.sequence for s in play_db])
+        rows = [["robot_id", *play_db.ids], *([rid, *map(repr, v.tolist())] for rid, v in zip(robot_db.ids, grid))]
+        buf = io.StringIO()
+        csv.writer(buf).writerows(rows)
+        want = buf.getvalue().encode()
+        assert len(want) > 1 << 16
+        assert (out / "distances.csv").read_bytes() == want
+        chunks = list(seqmatch.cli._csv_chunks(iter(rows)))
+        assert len(chunks) == 2 and len(chunks[0]) >= 1 << 16 and b"".join(chunks) == want
 
-    def test_strict_flags_nonconvergence(self, tmp_path):
+    def test_missing_dataset_is_data_error(self, tmp_path, capsys):
+        assert main(["dist", str(tmp_path / "nope"), "--out", str(tmp_path / "d")]) == 3
+        assert capsys.readouterr().err == f"error: no manifest.json under {tmp_path / 'nope' / 'robot'}\n"
+
+    def test_strict_flags_nonconvergence(self, tmp_path, capsys):
         bench = tmp_path / "b"
         main(["gen", "--level", "easy", "--seed", "2", "--trajectories", "2",
               "--snippets-per-task", "1", "--out", str(bench)])
+        capsys.readouterr()
         code = main(
             [
                 "dist", str(bench), "--method", "ot",
@@ -189,7 +222,8 @@ class TestDist:
         )
         assert code == 4
         manifest = json.loads((tmp_path / "d" / "dist_manifest.json").read_text())
-        assert manifest["nonconverged"]  # flagged per cell
+        assert manifest["nonconverged"]  # flagged per cell, and counted in the one message
+        assert capsys.readouterr().err == f"error: {len(manifest['nonconverged'])} distances did not converge\n"
         # every output is written before the exit code
         assert (tmp_path / "d" / "distances.csv").is_file()
         assert (tmp_path / "d" / "run_manifest.json").is_file()
@@ -265,12 +299,14 @@ class TestImagine:
         assert (out / "paired.json").is_file()
         assert "recall=1.0000" in capsys.readouterr().out
 
-    def test_missing_play_path_is_data_error(self, easy_bench, tmp_path):
+    def test_missing_play_path_is_data_error(self, easy_bench, tmp_path, capsys):
         code = main(
             ["imagine", "--robot", str(easy_bench / "robot"), "--play",
              str(tmp_path / "missing"), "--out", str(tmp_path / "run")]
         )
         assert code == 3
+        assert capsys.readouterr().err == f"error: no manifest.json under {tmp_path / 'missing'}\n"
+        assert not (tmp_path / "run").exists()
 
     def test_threads_identical_outputs(self, easy_bench, tmp_path):
         runs = {}
@@ -423,7 +459,7 @@ class TestImagine:
             assert loose["nonconverged"] == nonconverged < int((~converged).sum())
             assert loose["nonconverged"] < loose["solved"] < loose["pairs"] == converged.size
             assert solver_block(runs / "strict") == loose
-            error = f"error: {nonconverged} candidate distances did not converge\n" if nonconverged else ""
+            error = f"error: {nonconverged} distances did not converge\n" if nonconverged else ""
             assert capsys.readouterr().err == error
             assert tree_digest(runs / "strict") == tree_digest(runs / "loose")
 
@@ -668,6 +704,16 @@ class TestEval:
     def test_missing_paired_run(self, tmp_path):
         assert main(["eval", "--paired", str(tmp_path / "void"), "--out", str(tmp_path / "e")]) == 3
 
+    def test_robot_listed_twice_is_data_error(self, paired_run, tmp_path, capsys):
+        doc = json.loads(paired_run[1])
+        doc["entries"][1] = doc["entries"][0]
+        run = tmp_path / "run"
+        run.mkdir()
+        (run / "paired.json").write_text(json.dumps(doc))
+        assert main(["eval", "--paired", str(run), "--out", str(tmp_path / "e")]) == 3
+        assert capsys.readouterr().err == "error: robot sequence 'robot-000' appears twice\n"
+        assert not (tmp_path / "e").exists()
+
     @pytest.mark.parametrize("entries", [[], "", {}])
     def test_no_entries_is_data_error(self, paired_run, tmp_path, capsys, entries):
         run, text = paired_run
@@ -748,7 +794,7 @@ class TestAblate:
         capsys.readouterr()
         out = tmp_path / "abl"
         assert main([*argv, "--strict", "--out", str(out)]) == 4
-        assert "candidate distances did not converge" in capsys.readouterr().err
+        error = capsys.readouterr().err
         # every output is written before the exit code, and matches the run without --strict
         for name in ("ablation.csv", "ablation.json"):
             assert (out / name).read_bytes() == (tmp_path / "loose" / name).read_bytes()
@@ -763,6 +809,8 @@ class TestAblate:
             assert not converged.any()
             blocks.append({"pairs": values.size, "solved": solved, "nonconverged": solved})
         assert solver_block(out) == solver_block(tmp_path / "loose") == blocks
+        # one message, for the count summed over every K'
+        assert error == f"error: {sum(b['nonconverged'] for b in blocks)} distances did not converge\n"
 
     def test_missing_kprime_values_usage_error(self, tmp_path):
         assert main(["ablate", "--robot", "x", "--play", "y", "--kprime", "--out", "z"]) == 2
@@ -850,9 +898,8 @@ class TestExitCodes:
                        "--kprime", "1"],
         }[command]
         assert main([*argv, "--out", str(tmp_path / "out")]) == 3
-        if message == "dimension mismatch":
-            detail = "8 vs 4" if command == "dist" else "sequence d=8, database d=4"
-            assert capsys.readouterr().err == f"error: dimension mismatch: {detail}\n"
+        if message == "dimension mismatch":  # one check, scan_frames, and one detail for every command
+            assert capsys.readouterr().err == "error: dimension mismatch: 8 vs 4\n"
         else:
             assert capsys.readouterr().err == "error: zero-norm frame: cosine distance undefined\n"
         assert not (tmp_path / "out").exists()

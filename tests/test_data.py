@@ -92,6 +92,11 @@ class TestEmbeddingSequence:
         with pytest.raises(ValueError, match="NaN or Inf"):
             EmbeddingSequence([[np.inf, 0.0]])
 
+    @pytest.mark.parametrize("shape", [(3,), (2, 3, 1)])
+    def test_rejects_non_matrix(self, shape):
+        with pytest.raises(ValueError, match=rf"^frames must be 2-D \(T, d\), got shape \({', '.join(map(str, shape))},?\)$"):
+            EmbeddingSequence(np.zeros(shape))
+
     def test_rejects_empty_and_ragged(self):
         with pytest.raises(ValueError):
             EmbeddingSequence(np.zeros((0, 3)))

@@ -60,8 +60,24 @@ class TestCostMatrix:
         assert cost_matrix(a, EmbeddingSequence([[-1.0, 0.0]])).entries[0, 0] == pytest.approx(2.0)
 
     def test_dimension_mismatch(self):
-        with pytest.raises(ValueError, match="dimension"):
+        with pytest.raises(ValueError, match="^dimension mismatch: 2 vs 3$"):
             cost_matrix(EmbeddingSequence([[1.0, 0.0]]), EmbeddingSequence([[1.0, 0.0, 0.0]]))
+
+    @pytest.mark.parametrize(
+        "entries, metric, message",
+        [
+            (np.zeros(3), COSINE, r"^cost matrix must be 2-D and non-empty, got \(3,\)$"),
+            (np.zeros((2, 0)), COSINE, r"^cost matrix must be 2-D and non-empty, got \(2, 0\)$"),
+            ([[0.5, np.nan]], COSINE, "^cost matrix contains NaN or Inf$"),
+            ([[0.5, 1.0]], "bogus", "^unknown metric 'bogus'$"),
+            ([[0.5, 2.5]], COSINE, r"^cosine costs must lie in \[0, 2\]$"),
+            ([[-1e-3, 0.5]], COSINE, r"^cosine costs must lie in \[0, 2\]$"),
+        ],
+        ids=["not-2d", "empty", "nan", "unknown-metric", "cosine-above-2", "cosine-below-0"],
+    )
+    def test_cost_matrix_checks(self, entries, metric, message):
+        with pytest.raises(ValueError, match=message):
+            CostMatrix(entries, metric)
 
     def test_zero_norm_frame_rejected(self):
         with pytest.raises(ValueError, match="zero-norm"):

@@ -92,6 +92,13 @@ class TestSinkhornTop2:
         assert transport_lower_bounds(queries, []).shape == (2, 0)
         assert transport_lower_bounds([], [rng.normal(size=(4, 2))] * 3).shape == (0, 3)
 
+    def test_lower_bounds_unknown_metric_rejected(self, rng):
+        # The metric is checked after the empty-grid return: an empty grid has no cost to name.
+        queries, bank = [rng.normal(size=(3, 2))], [rng.normal(size=(4, 2))]
+        assert transport_lower_bounds([], bank, metric="bogus").shape == (0, 1)
+        with pytest.raises(ValueError, match=r"^unknown metric 'bogus'$"):
+            transport_lower_bounds(queries, bank, metric="bogus")
+
     def test_exact_ties_all_solved(self, rng):
         query = rng.normal(size=(6, 4))
         best, runner_up = query[:3] + 0.01, query + 0.2 * rng.normal(size=(6, 4))

@@ -528,7 +528,7 @@ class TestBuildPairedDataset:
     def test_dimension_mismatch_rejected(self):
         robot_set, db = gen_benchmark("hard", GenConfig(n_trajectories=2, dim=12, seed=9))
         _, narrow = gen_benchmark("hard", GenConfig(n_trajectories=1, dim=8, seed=9))
-        with pytest.raises(ValueError, match="^dimension mismatch: sequence d=12, database d=8$"):
+        with pytest.raises(ValueError, match="^dimension mismatch: 12 vs 8$"):
             build_paired_dataset(robot_set, narrow, ot_config(segment_count=2))
 
     def test_duplicate_robot_ids_rejected(self):

@@ -10,6 +10,7 @@ from seqmatch.synthgen import (
     GenConfig,
     MismatchSpec,
     _sample_task_sequence,
+    _unit_rows,
     gen_anchors,
     gen_benchmark,
     gen_demo_snippets,
@@ -321,6 +322,31 @@ class TestBenchmark:
     def test_tasks_per_trajectory_exceeding_merge_budget(self):
         with pytest.raises(ValueError, match="merge"):
             gen_benchmark("hard", small_cfg(n_tasks=4, tasks_per_trajectory=3, n_trajectories=1))
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("noise_sigma", [1e160, 1.7e308])
+    @pytest.mark.parametrize("level", ["easy", "hard"])
+    def test_degenerate_frame_rejected(self, level, noise_sigma):
+        # Frame norms that overflow would give all-zero frames: the one norm rule
+        # rejects them, on either side, without an overflow warning.
+        message = "^degenerate generated frame: its norm is 0 or not finite$"
+        cfg = GenConfig(noise_sigma=noise_sigma)
+        with pytest.raises(ValueError, match=message):
+            gen_benchmark(level, cfg)
+        spec = MismatchSpec.for_level(level, cfg.n_tasks, noise_sigma=noise_sigma)
+        with pytest.raises(ValueError, match=message):
+            gen_demo_snippets(gen_anchors(cfg), spec, cfg)
+
+    @pytest.mark.parametrize("row", [[0.0, 0.0, 0.0], [np.inf, 1.0, 0.0], [np.nan, 1.0, 0.0]], ids=["zero", "inf", "nan"])
+    def test_unit_rows_rejects_degenerate_norm(self, row):
+        with pytest.raises(ValueError, match="^degenerate generated frame: its norm is 0 or not finite$"):
+            _unit_rows(np.array([[1.0, 2.0, 2.0], row]))
+
+    @pytest.mark.parametrize("level", ["easy", "hard"])
+    def test_huge_noise_below_overflow_gives_unit_frames(self, level):
+        for db in gen_benchmark(level, GenConfig(noise_sigma=1e150)):
+            frames = np.vstack([s.sequence.frames for s in db])
+            np.testing.assert_allclose(np.linalg.norm(frames, axis=1), 1.0, atol=1e-6)
 
     def test_provenance_records_configs(self):
         cfg = GenConfig(n_trajectories=2, seed=6)

@@ -195,8 +195,13 @@ class TestTccDistance:
             assert tcc_distance(A, B[rng.permutation(5)]) == pytest.approx(base, abs=1e-12)
 
     def test_dimension_mismatch(self):
-        with pytest.raises(ValueError, match="dimension"):
+        # One check, ot.scan_frames, and one message for every entry point.
+        with pytest.raises(ValueError, match="^dimension mismatch: 3 vs 4$"):
             tcc_distance(np.zeros((2, 3)), np.zeros((2, 4)))
+        with pytest.raises(ValueError, match="^dimension mismatch: 4 vs 3$"):
+            tcc_distance_symmetric(np.zeros((2, 4)), np.zeros((2, 3)))
+        with pytest.raises(ValueError, match="^dimension mismatch: 3 vs 4$"):
+            tcc_frame_loss(0, np.zeros((2, 3)), np.zeros((2, 4)))
 
     def test_bad_temperature(self):
         with pytest.raises(ValueError, match="temperature"):
